@@ -33,8 +33,9 @@ from .criterion import (
 )
 from .divdiff import NodeSequence, analytic_series, conjugation, delta_table
 from .errors import ConfigError, NumericError, ParseError
-from .funcmodel import TaylorSeries2, eval2, restrict_to_line, series_from_spec
-from .interpolate import default_zgrid, eval_EN, eval_tail, identity_report
+# eval2 stays bound here: perfbench's tracer checks use this second binding.
+from .funcmodel import TaylorSeries2, eval2, series_from_spec  # noqa: F401
+from .interpolate import LinePlan, default_zgrid, eval_EN
 from .mobius import (
     inverse_homography,
     line_factor_check,
@@ -317,19 +318,12 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
     _require_span(nodes, cfg.n_max)
     f = _load_function(cfg.function_source, bits)
     points = _grid_points(cfg)
-    restrictions = [restrict_to_line(f, nodes[q], bits) for q in range(cfg.n_max)]
+    orders = range(cfg.n_min, cfg.n_max + 1)
+    sups = LinePlan(f, nodes, cfg.n_max, bits).sup_errors(points, orders)
     rows = []
     prev = None
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n, sup in sups.items():
         with workprec(bits):
-            sup = mpf(0)
-            for z1, z2 in points:
-                gap = abs(
-                    eval_EN(f, nodes, n, z1, z2, restrictions[:n]).to_mpc()
-                    - eval2(f, z1, z2).to_mpc()
-                )
-                if gap > sup:
-                    sup = gap
             ratio = sup / prev if prev is not None and prev > 0 else None
         rows.append((n, sup, ratio))
         prev = sup
@@ -476,31 +470,23 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
     nodes = _load_nodes(cfg.node_source, bits, cfg.seed)
     _require_span(nodes, cfg.n_max)
     f = _load_function(cfg.function_source, bits)
-    tail_f = f
-    if cfg.max_order is not None and cfg.max_order < f.max_order:
-        tail_f = f.truncated(cfg.max_order)
     points = _grid_points(cfg)
     with workprec(bits):
         tol = parse_decimal(tolerance, bits)
+    plan = LinePlan(f, nodes, cfg.n_max, bits)
     rows = []
     with workprec(bits):
         worst = mpf(0)
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for idx, (z1, z2) in enumerate(points):
-            rep = identity_report(f, nodes, n, z1, z2)
-            residual = rep.identity_residual
-            if tail_f is not f:
-                residual = (
-                    rep.value_en
-                    - rep.value_rn_lagrange
-                    + eval_tail(tail_f, n, z1, z2)
-                    - rep.value_f
-                )
+    for idx, (z1, z2) in enumerate(points):
+        tables = plan.at(z1, z2)
+        for n in range(cfg.n_min, cfg.n_max + 1):
+            rep = tables.report(n, cfg.max_order)
             with workprec(bits):
-                mag = abs(residual.to_mpc())
+                mag = abs(rep.identity_residual.to_mpc())
                 if mag > worst:
                     worst = mag
             rows.append((n, idx, mag, rep.cross_form_gap))
+    rows.sort(key=lambda row: row[:2])
     passed = worst <= tol
     if fmt == "csv":
         lines = ["n,point,residual,cross_form_gap"]

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .precision import (
     DEFAULT_PRECISION,
+    MIN_PRECISION,
     ApComplex,
     check_precision,
     parse_decimal,
@@ -409,16 +410,20 @@ def _as_point(value, bits):
         return ApComplex(_as_real(value, bits), 0, bits)
 
 
+# Parameters are checked as mpf at the lowest precision: rounding to it keeps
+# the sign of any value and never turns a nonzero value into zero.
+
+
 def line_family(a, b, c, count=None):
     """Nodes on the real line a*Re(z) + b*Im(z) + c = 0."""
-    if float(a) == 0 and float(b) == 0:
+    if _as_real(a, MIN_PRECISION) == 0 and _as_real(b, MIN_PRECISION) == 0:
         raise ConfigError("line family needs (a, b) != (0, 0)")
     return NodeFamily(kind="line", a=a, b=b, c=c, count=count)
 
 
 def circle_family(center, radius, count=None):
     """Nodes on the circle |z - center| = radius."""
-    if float(radius) <= 0:
+    if _as_real(radius, MIN_PRECISION) <= 0:
         raise ConfigError("circle family needs a positive radius")
     return NodeFamily(kind="circle", center=center, radius=radius, count=count)
 

@@ -242,16 +242,26 @@ def delta_table(h, nodes, precision_bits=None):
     bits = check_precision(precision_bits or seq.precision_bits)
     with workprec(bits):
         zs = [n.to_mpc() for n in seq]
-        row = tuple(mpc(h.raw(z)) for z in zs)
-        rows = [row]
-        for p in range(1, len(zs)):
-            prev = rows[-1]
-            row = tuple(
+        rows = difference_rows([mpc(h.raw(z)) for z in zs], zs)
+    return DividedDiffTable(seq, bits, rows)
+
+
+def difference_rows(values, zs):
+    """Rows of the two-point recursion from given values at the nodes zs.
+
+    Works on raw mpc values under the ambient working precision; rows[p][k]
+    is the order-p divided difference over zs[k..k+p].
+    """
+    rows = [tuple(values)]
+    for p in range(1, len(zs)):
+        prev = rows[-1]
+        rows.append(
+            tuple(
                 (prev[k + 1] - prev[k]) / (zs[k + p] - zs[k])
                 for k in range(len(zs) - p)
             )
-            rows.append(row)
-    return DividedDiffTable(seq, bits, tuple(rows))
+        )
+    return tuple(rows)
 
 
 def delta(h, nodes, p, precision_bits=None):

@@ -181,21 +181,46 @@ class LineRestriction:
         return ApComplex.from_mpc(total, bits)
 
 
+class GradedTerms:
+    """Terms a_{k,l} z1^k z2^l of a series at one point, grouped by total degree.
+
+    The series value is the sum of all rows and the tail of order n the sum
+    from row n on; both accumulate term by term in graded order, so every
+    partial sum is the one a direct evaluation of that range would give.
+    """
+
+    __slots__ = ("rows", "precision_bits")
+
+    def __init__(self, f, z1, z2):
+        bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
+        with workprec(bits):
+            w1, w2 = z1.to_mpc(), z2.to_mpc()
+            pow1 = [mpc(1)]
+            pow2 = [mpc(1)]
+            for _ in range(f.max_order):
+                pow1.append(pow1[-1] * w1)
+                pow2.append(pow2[-1] * w2)
+            self.rows = [
+                [a * pow1[k] * pow2[m - k] for k, a in f.degree_row(m)]
+                for m in range(f.max_order + 1)
+            ]
+        self.precision_bits = bits
+
+    def total(self, start=0, stop=None):
+        """Sum of the rows of total degree start..stop (default: to the end)."""
+        if stop is None or stop >= len(self.rows):
+            stop = len(self.rows) - 1
+        with workprec(self.precision_bits):
+            total = mpc(0)
+            for m in range(start, stop + 1):
+                for term in self.rows[m]:
+                    total += term
+        return ApComplex.from_mpc(total, self.precision_bits)
+
+
 def eval2(f, z1, z2):
     """Value of the truncated series at (z1, z2), summed in graded order."""
-    bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
-    with workprec(bits):
-        w1, w2 = z1.to_mpc(), z2.to_mpc()
-        pow1 = [mpc(1)]
-        pow2 = [mpc(1)]
-        for _ in range(f.max_order):
-            pow1.append(pow1[-1] * w1)
-            pow2.append(pow2[-1] * w2)
-        total = mpc(0)
-        for m in range(f.max_order + 1):
-            for k, a in f.degree_row(m):
-                total += a * pow1[k] * pow2[m - k]
-    return ApComplex.from_mpc(total, bits)
+    return GradedTerms(f, z1, z2).total()
 
 
 def restrict_to_line(f, eta, precision_bits=None):

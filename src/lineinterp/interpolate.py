@@ -14,19 +14,24 @@ provided: a Lagrange-type sum over high-order restriction terms and a
 Newton-type sum of divided differences of a non-holomorphic kernel. They
 satisfy f = E_N - R_N + tail_N with tail_N the high part of the series
 itself, which is the identity every report checks.
+
+All of these are evaluated through a LinePlan: line data built once for the
+first n_max lines, then one set of point tables per evaluation point that
+every N <= n_max shares. The single-point functions build a one-point plan.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import NodeSequence, ScalarFunction, as_node_sequence, delta_table
+from .divdiff import as_node_sequence, difference_rows
 from .errors import ArityError, ConfigError, DomainError
-from .funcmodel import eval2, restrict_to_line
+from .funcmodel import GradedTerms, eval2, restrict_to_line
 from .precision import ApComplex, check_precision, parse_decimal, render_decimal
 
 
@@ -44,20 +49,11 @@ def _work_bits(f, seq, *points):
     return check_precision(bits)
 
 
-def _line_factor_products(zs, n, z1v, z2v):
-    """suffix[p] = prod_{j=p+1}^{n} (z1 - eta_j z2) for p = 0..n."""
-    suffix = [mpc(1)] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        suffix[p] = suffix[p + 1] * (z1v - zs[p] * z2v)
-    return suffix
-
-
-def _projection_params(zs, n, z1v, z2v):
-    """w_q(z) = (z2 + conj(eta_q) z1) / (1 + |eta_q|^2) for q = 1..n."""
-    out = []
-    for q in range(n):
-        denom = 1 + zs[q].real**2 + zs[q].imag**2
-        out.append((z2v + zs[q].conjugate() * z1v) / denom)
+def _running_products(factors):
+    """[1, x0, x0*x1, ...]: products of the leading factors, in order."""
+    out = [mpc(1)]
+    for x in factors:
+        out.append(out[-1] * x)
     return out
 
 
@@ -75,154 +71,6 @@ def lagrange_monomial(nodes, n, q, z1, z2):
         for j in range(n):
             if j != q - 1:
                 total *= (z1v - zs[j] * z2v) / (zs[q - 1] - zs[j])
-    return ApComplex.from_mpc(total, bits)
-
-
-def eval_EN(f, nodes, n, z1, z2, restrictions=None):
-    """Interpolant value at (z1, z2) built from the first n line restrictions."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    bits = _work_bits(f, seq, z1, z2)
-    if restrictions is None:
-        restrictions = [
-            restrict_to_line(f, seq[q], bits) for q in range(n)
-        ]
-    top = f.max_order
-    with workprec(bits):
-        zs = [node.to_mpc() for node in seq.first(n)]
-        z1v, z2v = z1.to_mpc(), z2.to_mpc()
-        suffix = _line_factor_products(zs, n, z1v, z2v)
-        ws = _projection_params(zs, n, z1v, z2v)
-
-        # inner_sums[q][p-1] = sum_{m >= n-p} w_q^(m-n+p) c_m(eta_q), built by
-        # the upward recurrence S_{p+1} = w * S_p + c_{n-p-1}.
-        inner_sums = []
-        for q in range(n):
-            coeffs = restrictions[q].coeffs
-            acc = mpc(0)
-            for m in range(top, n - 2, -1):
-                acc = acc * ws[q] + coeffs[m]
-            # acc now holds S_1 (terms m >= n-1)
-            per_p = [acc]
-            for p in range(1, n):
-                idx = n - p - 1
-                c = coeffs[idx] if 0 <= idx <= top else mpc(0)
-                acc = ws[q] * acc + c
-                per_p.append(acc)
-            inner_sums.append(per_p)
-
-        # fullprod[q] = prod_{j != q} (eta_q - eta_j) over j = 1..n.
-        fullprod = []
-        for q in range(n):
-            prod = mpc(1)
-            for j in range(n):
-                if j != q:
-                    prod *= zs[q] - zs[j]
-            fullprod.append(prod)
-
-        total = mpc(0)
-        for p in range(1, n + 1):
-            inner = mpc(0)
-            for q in range(p, n + 1):
-                alpha = (1 + zs[p - 1] * zs[q - 1].conjugate()) / (
-                    1 + zs[q - 1].real ** 2 + zs[q - 1].imag ** 2
-                )
-                # prod_{j=p..n, j != q} = fullprod[q] / prod_{j<p} (eta_q - eta_j)
-                pref = mpc(1)
-                for j in range(p - 1):
-                    pref *= zs[q - 1] - zs[j]
-                inner += alpha * pref / fullprod[q - 1] * inner_sums[q - 1][p - 1]
-            total += suffix[p] * inner
-    return ApComplex.from_mpc(total, bits)
-
-
-def eval_RN_lagrange(f, nodes, n, z1, z2, restrictions=None):
-    """Remainder in Lagrange form: high restriction terms against L_p."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    bits = _work_bits(f, seq, z1, z2)
-    if restrictions is None:
-        restrictions = [
-            restrict_to_line(f, seq[q], bits) for q in range(n)
-        ]
-    top = f.max_order
-    with workprec(bits):
-        zs = [node.to_mpc() for node in seq.first(n)]
-        z1v, z2v = z1.to_mpc(), z2.to_mpc()
-        ws = _projection_params(zs, n, z1v, z2v)
-        total = mpc(0)
-        for p in range(n):
-            coeffs = restrictions[p].coeffs
-            acc = mpc(0)
-            for m in range(top, n - 1, -1):
-                acc = acc * ws[p] + coeffs[m]
-            acc *= ws[p]  # powers run from w^1 at m = n
-            lag = mpc(1)
-            for j in range(n):
-                if j != p:
-                    lag *= (z1v - zs[j] * z2v) / (zs[p] - zs[j])
-            total += lag * acc
-    return ApComplex.from_mpc(total, bits)
-
-
-def _newton_remainder_kernel(f, n, z1v, z2v):
-    """zeta -> sum_{m=n}^{M} w(zeta)^(m-n+1) c_m(zeta), not holomorphic."""
-    rows = [f.degree_row(m) for m in range(f.max_order + 1)]
-
-    def fn(zeta):
-        denom = 1 + zeta.real**2 + zeta.imag**2
-        w = (z2v + zeta.conjugate() * z1v) / denom
-        powers = [mpc(1)]
-        for _ in range(f.max_order):
-            powers.append(powers[-1] * zeta)
-        acc = mpc(0)
-        for m in range(f.max_order, n - 1, -1):
-            cm = mpc(0)
-            for k, a in rows[m]:
-                cm += a * powers[k]
-            acc = acc * w + cm
-        return acc * w
-
-    return ScalarFunction(fn=fn, kind="composite")
-
-
-def eval_RN_newton(f, nodes, n, z1, z2):
-    """Remainder in Newton form: divided differences of the tail kernel."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    bits = _work_bits(f, seq, z1, z2)
-    with workprec(bits):
-        z1v, z2v = z1.to_mpc(), z2.to_mpc()
-        kernel = _newton_remainder_kernel(f, n, z1v, z2v)
-        table = delta_table(kernel, seq.first(n), bits)
-        zs = [node.to_mpc() for node in seq.first(n)]
-        z2pow = [mpc(1)]
-        for _ in range(n - 1):
-            z2pow.append(z2pow[-1] * z2v)
-        total = mpc(0)
-        lead = mpc(1)
-        for p in range(n):
-            total += z2pow[n - 1 - p] * lead * table.entry_raw(p, 0)
-            lead *= z1v - zs[p] * z2v
-    return ApComplex.from_mpc(total, bits)
-
-
-def eval_tail(f, n, z1, z2):
-    """Tail sum of the series itself: terms with total degree >= n."""
-    if n < 0:
-        raise DomainError("tail order must be nonnegative")
-    bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
-    with workprec(bits):
-        w1, w2 = z1.to_mpc(), z2.to_mpc()
-        pow1 = [mpc(1)]
-        pow2 = [mpc(1)]
-        for _ in range(f.max_order):
-            pow1.append(pow1[-1] * w1)
-            pow2.append(pow2[-1] * w2)
-        total = mpc(0)
-        for m in range(n, f.max_order + 1):
-            for k, a in f.degree_row(m):
-                total += a * pow1[k] * pow2[m - k]
     return ApComplex.from_mpc(total, bits)
 
 
@@ -276,37 +124,263 @@ class InterpolantReport:
         }
 
 
+class LinePlan:
+    """Line data shared by every evaluation point and every N <= n_max.
+
+    Built once per (f, nodes, n_max, precision): the restrictions c_m(eta_q)
+    of the first n_max lines, the node values, and the node-only factors of
+    the double sum in E_N. The coefficients for one N, its condition
+    estimate and its near pairs are made on first use and kept. `at(z1, z2)`
+    returns the tables of one point, which all N share. eval_EN, both
+    remainder forms and identity_report are one-point, one-N uses of a plan,
+    so a plan gives their values bit for bit.
+    """
+
+    def __init__(self, f, nodes, n_max, precision_bits=None, restrictions=None):
+        seq = as_node_sequence(nodes)
+        _require_order(seq, n_max)
+        bits = check_precision(
+            max(f.precision_bits, seq.precision_bits, precision_bits or 0)
+        )
+        if restrictions is None:
+            restrictions = [restrict_to_line(f, seq[q], bits) for q in range(n_max)]
+        self.f = f
+        self.nodes = seq
+        self.n_max = n_max
+        self.precision_bits = bits
+        self.restriction_coeffs = [r.coeffs for r in restrictions[:n_max]]
+        with workprec(bits):
+            zs = [node.to_mpc() for node in seq.first(n_max)]
+            self.zs = zs
+            self.denoms = [1 + z.real**2 + z.imag**2 for z in zs]
+            # gaps[q][t] = product of (eta_q - eta_j) over the first t indices
+            # j != q: prod_{j<p} for t = p <= q, prod_{j<N, j != q} for t = N-1.
+            self._gaps = [
+                _running_products(zs[q] - zs[j] for j in range(n_max) if j != q)
+                for q in range(n_max)
+            ]
+            # numer[p][q-p] = (1 + eta_p conj(eta_q)) / (1 + |eta_q|^2)
+            #                 * prod_{j<p} (eta_q - eta_j), for p <= q
+            self._numer = [
+                [
+                    (1 + zs[p] * zs[q].conjugate()) / self.denoms[q] * self._gaps[q][p]
+                    for q in range(p, n_max)
+                ]
+                for p in range(n_max)
+            ]
+        self._coeff_cache = {}
+        self._conditioning_cache = {}
+
+    def _check(self, n):
+        if n < 1:
+            raise DomainError("interpolation order must be at least 1")
+        if n > self.n_max:
+            raise ArityError("order %d exceeds the plan's %d lines" % (n, self.n_max))
+
+    def _coefficients(self, n):
+        """K[p][q-p] = numer[p][q-p] / prod_{j<n, j != q} (eta_q - eta_j)."""
+        self._check(n)
+        if n not in self._coeff_cache:
+            with workprec(self.precision_bits):
+                self._coeff_cache[n] = [
+                    [num / self._gaps[q][n - 1] for q, num in enumerate(row[: n - p], p)]
+                    for p, row in enumerate(self._numer[:n])
+                ]
+        return self._coeff_cache[n]
+
+    def _conditioning(self, n):
+        """(condition_estimate, near pairs) of the first n nodes."""
+        self._check(n)
+        if n not in self._conditioning_cache:
+            self._conditioning_cache[n] = (
+                condition_estimate(self.nodes, n),
+                tuple(self.nodes.first(n).near_pairs()),
+            )
+        return self._conditioning_cache[n]
+
+    def at(self, z1, z2):
+        return PointTables(self, z1, z2)
+
+    def sup_errors(self, points, orders):
+        """{N: max over the points of |E_N(f) - f|}, one point's tables at a time."""
+        with workprec(self.precision_bits):
+            sups = {n: mpf(0) for n in orders}
+            for z1, z2 in points:
+                tables = self.at(z1, z2)
+                fz = tables.f_value.to_mpc()
+                for n in orders:
+                    gap = abs(tables.en(n).to_mpc() - fz)
+                    if gap > sups[n]:
+                        sups[n] = gap
+        return sups
+
+
+class PointTables:
+    """Tables of one evaluation point, shared by every N of its plan.
+
+    Line factors z1 - eta_j z2, projection parameters w_q, the Horner table
+    H[q][k] = sum_{m>=k} w_q^(m-k) c_m(eta_q) (zero above the series order)
+    and, on first use, the graded series terms, the Lagrange basis chains and
+    the Newton products. The inner sums of E_N are H[q][N-p]; both remainder
+    forms take the kernel values H[q][N] * w_q at the nodes.
+    """
+
+    def __init__(self, plan, z1, z2):
+        bits = plan.precision_bits
+        if max(z1.precision_bits, z2.precision_bits) > bits:
+            raise ConfigError("point precision exceeds the plan's %d bits" % bits)
+        self.plan = plan
+        self.z1, self.z2 = z1, z2
+        top = plan.f.max_order
+        with workprec(bits):
+            z1v, z2v = z1.to_mpc(), z2.to_mpc()
+            self.z2v = z2v
+            self.line = [z1v - eta * z2v for eta in plan.zs]
+            self.w = [
+                (z2v + eta.conjugate() * z1v) / d for eta, d in zip(plan.zs, plan.denoms)
+            ]
+            # only H[q][k] for k <= n_max is ever read
+            self.horner = []
+            for w, coeffs in zip(self.w, plan.restriction_coeffs):
+                row = [mpc(0)] * (plan.n_max + 1)
+                acc = mpc(0)
+                for m in range(top, -1, -1):
+                    acc = acc * w + coeffs[m]
+                    if m <= plan.n_max:
+                        row[m] = acc
+                self.horner.append(row)
+
+    @cached_property
+    def _series(self):
+        return GradedTerms(self.plan.f, self.z1, self.z2)
+
+    @cached_property
+    def f_value(self):
+        return self._series.total()
+
+    @cached_property
+    def _lagrange(self):
+        # basis[p][t] = product of (z1 - eta_j z2) / (eta_p - eta_j) over the
+        # first t indices j != p; L_p for the first N lines is basis[p][N-1].
+        zs, n_max = self.plan.zs, self.plan.n_max
+        with workprec(self.plan.precision_bits):
+            return [
+                _running_products(
+                    self.line[j] / (zs[p] - zs[j]) for j in range(n_max) if j != p
+                )
+                for p in range(n_max)
+            ]
+
+    @cached_property
+    def _newton(self):
+        # lead[p] = prod_{j<p} (z1 - eta_j z2) and z2pow[i] = z2^i
+        n_max = self.plan.n_max
+        with workprec(self.plan.precision_bits):
+            lead = _running_products(self.line[: n_max - 1])
+            z2pow = _running_products([self.z2v] * (n_max - 1))
+        return lead, z2pow
+
+    def _kernel_values(self, n):
+        return [self.horner[q][n] * self.w[q] for q in range(n)]
+
+    def _boxed(self, value):
+        return ApComplex.from_mpc(value, self.plan.precision_bits)
+
+    def en(self, n):
+        """E_N(f) at this point from the first n lines."""
+        coeffs = self.plan._coefficients(n)
+        with workprec(self.plan.precision_bits):
+            # suffix[n-1-p] = prod_{j=p+1}^{n-1} (z1 - eta_j z2), built from the top
+            suffix = _running_products(reversed(self.line[1:n]))
+            total = mpc(0)
+            for p in range(n):
+                inner = mpc(0)
+                for q in range(p, n):
+                    inner += coeffs[p][q - p] * self.horner[q][n - 1 - p]
+                total += suffix[n - 1 - p] * inner
+        return self._boxed(total)
+
+    def rn_lagrange(self, n):
+        """Remainder in Lagrange form: kernel values against the basis L_p."""
+        self.plan._check(n)
+        with workprec(self.plan.precision_bits):
+            total = mpc(0)
+            for p, value in enumerate(self._kernel_values(n)):
+                total += self._lagrange[p][n - 1] * value
+        return self._boxed(total)
+
+    def rn_newton(self, n):
+        """Remainder in Newton form: divided differences of the kernel values."""
+        self.plan._check(n)
+        lead, z2pow = self._newton
+        with workprec(self.plan.precision_bits):
+            rows = difference_rows(self._kernel_values(n), self.plan.zs[:n])
+            total = mpc(0)
+            for p in range(n):
+                total += z2pow[n - 1 - p] * lead[p] * rows[p][0]
+        return self._boxed(total)
+
+    def report(self, n, tail_max_order=None):
+        """All identity members for the first n lines; the tail may be capped."""
+        en = self.en(n)
+        rl = self.rn_lagrange(n)
+        rn = self.rn_newton(n)
+        tail = self._series.total(n, tail_max_order)
+        fz = self.f_value
+        residual = en - rl + tail - fz
+        bits = self.plan.precision_bits
+        with workprec(bits):
+            gap = abs(rl.to_mpc() - rn.to_mpc())
+        estimate, pairs = self.plan._conditioning(n)
+        return InterpolantReport(
+            n=n,
+            node_count=len(self.plan.nodes),
+            precision_bits=bits,
+            value_en=en,
+            value_rn_lagrange=rl,
+            value_rn_newton=rn,
+            value_tail=tail,
+            value_f=fz,
+            identity_residual=residual,
+            cross_form_gap=gap,
+            condition_estimate=estimate,
+            conditioning_pairs=pairs,
+        )
+
+
+def _point_tables(f, nodes, n, z1, z2, restrictions=None):
+    seq = as_node_sequence(nodes)
+    return LinePlan(f, seq, n, _work_bits(f, seq, z1, z2), restrictions).at(z1, z2)
+
+
+def eval_EN(f, nodes, n, z1, z2, restrictions=None):
+    """Interpolant value at (z1, z2) built from the first n line restrictions."""
+    return _point_tables(f, nodes, n, z1, z2, restrictions).en(n)
+
+
+def eval_RN_lagrange(f, nodes, n, z1, z2, restrictions=None):
+    """Remainder in Lagrange form: high restriction terms against L_p."""
+    return _point_tables(f, nodes, n, z1, z2, restrictions).rn_lagrange(n)
+
+
+def eval_RN_newton(f, nodes, n, z1, z2):
+    """Remainder in Newton form: divided differences of the tail kernel."""
+    return _point_tables(f, nodes, n, z1, z2).rn_newton(n)
+
+
+def eval_tail(f, n, z1, z2):
+    """Tail sum of the series itself: terms with total degree >= n."""
+    if n < 0:
+        raise DomainError("tail order must be nonnegative")
+    return GradedTerms(f, z1, z2).total(n)
+
+
 def identity_report(f, nodes, n, z1, z2):
     """Evaluate E_N, both remainders, the tail, and the defect of the identity
 
     f(z) = E_N(f)(z) - R_N(f)(z) + tail_N(f)(z).
     """
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    bits = _work_bits(f, seq, z1, z2)
-    restrictions = [restrict_to_line(f, seq[q], bits) for q in range(n)]
-    en = eval_EN(f, seq, n, z1, z2, restrictions)
-    rl = eval_RN_lagrange(f, seq, n, z1, z2, restrictions)
-    rn = eval_RN_newton(f, seq, n, z1, z2)
-    tail = eval_tail(f, n, z1, z2)
-    fz = eval2(f, z1, z2)
-    residual = en - rl + tail - fz
-    with workprec(bits):
-        gap = abs(rl.to_mpc() - rn.to_mpc())
-    return InterpolantReport(
-        n=n,
-        node_count=len(seq),
-        precision_bits=bits,
-        value_en=en,
-        value_rn_lagrange=rl,
-        value_rn_newton=rn,
-        value_tail=tail,
-        value_f=fz,
-        identity_residual=residual,
-        cross_form_gap=gap,
-        condition_estimate=condition_estimate(seq, n),
-        conditioning_pairs=tuple(seq.first(n).near_pairs()),
-    )
+    return _point_tables(f, nodes, n, z1, z2).report(n)
 
 
 def interpolation_check(f, nodes, n, p, v):

@@ -249,7 +249,8 @@ class ApComplex:
         return self.re == rhs.re and self.im == rhs.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # mpc hashes like the equal Python number, as __eq__ requires
+        return hash(self.to_mpc())
 
     def __repr__(self):
         return "ApComplex(%s, %s, precision_bits=%d)" % (

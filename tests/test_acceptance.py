@@ -16,6 +16,7 @@ from mpmath import ldexp, mpf, workprec
 
 from lineinterp import (
     ApComplex,
+    LinePlan,
     NodeSequence,
     TaylorSeries2,
     analytic_series,
@@ -293,21 +294,8 @@ def _run_ac6(bits):
     if key not in _cache:
         nodes = generate_nodes(circle_family((0, 0), 1, 24), precision_bits=bits)
         f = series_from_spec("exp_sum:40", bits)
-        grid = default_zgrid(bits)
-        rest = [restrict_to_line(f, nodes[q], bits) for q in range(16)]
-        errors = {}
-        for n in range(4, 17):
-            with workprec(bits):
-                sup = mpf(0)
-                for z1, z2 in grid:
-                    gap = abs(
-                        eval_EN(f, nodes, n, z1, z2, rest[:n]).to_mpc()
-                        - eval2(f, z1, z2).to_mpc()
-                    )
-                    if gap > sup:
-                        sup = gap
-            errors[n] = sup
-        _cache[key] = errors
+        plan = LinePlan(f, nodes, 16, bits)
+        _cache[key] = plan.sup_errors(default_zgrid(bits), range(4, 17))
     return _cache[key]
 
 

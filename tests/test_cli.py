@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -456,3 +457,73 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(runner, node_file, tmp_path
     header, rows = csv_rows(target.read_text())
     assert header == ["p", "k", "re", "im"]
     assert len(rows) == 15
+
+
+# -- pinned outputs ------------------------------------------------------------------
+
+# SHA-256 of stdout for small converge/identity runs: outputs must stay
+# byte-identical, so any change to the arithmetic or its order shows here.
+# The poly case has max_order 3 < n_max 6, so the Horner table is read above
+# the series order.
+_PINNED_BASE = ["--nodes", "family:circle:0,0,1:8", "--grid", "3x3@0.5+2"]
+_PINNED_EXP = _PINNED_BASE + ["--function", "builtin:exp_sum:12"]
+_PINNED_POLY = _PINNED_BASE + [
+    "--function",
+    "builtin:poly:0,0,1,0;1,0,0.5,-0.25;2,1,0.3,0.1;0,3,-0.2,0",
+    "--n-min",
+    "1",
+    "--n-max",
+    "6",
+    "--seed",
+    "3",
+]
+_PINNED = [
+    (
+        ["converge", *_PINNED_EXP, "--n-min", "2", "--n-max", "8"],
+        0,
+        "155bdd915136c2a3cf21af294519a5b2c62f7163bf6f376c8d27e1baa8c451bc",
+    ),
+    (
+        ["converge", *_PINNED_EXP, "--n-min", "2", "--n-max", "8", "--format", "json"],
+        0,
+        "0f4e0c2d39947c5398e473a31ca530a446b580783eb074ab885747bc22af76c0",
+    ),
+    (
+        ["identity", *_PINNED_EXP, "--n-min", "1", "--n-max", "8"],
+        0,
+        "75da3adf7085a79a3fe86e4bcd1fde0ebd1c3f8a0752563e1fd44fcaf3208585",
+    ),
+    (
+        ["identity", *_PINNED_EXP, "--n-min", "1", "--n-max", "8", "--format", "json"],
+        0,
+        "4e1de87020c6344ec72324c46353f02bb26099bcafb82f5110faf6fd22c4e1b0",
+    ),
+    (
+        ["identity", *_PINNED_EXP, "--n-min", "1", "--n-max", "8", "--max-order", "3",
+         "--format", "json"],
+        1,
+        "57f7830425c5a83b959f94b0a1a18dee025245675c1535f648c4384021d637a6",
+    ),
+    (
+        ["converge", *_PINNED_POLY],
+        0,
+        "414e3033a9d997e8d382ab65107148dd94561aa5c1ca4e9a0489bb561825db6d",
+    ),
+    (
+        ["identity", *_PINNED_POLY, "--format", "json"],
+        0,
+        "fa066b05cdbda5217ac77485ff78315bf497b0d3e7eac9f085a9333d53b9f3ee",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    _PINNED,
+    ids=["converge-csv", "converge-json", "identity-csv", "identity-json",
+         "identity-max-order", "converge-poly", "identity-poly"],
+)
+def test_pinned_output_digests(runner, argv, code, digest):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == code
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

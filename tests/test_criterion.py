@@ -325,6 +325,22 @@ def test_family_validation():
         generate_nodes(line_family(0, 1, 0), 0, precision_bits=BITS)
     with pytest.raises(ConfigError):
         generate_nodes(line_family(0, 1, 0), None, precision_bits=BITS)
+    with pytest.raises(ConfigError):
+        line_family("0.0", "-0", "1")
+    with pytest.raises(ConfigError):
+        circle_family(("0", "0"), "-1e-400")
+
+
+def test_family_validation_is_exact_for_tiny_parameters():
+    # values below double range are nonzero at 256 bits
+    flat = generate_nodes(line_family("1e-400", "0", "0"), 3, precision_bits=BITS)
+    assert len(flat) == 3
+    assert all(node.re == 0 for node in flat)
+    tiny = generate_nodes(circle_family(("0", "0"), "1e-400"), 3, precision_bits=BITS)
+    with workprec(BITS):
+        assert all(0 < abs(node.to_mpc()) < mpf("1e-399") for node in tiny)
+    assert line_family(mpf("1e-400"), 0, 0).kind == "line"
+    assert circle_family(0, mpf("1e-400")).kind == "circle"
 
 
 # -- germs ------------------------------------------------------------------------------

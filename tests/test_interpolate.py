@@ -12,7 +12,9 @@ from mpmath import mpf, workprec
 from lineinterp import (
     ApComplex,
     ArityError,
+    ConfigError,
     DomainError,
+    LinePlan,
     NodeSequence,
     TaylorSeries2,
     condition_estimate,
@@ -209,6 +211,64 @@ def test_identity_report_residual_small():
         assert rep.cross_form_gap <= mpmath.ldexp(1, -200)
         assert rep.n == n
         assert rep.node_count == len(nodes)
+
+
+def test_plan_shares_tables_across_orders_bit_for_bit():
+    # One plan and one set of point tables serve every N; each value equals
+    # the single-call result exactly, whatever order the N are asked in.
+    rng = random.Random(808)
+    qnodes = rand_distinct_nodes(rng, 6)
+    m = 3  # below n_max, so the Horner table is read above the series order
+    f = series_from_qc(rand_poly2_coeffs(rng, m), m)
+    nodes = nodes_from_qc(qnodes)
+    plan = LinePlan(f, nodes, 5)
+    for _ in range(3):
+        z1, z2 = qc_to_ap(rand_qc(rng, 1), BITS), qc_to_ap(rand_qc(rng, 1), BITS)
+        tables = plan.at(z1, z2)
+        for n in (5, 1, 3, 2, 4):
+            assert tables.en(n) == eval_EN(f, nodes, n, z1, z2)
+            assert tables.rn_lagrange(n) == eval_RN_lagrange(f, nodes, n, z1, z2)
+            assert tables.rn_newton(n) == eval_RN_newton(f, nodes, n, z1, z2)
+            rep, single = tables.report(n), identity_report(f, nodes, n, z1, z2)
+            assert rep.identity_residual == single.identity_residual
+            assert rep.cross_form_gap == single.cross_form_gap
+            assert rep.condition_estimate == single.condition_estimate
+            assert rep.conditioning_pairs == single.conditioning_pairs
+        assert tables.f_value == eval2(f, z1, z2)
+
+
+def test_plan_capped_tail_matches_truncated_series():
+    rng = random.Random(909)
+    m = 6
+    f = series_from_qc(rand_poly2_coeffs(rng, m), m)
+    nodes = nodes_from_qc(rand_distinct_nodes(rng, 4))
+    z1, z2 = qc_to_ap(rand_qc(rng, 1), BITS), qc_to_ap(rand_qc(rng, 1), BITS)
+    tables = LinePlan(f, nodes, 4).at(z1, z2)
+    for cap in (0, 2, 4, 6, 9):
+        truncated = f.truncated(cap) if cap < m else f
+        for n in range(1, 5):
+            rep = tables.report(n, cap)
+            tail = eval_tail(truncated, n, z1, z2)
+            assert rep.value_tail == tail
+            assert rep.identity_residual == (
+                rep.value_en - rep.value_rn_lagrange + tail - rep.value_f
+            )
+
+
+def test_plan_rejects_orders_and_points_it_cannot_serve():
+    f = series_from_qc({(1, 0): QC_ONE}, 1)
+    nodes = nodes_from_qc([QC.of(1), QC.of(2), QC.of(3)])
+    plan = LinePlan(f, nodes, 2)
+    z = ap(Fraction(1, 2))
+    tables = plan.at(z, z)
+    with pytest.raises(DomainError):
+        tables.en(0)
+    with pytest.raises(ArityError):
+        tables.rn_newton(3)
+    with pytest.raises(ArityError):
+        LinePlan(f, nodes, 4)
+    with pytest.raises(ConfigError):
+        plan.at(z.at_precision(512), z)
 
 
 def test_low_degree_reproduction():

@@ -149,6 +149,19 @@ def test_immutability():
         a.re = mpmath.mpf(3)
 
 
+def test_hash_agrees_with_equal_numbers():
+    one = ApComplex(1, 0, 256)
+    assert one == 1 and hash(one) == hash(1)
+    half = ApComplex(mpmath.mpf("0.5"), 0, 512)
+    assert half == mpmath.mpf("0.5") and hash(half) == hash(mpmath.mpf("0.5"))
+    z = make_complex("1", "2")
+    assert hash(z) == hash(1 + 2j) == hash(mpmath.mpc(1, 2))
+    # equal values at different precisions hash alike
+    assert hash(make_complex("0.1", "-3", 256)) == hash(
+        make_complex("0.1", "-3", 256).at_precision(512)
+    )
+
+
 def test_conjugation_involution_exact():
     rng = random.Random(5)
     for _ in range(50):
