@@ -514,6 +514,44 @@ _PINNED = [
         0,
         "fa066b05cdbda5217ac77485ff78315bf497b0d3e7eac9f085a9333d53b9f3ee",
     ),
+    (
+        ["dd", "--nodes", "family:circle:0,0,1:6", "--kernel", "conj-kernel:2", "--seed", "5"],
+        0,
+        "c485f071e16cfcd64650fc24423f1e68e44cd46097c6b2fb33284b62f21d65ef",
+    ),
+    (
+        ["dd", "--nodes", "family:circle:0,0,1:6", "--kernel", "conj-kernel:2", "--seed", "5",
+         "--format", "json"],
+        0,
+        "bc188adc28b94c11b2193669e050a51333fbf5c305eba199134880c09854f124",
+    ),
+    (
+        ["criterion", "--nodes", "family:circle:0,0,1:9", "--p-max", "8", "--q-max", "3",
+         "--seed", "2"],
+        0,
+        "05aab6afb7425d4162f98253f0be20bf7684c55aa5fd15e117f2fa2ec3fdaead",
+    ),
+    (
+        ["criterion", "--nodes", "family:circle:0,0,1:9", "--p-max", "8", "--q-max", "3",
+         "--seed", "2", "--format", "json"],
+        0,
+        "3d29a1d1df51d3fe7acc2bf0e674d85bd1d31de667b45fec94a48cb1fdb72803",
+    ),
+    (
+        ["counterexample", "--stages", "2"],
+        0,
+        "9f529f8062fb441e572bb98b4cfd4349370c9333774abe9bb6b70945fe21c0a8",
+    ),
+    (
+        ["counterexample", "--stages", "2", "--format", "json"],
+        0,
+        "ae5d82e8d17dea944d8440e2e6b79d1281a8caf5eacb6710278889e1179796d5",
+    ),
+    (
+        ["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1", "--seed", "4"],
+        0,
+        "1c4c0058204540896d1b3bdb20f1e36acbe76c0d60e0f123e2ec8f8058b748b6",
+    ),
 ]
 
 
@@ -521,7 +559,9 @@ _PINNED = [
     "argv,code,digest",
     _PINNED,
     ids=["converge-csv", "converge-json", "identity-csv", "identity-json",
-         "identity-max-order", "converge-poly", "identity-poly"],
+         "identity-max-order", "converge-poly", "identity-poly", "dd-csv", "dd-json",
+         "criterion-csv", "criterion-json", "counterexample-csv", "counterexample-json",
+         "mobius"],
 )
 def test_pinned_output_digests(runner, argv, code, digest):
     result = runner.invoke(main, argv)
