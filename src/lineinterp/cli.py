@@ -18,7 +18,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 
 import click
 from mpmath import mpf, workprec
@@ -61,31 +60,16 @@ _GRID_RE = re.compile(r"^(\d+)x(\d+)@([^+]+)(?:\+(\d+))?$")
 # -- shared configuration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle shared by the subcommands."""
+def _check_orders(n_min, n_max):
+    if n_min < 1:
+        raise ConfigError("N range must start at 1 or above")
+    if n_min > n_max:
+        raise ConfigError("empty N range: n_min=%d > n_max=%d" % (n_min, n_max))
 
-    precision_bits: int = DEFAULT_PRECISION
-    max_order: object = None
-    node_source: object = None
-    function_source: object = None
-    n_min: int = 1
-    n_max: int = 1
-    grid_spec: str = DEFAULT_GRID
-    out_path: object = None
-    seed: int = 0
 
-    def __post_init__(self):
-        check_precision(self.precision_bits)
-        if self.n_min < 1:
-            raise ConfigError("N range must start at 1 or above")
-        if self.n_min > self.n_max:
-            raise ConfigError(
-                "empty N range: n_min=%d > n_max=%d" % (self.n_min, self.n_max)
-            )
-        if self.max_order is not None and self.max_order < 0:
-            raise ConfigError("max order must be nonnegative")
-        _parse_grid(self.grid_spec)
+def _check_max_order(max_order):
+    if max_order is not None and max_order < 0:
+        raise ConfigError("max order must be nonnegative")
 
 
 def _parse_grid(spec):
@@ -102,11 +86,9 @@ def _parse_grid(spec):
     return side_a, m.group(3), extra
 
 
-def _grid_points(cfg):
-    side, radius, extra = _parse_grid(cfg.grid_spec)
-    return default_zgrid(
-        cfg.precision_bits, radius=radius, side=side, extra=extra, seed=cfg.seed
-    )
+def _grid_points(spec, bits, seed):
+    side, radius, extra = _parse_grid(spec)
+    return default_zgrid(bits, radius=radius, side=side, extra=extra, seed=seed)
 
 
 def _parse_point(text, bits):
@@ -128,6 +110,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("%s is not valid JSON: %s" % (path, exc)) from exc
 
@@ -215,14 +199,31 @@ def _require_span(nodes, n_max):
 def _emit(text, out_path):
     payload = text if text.endswith("\n") else text + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
         click.echo(payload, nl=False)
 
 
 def _json_text(obj):
     return json.dumps(obj, indent=2)
+
+
+def _emit_table(columns, rows, fmt, out_path, **meta):
+    """Rows as CSV under a header, or as JSON objects after the meta fields.
+
+    A None cell is empty in CSV and null in JSON.
+    """
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+        _emit("\n".join(lines), out_path)
+    else:
+        table = {**meta, "rows": [dict(zip(columns, row)) for row in rows]}
+        _emit(_json_text(table), out_path)
 
 
 def _guarded(fn):
@@ -241,11 +242,6 @@ def _guarded(fn):
         sys.exit(0 if code is None else code)
 
     return wrapper
-
-
-def _magnitude(value, bits):
-    with workprec(bits):
-        return abs(value.to_mpc())
 
 
 # -- command group -------------------------------------------------------------------
@@ -303,55 +299,23 @@ _function_opt = click.option(
 @_guarded
 def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, seed, out, fmt):
     """Sup-grid interpolation error against the line count N."""
-    cfg = RunConfig(
-        precision_bits=precision,
-        node_source=node_source,
-        function_source=function_source,
-        n_min=n_min,
-        n_max=n_max,
-        grid_spec=grid,
-        out_path=out,
-        seed=seed,
-    )
-    bits = cfg.precision_bits
-    nodes = _load_nodes(cfg.node_source, bits, cfg.seed)
-    _require_span(nodes, cfg.n_max)
-    f = _load_function(cfg.function_source, bits)
-    points = _grid_points(cfg)
-    orders = range(cfg.n_min, cfg.n_max + 1)
-    sups = LinePlan(f, nodes, cfg.n_max, bits).sup_errors(points, orders)
+    bits = check_precision(precision)
+    _check_orders(n_min, n_max)
+    _parse_grid(grid)
+    nodes = _load_nodes(node_source, bits, seed)
+    _require_span(nodes, n_max)
+    f = _load_function(function_source, bits)
+    points = _grid_points(grid, bits, seed)
+    orders = range(n_min, n_max + 1)
+    sups = LinePlan(f, nodes, n_max, bits).sup_errors(points, orders)
     rows = []
     prev = None
     for n, sup in sups.items():
         with workprec(bits):
             ratio = sup / prev if prev is not None and prev > 0 else None
-        rows.append((n, sup, ratio))
+        rows.append((n, render_decimal(sup), None if ratio is None else render_decimal(ratio)))
         prev = sup
-    if fmt == "csv":
-        lines = ["n,sup_error,ratio"]
-        for n, sup, ratio in rows:
-            lines.append(
-                "%d,%s,%s"
-                % (n, render_decimal(sup), render_decimal(ratio) if ratio is not None else "")
-            )
-        _emit("\n".join(lines), cfg.out_path)
-    else:
-        _emit(
-            _json_text(
-                {
-                    "precision_bits": bits,
-                    "rows": [
-                        {
-                            "n": n,
-                            "sup_error": render_decimal(sup),
-                            "ratio": render_decimal(ratio) if ratio is not None else None,
-                        }
-                        for n, sup, ratio in rows
-                    ],
-                }
-            ),
-            cfg.out_path,
-        )
+    _emit_table(("n", "sup_error", "ratio"), rows, fmt, out, precision_bits=bits)
     return 0
 
 
@@ -369,16 +333,13 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
 @_guarded
 def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     """Normalized conjugate-kernel divided-difference profile."""
-    cfg = RunConfig(
-        precision_bits=precision, node_source=node_source, out_path=out, seed=seed
-    )
-    bits = cfg.precision_bits
-    nodes = _load_nodes(cfg.node_source, bits, cfg.seed)
+    bits = check_precision(precision)
+    nodes = _load_nodes(node_source, bits, seed)
     profile = criterion_profile(nodes, p_max, q_max, bits)
     if fmt == "csv":
-        _emit(profile.to_csv_text(), cfg.out_path)
+        _emit(profile.to_csv_text(), out)
     else:
-        _emit(_json_text(profile.to_json_obj()), cfg.out_path)
+        _emit(_json_text(profile.to_json_obj()), out)
     return 0
 
 
@@ -409,21 +370,17 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
     The growth table goes to stdout; --out receives the node sequence as
     JSON. Exits 0 only when every stage certificate passes.
     """
-    cfg = RunConfig(precision_bits=precision, out_path=out)
-    bits = cfg.precision_bits
+    bits = check_precision(precision)
     f = _parse_kernel(kernel, bits)
     policy = EscalationPolicy(start_bits=bits, max_bits=max_bits)
     seq = build_sequence(f, stages, policy)
     report = verify_growth(seq, f)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(seq.to_json_obj()) + "\n")
+    if out:
+        _emit(_json_text(seq.to_json_obj()), out)
     if fmt == "csv":
-        click.echo(report.to_csv_text(), nl=False)
+        _emit(report.to_csv_text(), None)
     else:
-        click.echo(
-            _json_text({"sequence": seq.to_json_obj(), "growth": report.to_json_obj()})
-        )
+        _emit(_json_text({"sequence": seq.to_json_obj(), "growth": report.to_json_obj()}), None)
     return 0 if report.all_passed else 1
 
 
@@ -455,67 +412,41 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
 @_guarded
 def cmd_identity(precision, node_source, function_source, n_min, n_max, max_order, tolerance, grid, seed, out, fmt):
     """Residual of f = E_N - R_N + tail swept over the grid."""
-    cfg = RunConfig(
-        precision_bits=precision,
-        max_order=max_order,
-        node_source=node_source,
-        function_source=function_source,
-        n_min=n_min,
-        n_max=n_max,
-        grid_spec=grid,
-        out_path=out,
-        seed=seed,
-    )
-    bits = cfg.precision_bits
-    nodes = _load_nodes(cfg.node_source, bits, cfg.seed)
-    _require_span(nodes, cfg.n_max)
-    f = _load_function(cfg.function_source, bits)
-    points = _grid_points(cfg)
+    bits = check_precision(precision)
+    _check_orders(n_min, n_max)
+    _check_max_order(max_order)
+    _parse_grid(grid)
+    nodes = _load_nodes(node_source, bits, seed)
+    _require_span(nodes, n_max)
+    f = _load_function(function_source, bits)
+    points = _grid_points(grid, bits, seed)
     with workprec(bits):
         tol = parse_decimal(tolerance, bits)
-    plan = LinePlan(f, nodes, cfg.n_max, bits)
+    plan = LinePlan(f, nodes, n_max, bits)
     rows = []
     with workprec(bits):
         worst = mpf(0)
     for idx, (z1, z2) in enumerate(points):
         tables = plan.at(z1, z2)
-        for n in range(cfg.n_min, cfg.n_max + 1):
-            rep = tables.report(n, cfg.max_order)
+        for n in range(n_min, n_max + 1):
+            rep = tables.report(n, max_order)
             with workprec(bits):
                 mag = abs(rep.identity_residual.to_mpc())
                 if mag > worst:
                     worst = mag
-            rows.append((n, idx, mag, rep.cross_form_gap))
+            rows.append((n, idx, render_decimal(mag), render_decimal(rep.cross_form_gap)))
     rows.sort(key=lambda row: row[:2])
     passed = worst <= tol
-    if fmt == "csv":
-        lines = ["n,point,residual,cross_form_gap"]
-        for n, idx, mag, gap in rows:
-            lines.append(
-                "%d,%d,%s,%s" % (n, idx, render_decimal(mag), render_decimal(gap))
-            )
-        _emit("\n".join(lines), cfg.out_path)
-    else:
-        _emit(
-            _json_text(
-                {
-                    "precision_bits": bits,
-                    "tolerance": tolerance,
-                    "max_residual": render_decimal(worst),
-                    "passed": passed,
-                    "rows": [
-                        {
-                            "n": n,
-                            "point": idx,
-                            "residual": render_decimal(mag),
-                            "cross_form_gap": render_decimal(gap),
-                        }
-                        for n, idx, mag, gap in rows
-                    ],
-                }
-            ),
-            cfg.out_path,
-        )
+    _emit_table(
+        ("n", "point", "residual", "cross_form_gap"),
+        rows,
+        fmt,
+        out,
+        precision_bits=bits,
+        tolerance=tolerance,
+        max_residual=render_decimal(worst),
+        passed=passed,
+    )
     return 0 if passed else 1
 
 
@@ -553,9 +484,8 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
 @_guarded
 def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolerance, seed, out):
     """Homography reduction report: theta list, bounds, residuals (JSON)."""
-    cfg = RunConfig(precision_bits=precision, node_source=node_source, out_path=out, seed=seed)
-    bits = cfg.precision_bits
-    nodes = _load_nodes(cfg.node_source, bits, cfg.seed)
+    bits = check_precision(precision)
+    nodes = _load_nodes(node_source, bits, seed)
     if eta_inf == "inf":
         thetas = theta_infinity(nodes, phi, bits)
         _emit(
@@ -567,7 +497,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
                     "theta": [t.to_json_obj() for t in thetas],
                 }
             ),
-            cfg.out_path,
+            out,
         )
         return 0
     center = _parse_point(eta_inf, bits)
@@ -586,7 +516,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
             back = abs(inverse_homography(ctx, theta).to_mpc() - node.to_mpc())
             if back > round_trip:
                 round_trip = back
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     with workprec(bits):
         line_res = mpf(0)
         for node, theta in zip(nodes, thetas):
@@ -621,7 +551,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
                 "passed": passed,
             }
         ),
-        cfg.out_path,
+        out,
     )
     return 0 if passed else 1
 
@@ -678,21 +608,15 @@ def _coherence_residual(ctx, nodes, thetas, rng, bits):
 @_guarded
 def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
     """Raw divided-difference table of a scalar kernel over the nodes."""
-    cfg = RunConfig(
-        precision_bits=precision,
-        max_order=max_order,
-        node_source=node_source,
-        out_path=out,
-        seed=seed,
-    )
-    bits = cfg.precision_bits
-    nodes = _load_nodes(cfg.node_source, bits, cfg.seed)
-    if cfg.max_order is not None:
-        nodes = nodes.first(cfg.max_order + 1)
+    bits = check_precision(precision)
+    _check_max_order(max_order)
+    nodes = _load_nodes(node_source, bits, seed)
+    if max_order is not None:
+        nodes = nodes.first(max_order + 1)
     h = _parse_kernel(kernel, bits)
     table = delta_table(h, nodes, bits)
     if fmt == "csv":
-        _emit(table.to_csv_text(), cfg.out_path)
+        _emit(table.to_csv_text(), out)
     else:
         rows = []
         for p in range(table.order() + 1):
@@ -707,7 +631,7 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
                     "rows": rows,
                 }
             ),
-            cfg.out_path,
+            out,
         )
     return 0
 

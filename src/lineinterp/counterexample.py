@@ -521,7 +521,7 @@ def verify_growth(seq, f):
                 ),
                 bits,
             )
-            achieved = abs(table.entry_raw(needed - 1, 0))
+            achieved = abs(table.rows[needed - 1][0])
         passed = not notes and achieved >= target
         rows.append(GrowthRow(stage, achieved, target, passed, "; ".join(notes), bits))
     return GrowthReport(tuple(rows))

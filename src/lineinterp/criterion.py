@@ -29,12 +29,7 @@ from .divdiff import (
     delta,
     delta_table,
 )
-from .errors import (
-    ArityError,
-    ConfigError,
-    DomainError,
-    NoGermError,
-)
+from .errors import ArityError, ConfigError, DomainError
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
@@ -145,7 +140,7 @@ def criterion_profile(nodes, p_max, q_max, precision_bits=None):
     with workprec(bits):
         for q in range(q_max + 1):
             table = delta_table(conj_kernel(q), prefix, bits)
-            raw_cols.append([abs(table.entry_raw(p, 0)) for p in range(p_max + 1)])
+            raw_cols.append([abs(table.rows[p][0]) for p in range(p_max + 1)])
         raw = tuple(
             tuple(raw_cols[q][p] for q in range(q_max + 1))
             for p in range(p_max + 1)
@@ -170,13 +165,6 @@ def criterion_profile(nodes, p_max, q_max, precision_bits=None):
         normalized=tuple(normalized),
         r_hat_observed=r_hat,
     )
-
-
-def mixed_delta(nodes, p, q, s, precision_bits=None):
-    """Delta_p of conj(zeta)^s / (1+|zeta|^2)^q over the first p+1 nodes."""
-    seq = as_node_sequence(nodes)
-    bits = check_precision(precision_bits or seq.precision_bits)
-    return delta(conj_kernel(q, s), seq, p, bits)
 
 
 def strengthened_bound(nodes, p_max, r_hat, precision_bits=None):
@@ -266,7 +254,7 @@ def mixed_profile(nodes, p_max, q_max, precision_bits=None):
             for q in range(q_max + 1):
                 col = []
                 for s in range(q + 1):
-                    value = abs(tables[(q, s)].entry_raw(p, 0))
+                    value = abs(tables[(q, s)].rows[p][0])
                     col.append(value)
                     if p + q >= 1 and value > r_prime ** (p + q):
                         violations.append((p, q, s))
@@ -372,12 +360,12 @@ def uniform_delta_probe(nodes, p_max, trials=200, seed=0, kernel=None,
 # -- node families -------------------------------------------------------------------
 
 
-FAMILY_KINDS = ("explicit-list", "line", "circle", "custom-generator")
+FAMILY_KINDS = ("line", "circle")
 
 
 @dataclass(frozen=True)
 class NodeFamily:
-    """A source of interpolation nodes lying on a common analytic set."""
+    """Nodes on a real line or a circle, the sets that carry a conjugation germ."""
 
     kind: str
     a: object = None
@@ -385,8 +373,6 @@ class NodeFamily:
     c: object = None
     center: object = None
     radius: object = None
-    nodes: object = None
-    generator: object = None
     count: object = None
 
     def __post_init__(self):
@@ -428,17 +414,6 @@ def circle_family(center, radius, count=None):
     return NodeFamily(kind="circle", center=center, radius=radius, count=count)
 
 
-def explicit_family(nodes):
-    seq = as_node_sequence(nodes)
-    return NodeFamily(kind="explicit-list", nodes=seq, count=len(seq))
-
-
-def custom_family(generator, count=None):
-    if not callable(generator):
-        raise ConfigError("custom family needs a callable generator")
-    return NodeFamily(kind="custom-generator", generator=generator, count=count)
-
-
 def _golden_fraction():
     # evaluated under the caller's working precision
     return (mpmath.sqrt(5) - 1) / 2
@@ -453,15 +428,6 @@ def generate_nodes(family, count=None, seed=0, precision_bits=DEFAULT_PRECISION)
         raise ConfigError("node count required")
     if count < 1:
         raise DomainError("node count must be at least 1")
-    if family.kind == "explicit-list":
-        if count > len(family.nodes):
-            raise ArityError(
-                "family holds %d nodes, requested %d" % (len(family.nodes), count)
-            )
-        return family.nodes.first(count)
-    if family.kind == "custom-generator":
-        points = [family.generator(k + seed, bits) for k in range(count)]
-        return NodeSequence(points, bits)
     out = []
     with workprec(bits):
         phi = _golden_fraction()
@@ -479,7 +445,7 @@ def generate_nodes(family, count=None, seed=0, precision_bits=DEFAULT_PRECISION)
                 t = (k + seed) * phi
                 t = span * (t - mpmath.floor(t) - mpf(1) / 2)
                 out.append(base + t * direction)
-        elif family.kind == "circle":
+        else:
             center = _as_point(family.center, bits).to_mpc()
             radius = _as_real(family.radius, bits)
             if radius <= 0:
@@ -487,8 +453,6 @@ def generate_nodes(family, count=None, seed=0, precision_bits=DEFAULT_PRECISION)
             for k in range(count):
                 angle = 2 * mpmath.pi * ((k + seed) * phi)
                 out.append(center + radius * mpc(mpmath.cos(angle), mpmath.sin(angle)))
-        else:
-            raise ConfigError("cannot generate nodes for %r" % (family.kind,))
         points = [ApComplex.from_mpc(z, bits) for z in out]
     return NodeSequence(points, bits)
 
@@ -508,13 +472,11 @@ def germ_for_family(family, precision_bits=DEFAULT_PRECISION):
             return -(num_coeff * w + c) / den_coeff
 
         return ScalarFunction(fn=fn, kind="composite")
-    if family.kind == "circle":
-        with workprec(bits):
-            center = _as_point(family.center, bits).to_mpc()
-            r2 = _as_real(family.radius, bits) ** 2
+    with workprec(bits):
+        center = _as_point(family.center, bits).to_mpc()
+        r2 = _as_real(family.radius, bits) ** 2
 
-        def fn(w):
-            return center.conjugate() + r2 / (w - center)
+    def fn(w):
+        return center.conjugate() + r2 / (w - center)
 
-        return ScalarFunction(fn=fn, kind="composite")
-    raise NoGermError("no holomorphic germ for family kind %r" % (family.kind,))
+    return ScalarFunction(fn=fn, kind="composite")

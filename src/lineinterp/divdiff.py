@@ -35,7 +35,6 @@ from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
     check_precision,
-    parse_decimal,
     render_decimal,
 )
 
@@ -217,13 +216,6 @@ class DividedDiffTable:
         """T[p][k] as an ApComplex."""
         return ApComplex.from_mpc(self.rows[p][k], self.precision_bits)
 
-    def entry_raw(self, p, k=0):
-        return self.rows[p][k]
-
-    def delta(self, p):
-        """Divided difference of order p over the leading nodes."""
-        return self.entry(p, 0)
-
     def to_csv_text(self):
         out = io.StringIO()
         out.write("p,k,re,im\n")
@@ -275,8 +267,28 @@ def delta(h, nodes, p, precision_bits=None):
         raise DomainError("order p must be nonnegative")
     if len(seq) < p + 1:
         raise ArityError("order %d needs %d nodes, have %d" % (p, p + 1, len(seq)))
-    table = delta_table(h, seq.first(p + 1), precision_bits)
-    return table.delta(p)
+    return delta_table(h, seq.first(p + 1), precision_bits).entry(p)
+
+
+def _running_products(factors):
+    """[1, x0, x0*x1, ...]: products of the leading factors, in order."""
+    out = [mpc(1)]
+    for x in factors:
+        out.append(out[-1] * x)
+    return out
+
+
+def _newton_total(scale, lead, rows):
+    """sum_p scale[n-1-p] * lead[p] * rows[p][0] over the n rows, as a raw mpc.
+
+    lead[p] = prod_{j<p} (x - eta_j) and rows are the difference rows of the
+    first n nodes; a unit scale gives the plain Newton form.
+    """
+    n = len(rows)
+    total = mpc(0)
+    for p in range(n):
+        total += scale[n - 1 - p] * lead[p] * rows[p][0]
+    return total
 
 
 def newton_sum(h, nodes, n, x, precision_bits=None):
@@ -289,13 +301,9 @@ def newton_sum(h, nodes, n, x, precision_bits=None):
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
     table = delta_table(h, seq.first(n), bits)
     with workprec(bits):
-        zs = [node.to_mpc() for node in seq.first(n)]
         xv = x.to_mpc()
-        total = mpc(0)
-        lead = mpc(1)
-        for p in range(n):
-            total += lead * table.entry_raw(p, 0)
-            lead *= xv - zs[p]
+        lead = _running_products(xv - seq[p].to_mpc() for p in range(n - 1))
+        total = _newton_total([mpc(1)] * n, lead, table.rows)
     return ApComplex.from_mpc(total, bits)
 
 
@@ -338,7 +346,7 @@ def leibniz_delta(g, h, nodes, p, precision_bits=None):
     with workprec(bits):
         total = mpc(0)
         for q in range(p + 1):
-            total += tg.entry_raw(p - q, q) * th.entry_raw(q, 0)
+            total += tg.rows[p - q][q] * th.rows[q][0]
     return ApComplex.from_mpc(total, bits)
 
 

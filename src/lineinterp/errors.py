@@ -35,10 +35,6 @@ class SeparationError(ConfigError):
     """Reduction center coincides with (or touches) a node."""
 
 
-class NoGermError(ConfigError):
-    """Node family has no canonical conjugation germ."""
-
-
 class NodeDistinctnessError(NumericError):
     """Exactly coincident nodes where pairwise distinct ones are required."""
 
@@ -60,7 +56,3 @@ class ConstructionFailureError(NumericError):
     def __init__(self, message, stage_log=None):
         super().__init__(message)
         self.stage_log = list(stage_log or [])
-
-
-class ConditioningWarning(UserWarning):
-    """Nodes closer than the conditioning threshold; accuracy may degrade."""

@@ -74,9 +74,6 @@ class TaylorSeries2:
             return ApComplex(0, 0, self.precision_bits)
         return ApComplex.from_mpc(v, self.precision_bits)
 
-    def coefficient_raw(self, k, l):
-        return self._coeffs.get((k, l), mpc(0))
-
     def items(self):
         """Deterministic (k, l) -> mpc iteration in graded order."""
         for m, row in enumerate(self._by_degree):
@@ -138,7 +135,7 @@ class TaylorSeries2:
             if not isinstance(entry, dict) or not {"k", "l", "re", "im"} <= set(entry):
                 raise ParseError("coefficient entries need k, l, re, im")
             k, l = entry["k"], entry["l"]
-            if not isinstance(k, int) or not isinstance(l, int):
+            if any(not isinstance(i, int) or isinstance(i, bool) for i in (k, l)):
                 raise ParseError("coefficient indices must be integers")
             if (k, l) in coeffs:
                 raise ParseError("duplicate coefficient index (%d, %d)" % (k, l))
@@ -166,19 +163,6 @@ class LineRestriction:
         if m < 0 or m >= len(self.coeffs):
             return ApComplex(0, 0, self.precision_bits)
         return ApComplex.from_mpc(self.coeffs[m], self.precision_bits)
-
-    def coefficient_raw(self, m):
-        return self.coeffs[m]
-
-    def value(self, v):
-        """Evaluate sum c_m v^m at an ApComplex parameter."""
-        bits = max(self.precision_bits, v.precision_bits)
-        with workprec(bits):
-            total = mpc(0)
-            vv = v.to_mpc()
-            for c in reversed(self.coeffs):
-                total = total * vv + c
-        return ApComplex.from_mpc(total, bits)
 
 
 class GradedTerms:
@@ -242,6 +226,16 @@ def restrict_to_line(f, eta, precision_bits=None):
     return LineRestriction(eta=eta, coeffs=tuple(out), precision_bits=bits)
 
 
+def _weight(ev):
+    """1 + |eta|^2 for a raw mpc eta, at the ambient precision."""
+    return 1 + ev.real**2 + ev.imag**2
+
+
+def _projection(ev, z1v, z2v, weight):
+    """Raw w = (z2 + conj(eta) z1) / (1 + |eta|^2), given weight = _weight(eta)."""
+    return (z2v + ev.conjugate() * z1v) / weight
+
+
 def project_to_line(eta, z1, z2):
     """Orthogonal projection onto the line {z1 = eta * z2}.
 
@@ -252,9 +246,7 @@ def project_to_line(eta, z1, z2):
     bits = max(eta.precision_bits, z1.precision_bits, z2.precision_bits)
     with workprec(bits):
         ev = eta.to_mpc()
-        w = (z2.to_mpc() + ev.conjugate() * z1.to_mpc()) / (
-            1 + ev.real**2 + ev.imag**2
-        )
+        w = _projection(ev, z1.to_mpc(), z2.to_mpc(), _weight(ev))
         p1 = ev * w
     return (
         ApComplex.from_mpc(w, bits),

@@ -29,9 +29,9 @@ from functools import cached_property
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import as_node_sequence, difference_rows
+from .divdiff import _newton_total, _running_products, as_node_sequence, difference_rows
 from .errors import ArityError, ConfigError, DomainError
-from .funcmodel import GradedTerms, eval2, restrict_to_line
+from .funcmodel import GradedTerms, _projection, _weight, eval2, restrict_to_line
 from .precision import ApComplex, check_precision, parse_decimal, render_decimal
 
 
@@ -49,12 +49,12 @@ def _work_bits(f, seq, *points):
     return check_precision(bits)
 
 
-def _running_products(factors):
-    """[1, x0, x0*x1, ...]: products of the leading factors, in order."""
-    out = [mpc(1)]
-    for x in factors:
-        out.append(out[-1] * x)
-    return out
+def _lagrange_chain(line, zs, p, count):
+    """Running products of line[j] / (eta_p - eta_j) over j < count, j != p.
+
+    line[j] = z1 - eta_j z2, so for p < n entry n-1 is L_p of the first n lines.
+    """
+    return _running_products(line[j] / (zs[p] - zs[j]) for j in range(count) if j != p)
 
 
 def lagrange_monomial(nodes, n, q, z1, z2):
@@ -67,10 +67,7 @@ def lagrange_monomial(nodes, n, q, z1, z2):
     with workprec(bits):
         zs = [node.to_mpc() for node in seq.first(n)]
         z1v, z2v = z1.to_mpc(), z2.to_mpc()
-        total = mpc(1)
-        for j in range(n):
-            if j != q - 1:
-                total *= (z1v - zs[j] * z2v) / (zs[q - 1] - zs[j])
+        total = _lagrange_chain([z1v - eta * z2v for eta in zs], zs, q - 1, n)[-1]
     return ApComplex.from_mpc(total, bits)
 
 
@@ -152,7 +149,7 @@ class LinePlan:
         with workprec(bits):
             zs = [node.to_mpc() for node in seq.first(n_max)]
             self.zs = zs
-            self.denoms = [1 + z.real**2 + z.imag**2 for z in zs]
+            self.denoms = [_weight(z) for z in zs]
             # gaps[q][t] = product of (eta_q - eta_j) over the first t indices
             # j != q: prod_{j<p} for t = p <= q, prod_{j<N, j != q} for t = N-1.
             self._gaps = [
@@ -237,7 +234,7 @@ class PointTables:
             self.z2v = z2v
             self.line = [z1v - eta * z2v for eta in plan.zs]
             self.w = [
-                (z2v + eta.conjugate() * z1v) / d for eta, d in zip(plan.zs, plan.denoms)
+                _projection(eta, z1v, z2v, d) for eta, d in zip(plan.zs, plan.denoms)
             ]
             # only H[q][k] for k <= n_max is ever read
             self.horner = []
@@ -260,16 +257,10 @@ class PointTables:
 
     @cached_property
     def _lagrange(self):
-        # basis[p][t] = product of (z1 - eta_j z2) / (eta_p - eta_j) over the
-        # first t indices j != p; L_p for the first N lines is basis[p][N-1].
+        # L_p for the first N lines is _lagrange[p][N-1]
         zs, n_max = self.plan.zs, self.plan.n_max
         with workprec(self.plan.precision_bits):
-            return [
-                _running_products(
-                    self.line[j] / (zs[p] - zs[j]) for j in range(n_max) if j != p
-                )
-                for p in range(n_max)
-            ]
+            return [_lagrange_chain(self.line, zs, p, n_max) for p in range(n_max)]
 
     @cached_property
     def _newton(self):
@@ -315,9 +306,7 @@ class PointTables:
         lead, z2pow = self._newton
         with workprec(self.plan.precision_bits):
             rows = difference_rows(self._kernel_values(n), self.plan.zs[:n])
-            total = mpc(0)
-            for p in range(n):
-                total += z2pow[n - 1 - p] * lead[p] * rows[p][0]
+            total = _newton_total(z2pow, lead, rows)
         return self._boxed(total)
 
     def report(self, n, tail_max_order=None):
@@ -397,46 +386,6 @@ def interpolation_check(f, nodes, n, p, v):
     en = eval_EN(f, seq, n, z1, z2)
     fz = eval2(f, z1, z2)
     return en - fz
-
-
-@dataclass(frozen=True)
-class OrderSensitivityProbe:
-    """Observed spread of E_N under reorderings of the first n nodes."""
-
-    n: int
-    trials: int
-    seed: int
-    max_deviation: mpf
-    baseline: ApComplex
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_deviation": render_decimal(self.max_deviation),
-            "baseline": self.baseline.to_json_obj(),
-        }
-
-
-def order_sensitivity_probe(f, nodes, n, z1, z2, trials=8, seed=0):
-    """Diagnostic only: how much does node order move E_N at this point."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    rng = random.Random(seed)
-    baseline = eval_EN(f, seq, n, z1, z2)
-    worst = mpf(0)
-    for _ in range(trials):
-        head = list(range(n))
-        rng.shuffle(head)
-        reordered = seq.permuted(head + list(range(n, len(seq))))
-        value = eval_EN(f, reordered, n, z1, z2)
-        with workprec(baseline.precision_bits):
-            gap = abs(value.to_mpc() - baseline.to_mpc())
-        worst = max(worst, gap)
-    return OrderSensitivityProbe(
-        n=n, trials=trials, seed=seed, max_deviation=worst, baseline=baseline
-    )
 
 
 def default_zgrid(precision_bits=None, radius="0.5", side=5, extra=10, seed=0):

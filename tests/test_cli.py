@@ -459,9 +459,36 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(runner, node_file, tmp_path
     assert len(rows) == 15
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--nodes", "family:circle:0,0,1:4", "--function", POLY, "--n-max", "3"],
+        ["counterexample", "--stages", "1"],
+    ],
+    ids=["converge", "counterexample"],
+)
+def test_unwritable_out_exits_2(runner, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, argv + ["--out", str(target)])
+    assert result.exit_code == 2
+    assert "cannot write" in result.stderr
+
+
+def test_binary_input_file_exits_2(runner, tmp_path):
+    blob = tmp_path / "blob.json"
+    blob.write_bytes(b"\xff\xfe\x00\x81binary")
+    for args in (
+        ["--nodes", str(blob), "--function", POLY],
+        ["--nodes", "family:circle:0,0,1:4", "--function", str(blob), "--n-max", "3"],
+    ):
+        result = runner.invoke(main, ["converge", *args])
+        assert result.exit_code == 2, args
+        assert "not UTF-8" in result.stderr
+
+
 # -- pinned outputs ------------------------------------------------------------------
 
-# SHA-256 of stdout for small converge/identity runs: outputs must stay
+# SHA-256 of stdout for small runs of every subcommand: outputs must stay
 # byte-identical, so any change to the arithmetic or its order shows here.
 # The poly case has max_order 3 < n_max 6, so the Horner table is read above
 # the series order.

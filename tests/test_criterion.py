@@ -11,23 +11,18 @@ import pytest
 from mpmath import mpc, mpf, workprec
 
 from lineinterp import (
-    ApComplex,
     ArityError,
     ConfigError,
     DomainError,
-    NoGermError,
     NodeSequence,
     ScalarFunction,
     circle_family,
     conj_kernel,
     criterion_profile,
-    custom_family,
     delta,
-    explicit_family,
     generate_nodes,
     germ_for_family,
     line_family,
-    mixed_delta,
     mixed_profile,
     parse_decimal,
     strengthened_bound,
@@ -199,7 +194,7 @@ def test_binomial_expansion_consistency():
                 acc = mpc(0)
                 for s in range(q + 1):
                     weight = math.comb(q, s) * z1v**s * z2v ** (q - s)
-                    acc += weight * mixed_delta(nodes, p, q, s, BITS).to_mpc()
+                    acc += weight * delta(conj_kernel(q, s), nodes, p, BITS).to_mpc()
                 assert abs(direct.to_mpc() - acc) <= mpmath.ldexp(1, -200)
 
 
@@ -299,19 +294,14 @@ def test_generated_nodes_distinct_at_scale():
         assert seq.min_gap() > mpmath.ldexp(1, -60)
 
 
-def test_generate_seed_offsets_and_explicit_families():
+def test_generate_seed_offsets_the_walk():
     fam = circle_family(0, 1)
     a = generate_nodes(fam, 4, seed=0, precision_bits=BITS)
     b = generate_nodes(fam, 4, seed=5, precision_bits=BITS)
     assert a.nodes != b.nodes
-    listed = explicit_family(nodes_of((1,), (2,), (3,)))
-    picked = generate_nodes(listed, 2, precision_bits=BITS)
-    assert picked.nodes == nodes_of((1,), (2,)).nodes
-    with pytest.raises(ArityError):
-        generate_nodes(listed, 5, precision_bits=BITS)
-    gen = custom_family(lambda k, bits: ApComplex(k, 0, bits), count=3)
-    seq = generate_nodes(gen, 3, precision_bits=BITS)
-    assert [n.re for n in seq] == [mpf(0), mpf(1), mpf(2)]
+    # on a circle, seed s starts the walk at its step s
+    longer = generate_nodes(fam, 9, seed=0, precision_bits=BITS)
+    assert b.nodes == longer.nodes[5:]
 
 
 def test_family_validation():
@@ -319,8 +309,6 @@ def test_family_validation():
         line_family(0, 0, 1)
     with pytest.raises(ConfigError):
         circle_family(0, 0)
-    with pytest.raises(ConfigError):
-        custom_family("not-callable")
     with pytest.raises(DomainError):
         generate_nodes(line_family(0, 1, 0), 0, precision_bits=BITS)
     with pytest.raises(ConfigError):
@@ -370,12 +358,6 @@ def test_germ_matches_conjugate_on_generated_nodes():
         for node in seq:
             assert ulps_apart(germ(node), node.conjugate()) <= 4
 
-
-def test_germ_unavailable_families():
-    with pytest.raises(NoGermError):
-        germ_for_family(explicit_family(nodes_of((1,), (2,))), BITS)
-    with pytest.raises(NoGermError):
-        germ_for_family(custom_family(lambda k, bits: ApComplex(k, 0, bits)), BITS)
 
 
 # -- serialization ------------------------------------------------------------------------

@@ -94,8 +94,8 @@ def test_table_recursion_invariant_holds_exactly():
     with workprec(nodes.precision_bits):
         for p in range(table.order()):
             for k in range(len(nodes) - p - 1):
-                lhs = table.entry_raw(p + 1, k)
-                rhs = (table.entry_raw(p, k + 1) - table.entry_raw(p, k)) / (
+                lhs = table.rows[p + 1][k]
+                rhs = (table.rows[p][k + 1] - table.rows[p][k]) / (
                     zs[k + p + 1] - zs[k]
                 )
                 assert abs(lhs - rhs) <= mpmath.ldexp(1, -200) * max(1, abs(lhs))

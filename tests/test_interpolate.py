@@ -28,7 +28,6 @@ from lineinterp import (
     interpolation_check,
     lagrange_monomial,
     make_complex,
-    order_sensitivity_probe,
     parse_decimal,
 )
 from support import (
@@ -379,17 +378,18 @@ def test_report_json_round_trips():
     parse_decimal(obj["cross_form_gap"], BITS)  # renders as valid decimal
 
 
-def test_order_probe_deterministic_and_anchored():
+def test_en_is_node_order_invariant():
+    # E_N depends on the set of the first n lines, not on their order.
     f = series_from_qc({(2, 1): QC_ONE, (0, 1): QC.of(-2)}, 3)
     nodes = nodes_from_qc([QC.of(1), QC.of(-1), QC.of(2), QC.of(0, 1)])
     z1, z2 = ap(Fraction(1, 2)), ap(Fraction(1, 4))
-    a = order_sensitivity_probe(f, nodes, 4, z1, z2, trials=6, seed=11)
-    b = order_sensitivity_probe(f, nodes, 4, z1, z2, trials=6, seed=11)
-    assert a.max_deviation == b.max_deviation
-    assert a.baseline == eval_EN(f, nodes, 4, z1, z2)
-    assert a.max_deviation <= mpmath.ldexp(1, -200)  # well-separated nodes
-    obj = a.to_json_obj()
-    assert obj["seed"] == 11 and obj["trials"] == 6
+    baseline = eval_EN(f, nodes, 4, z1, z2)
+    rng = random.Random(11)
+    for _ in range(6):
+        perm = list(range(4))
+        rng.shuffle(perm)
+        value = eval_EN(f, nodes.permuted(perm), 4, z1, z2)
+        assert (value - baseline).magnitude() <= mpmath.ldexp(1, -200)  # well-separated nodes
 
 
 def test_default_zgrid_shape_and_determinism():
