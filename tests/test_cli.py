@@ -575,6 +575,12 @@ _PINNED = [
         "ae5d82e8d17dea944d8440e2e6b79d1281a8caf5eacb6710278889e1179796d5",
     ),
     (
+        # escalates four times, from 256 to 4096 bits
+        ["counterexample", "--stages", "7"],
+        0,
+        "b2fa63d88539ea4d32b44409fe7b995ac650e431ba6cc746e714bf6457783a6a",
+    ),
+    (
         ["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1", "--seed", "4"],
         0,
         "1c4c0058204540896d1b3bdb20f1e36acbe76c0d60e0f123e2ec8f8058b748b6",
@@ -588,7 +594,7 @@ _PINNED = [
     ids=["converge-csv", "converge-json", "identity-csv", "identity-json",
          "identity-max-order", "converge-poly", "identity-poly", "dd-csv", "dd-json",
          "criterion-csv", "criterion-json", "counterexample-csv", "counterexample-json",
-         "mobius"],
+         "counterexample-escalating", "mobius"],
 )
 def test_pinned_output_digests(runner, argv, code, digest):
     result = runner.invoke(main, argv)
