@@ -34,12 +34,13 @@ from .divdiff import NodeSequence, analytic_series, conjugation, delta_table
 from .errors import ConfigError, NumericError, ParseError
 # eval2 stays bound here: perfbench's tracer checks use this second binding.
 from .funcmodel import TaylorSeries2, eval2, series_from_spec  # noqa: F401
-from .interpolate import LinePlan, default_zgrid, eval_EN
+from .interpolate import LinePlan, default_zgrid
 from .mobius import (
+    _coherence_residual,
+    _random_point,
     inverse_homography,
     line_factor_check,
     make_context,
-    pushforward,
     theta_bound,
     theta_infinity,
     to_bounded,
@@ -554,37 +555,6 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
         out,
     )
     return 0 if passed else 1
-
-
-def _random_point(rng, bits):
-    # dyadic numerators keep the draw exactly representable at any precision
-    with workprec(bits):
-        return ApComplex(
-            mpf(rng.randint(-64, 64)) / 128, mpf(rng.randint(-64, 64)) / 128, bits
-        )
-
-
-def _coherence_residual(ctx, nodes, thetas, rng, bits):
-    """Largest frame-change defect of the interpolant on random polynomials."""
-    n = min(4, len(nodes))
-    with workprec(bits):
-        worst = mpf(0)
-        for _ in range(3):
-            coeffs = {}
-            for k in range(n + 2):
-                for m in range(n + 2 - k):
-                    coeffs[(k, m)] = _random_point(rng, bits)
-            f = TaylorSeries2(coeffs, n + 1, bits)
-            g = pushforward(f, ctx)
-            z1, z2 = _random_point(rng, bits), _random_point(rng, bits)
-            u1, u2 = ctx.apply_unitary(z1, z2)
-            gap = abs(
-                eval_EN(f, nodes, n, z1, z2).to_mpc()
-                - eval_EN(g, thetas, n, u1, u2).to_mpc()
-            )
-            if gap > worst:
-                worst = gap
-    return worst
 
 
 # -- dd ------------------------------------------------------------------------------

@@ -21,13 +21,14 @@ pairwise node gaps predict more cancellation than the precision absorbs.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .criterion import conj_kernel
-from .divdiff import NodeSequence, ScalarFunction, delta, delta_table
+from .divdiff import NodeSequence, ScalarFunction, delta, delta_table, difference_rows
 from .errors import (
     ConfigError,
     ConstructionFailureError,
@@ -86,7 +87,8 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
     (df/dconj)(0) / prod(0 - eta_i). The holomorphic derivative uses central
     differences along both axes at a dyadic step, capped a factor of eight
     below the smallest prefix modulus so the probes stay clear of the
-    nodes, with one Richardson step at ratio 2.
+    nodes, with one Richardson step at ratio 2. The prefix's difference rows
+    are built once; each probe extends their last entries in O(n).
     """
     if not isinstance(f, ScalarFunction):
         raise ConfigError("wirtinger_at_zero needs a ScalarFunction kernel")
@@ -100,6 +102,8 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
             raise DegenerateNodeError(
                 "prefix node %d sits at 0, the expansion point" % i
             )
+    if nodes:
+        NodeSequence(nodes)  # rejects coincident prefix nodes
     if precision_bits is None:
         precision_bits = max(
             [n.precision_bits for n in nodes], default=DEFAULT_PRECISION
@@ -107,6 +111,7 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
     bits = check_precision(precision_bits)
     with workprec(bits):
         zs = [n.to_mpc() for n in nodes]
+        diag = _last_entries(f, zs)
         denom = mpc(1)
         for z in zs:
             denom = denom * (-z)
@@ -119,8 +124,7 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
         h = mpmath.ldexp(1, h_exp)
 
         def extended_delta(re, im):
-            probe = ApComplex(re, im, bits)
-            return delta(f, list(nodes) + [probe], len(nodes), bits).to_mpc()
+            return _appended_delta(f, zs, diag, mpc(re, im))
 
         def central(step, along_imag):
             if along_imag:
@@ -139,6 +143,31 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
             d_zbar=ApComplex.from_mpc(d_zbar, bits),
             precision_bits=bits,
         )
+
+
+def _last_entries(f, zs):
+    """Last entry of each difference row of f over zs, lowest order first.
+
+    Works on raw mpc values under the ambient working precision.
+    """
+    if not zs:
+        return []
+    return [row[-1] for row in difference_rows([mpc(f.raw(z)) for z in zs], zs)]
+
+
+def _appended_delta(f, zs, diag, probe):
+    """Order-n divided difference of f over zs with the node probe appended.
+
+    diag holds the last entries of the n difference rows over zs. This is
+    the last diagonal of the two-point recursion over zs + [probe], the same
+    operations in the same order, so the value is bit-identical to the full
+    table's.
+    """
+    n = len(zs)
+    value = mpc(f.raw(probe))
+    for p in range(1, n + 1):
+        value = (value - diag[p - 1]) / (probe - zs[n - p])
+    return value
 
 
 @dataclass(frozen=True)
@@ -283,6 +312,42 @@ def _cancellation_estimate(nodes, bits):
     return total
 
 
+def _log2_float(x):
+    """log2 of a positive mpf as a float, exact in the integer part.
+
+    x = man * 2^exp is split as 2^(exp + width) * (man / 2^width) with the
+    second factor in [1/2, 1), so no float overflows or underflows at any
+    exponent, and the result is within (1 + |log2 x|) * 2^-51 of the truth.
+    """
+    man, exp = int(x.man), int(x.exp)
+    width = man.bit_length()
+    return (exp + width) + math.log2(man / (1 << width))
+
+
+def _cancellation_exceeds(nodes, bits):
+    """Whether _cancellation_estimate(nodes, bits) exceeds bits/2.
+
+    The gaps are formed at working precision as before, but their |log2|
+    are summed in floats. Each term is within (1 + term) * 2^-51 of its true
+    value and the float sum adds at most n_pairs * total * 2^-53, while the
+    full-precision sum is within n_pairs * (1 + total) * 2^-58 of the truth.
+    A float sum farther than n_pairs * (1 + total) * 2^-40 from bits/2
+    therefore sits on the same side as the full-precision one; inside that
+    band, or when two nodes coincide, the full-precision sum decides.
+    """
+    with workprec(bits):
+        zs = [n.to_mpc() for n in nodes]
+        gaps = [
+            abs(zs[i] - zs[j]) for i in range(len(zs)) for j in range(i + 1, len(zs))
+        ]
+    if all(gaps):
+        total = sum(abs(_log2_float(gap)) for gap in gaps)
+        half = bits / 2
+        if abs(total - half) > len(gaps) * (1 + total) * 2.0**-40:
+            return total > half
+    return _cancellation_estimate(nodes, bits) > mpf(bits) / 2
+
+
 def _power_of_two_below(value):
     """Largest power of two at most value/2; strict bounds stay strict."""
     _, exponent = mpmath.frexp(value)
@@ -342,7 +407,7 @@ def _run_stage(f, prev_nodes, stage, bits, policy):
                 second = ApComplex(radius * cos_half, 0, bits)
                 third = ApComplex(0, radius * sin_half, bits)
             candidate = active + [second, third]
-            if _cancellation_estimate(candidate, bits) > mpf(bits) / 2:
+            if _cancellation_exceeds(candidate, bits):
                 raise _NeedMoreBits
             achieved = delta(f, candidate, 3 * p + 2, bits).magnitude()
             if achieved >= target:

@@ -26,6 +26,7 @@ from mpmath import mpc, mpf, workprec
 from .divdiff import NodeSequence, as_node_sequence
 from .errors import DomainError, SeparationError
 from .funcmodel import TaylorSeries2
+from .interpolate import eval_EN
 from .precision import (
     ApComplex,
     check_precision,
@@ -233,6 +234,42 @@ def pushforward(f, ctx):
             key: ApComplex.from_mpc(value, bits) for key, value in out.items()
         }
     return TaylorSeries2(frozen, top, bits)
+
+
+def _random_point(rng, bits):
+    # dyadic numerators keep the draw exactly representable at any precision
+    with workprec(bits):
+        return ApComplex(
+            mpf(rng.randint(-64, 64)) / 128, mpf(rng.randint(-64, 64)) / 128, bits
+        )
+
+
+def _coherence_residual(ctx, nodes, thetas, rng, bits):
+    """Largest frame-change defect of the interpolant on random polynomials.
+
+    Draws three polynomials of total degree n+1 (n = min(4, len(nodes))) and
+    one point each from rng, and compares E_n of f at z over the nodes with
+    E_n of the pushforward at U z over the thetas.
+    """
+    n = min(4, len(nodes))
+    with workprec(bits):
+        worst = mpf(0)
+        for _ in range(3):
+            coeffs = {}
+            for k in range(n + 2):
+                for m in range(n + 2 - k):
+                    coeffs[(k, m)] = _random_point(rng, bits)
+            f = TaylorSeries2(coeffs, n + 1, bits)
+            g = pushforward(f, ctx)
+            z1, z2 = _random_point(rng, bits), _random_point(rng, bits)
+            u1, u2 = ctx.apply_unitary(z1, z2)
+            gap = abs(
+                eval_EN(f, nodes, n, z1, z2).to_mpc()
+                - eval_EN(g, thetas, n, u1, u2).to_mpc()
+            )
+            if gap > worst:
+                worst = gap
+    return worst
 
 
 def theta_infinity(nodes, phi="0", precision_bits=None):

@@ -29,8 +29,15 @@ DEFAULT_PRECISION = 256
 # Exact decimal expansions of deep binary values need long int->str
 # conversions; lift CPython's conversion cap well clear of anything the
 # supported exponent range produces.
+_MAX_STR_DIGITS = 500000
 if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(500000, sys.get_int_max_str_digits()))
+    sys.set_int_max_str_digits(max(_MAX_STR_DIGITS, sys.get_int_max_str_digits()))
+
+# Largest |k| accepted for a decimal d.ddd * 10^k. render_decimal writes every
+# digit of its value, at most _MAX_STR_DIGITS of them, so its outputs all lie
+# inside this range and round-trip; parsing checks k before building any
+# power of ten, whose cost grows with the exponent.
+MAX_DECIMAL_ORDER = _MAX_STR_DIGITS
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?$")
 
@@ -80,12 +87,22 @@ def parse_decimal(text, precision_bits=DEFAULT_PRECISION):
     negative = s.startswith("-")
     s = s.lstrip("+-")
     mant, _, exppart = s.partition("e") if "e" in s else s.partition("E")
-    exp10 = int(exppart) if exppart else 0
     intpart, _, fracpart = mant.partition(".")
-    digits = int(intpart + fracpart)
-    exp10 -= len(fracpart)
-    if digits == 0:
+    significant = (intpart + fracpart).lstrip("0")
+    if not significant:
         return mpf(0)
+    try:
+        exp10 = int(exppart) if exppart else 0
+        digits = int(significant)
+    except ValueError as exc:
+        raise ParseError("decimal string too long: %s" % (exc,)) from exc
+    exp10 -= len(fracpart)
+    order = len(significant) - 1 + exp10
+    if abs(order) > MAX_DECIMAL_ORDER:
+        raise ParseError(
+            "decimal of order 1e%d is outside 1e-%d..1e%d"
+            % (order, MAX_DECIMAL_ORDER, MAX_DECIMAL_ORDER)
+        )
     if exp10 >= 0:
         num, den = digits * 10**exp10, 1
     else:

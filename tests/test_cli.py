@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -484,6 +485,24 @@ def test_binary_input_file_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["converge", *args])
         assert result.exit_code == 2, args
         assert "not UTF-8" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--nodes", "family:circle:0,0,1:4", "--n-max", "3",
+         "--function", "builtin:poly:0,0,1e999999999,0"],
+        ["identity", "--nodes", "family:circle:0,0,1:4", "--n-max", "3",
+         "--function", POLY, "--tolerance", "1e-999999999"],
+    ],
+    ids=["converge-coefficient", "identity-tolerance"],
+)
+def test_out_of_range_decimal_exponent_exits_2_quickly(runner, argv):
+    start = time.perf_counter()
+    result = runner.invoke(main, argv)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert "outside 1e-500000..1e500000" in result.stderr
 
 
 # -- pinned outputs ------------------------------------------------------------------

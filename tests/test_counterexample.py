@@ -23,6 +23,7 @@ from lineinterp import (
     DegenerateNodeError,
     DomainError,
     EscalationPolicy,
+    NodeDistinctnessError,
     NodeSequence,
     ScalarFunction,
     StageRecord,
@@ -36,6 +37,7 @@ from lineinterp import (
     verify_growth,
     wirtinger_at_zero,
 )
+from lineinterp import counterexample
 from support import (
     QC,
     QC_ONE,
@@ -157,6 +159,100 @@ def test_wirtinger_validation():
         wirtinger_at_zero("not a kernel", [ap(1)])
     with pytest.raises(ConfigError):
         wirtinger_at_zero(f, [0.5])
+
+
+def test_wirtinger_rejects_coincident_prefix_nodes():
+    with pytest.raises(NodeDistinctnessError):
+        wirtinger_at_zero(default_kernel(), [ap("0.5"), ap(0, 1), ap("0.5")])
+
+
+def random_axis_nodes(rng, count, bits, cluster_exp=None):
+    """Distinct dyadic nodes on the real or imaginary axis, away from 0.
+
+    With cluster_exp, the nodes sit on one half-axis within a few multiples
+    of 2^-cluster_exp of one random center.
+    """
+    with workprec(bits):
+        center = mpf(rng.randint(32, 96)) / 64
+        sign, imaginary = rng.choice([-1, 1]), rng.random() < 0.5
+        out = []
+        while len(out) < count:
+            if cluster_exp is None:
+                value = mpf(rng.randint(4, 255)) / 128
+                sign, imaginary = rng.choice([-1, 1]), rng.random() < 0.5
+            else:
+                value = center + mpmath.ldexp(rng.randint(1, 255), -cluster_exp)
+            value = sign * value
+            node = ap(0, value, bits) if imaginary else ap(value, 0, bits)
+            if node not in out:
+                out.append(node)
+    return out
+
+
+# -- cancellation gate -----------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [64, 256, 8192])
+def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypatch):
+    exact = counterexample._cancellation_estimate
+    fallbacks = []
+
+    def counting(nodes, precision):
+        fallbacks.append(precision)
+        return exact(nodes, precision)
+
+    monkeypatch.setattr(counterexample, "_cancellation_estimate", counting)
+    for shift, escalates in ((bits // 2, False), (bits // 2 + 1, True)):
+        with workprec(bits):
+            gap = mpmath.ldexp(1, -shift)
+            pairs = (
+                [ap(gap, 0, bits), ap(2 * gap, 0, bits)],
+                [ap(0, 1, bits), ap(0, 1 + gap, bits)],
+            )
+        for pair in pairs:
+            assert counterexample._cancellation_exceeds(pair, bits) is escalates
+    # a sum equal to bits/2 sits inside the guard band; one bit more does not
+    assert fallbacks == [bits] * 2
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_cancellation_gate_matches_full_precision_sum(bits):
+    rng = random.Random(bits)
+    decisions = set()
+    for trial in range(60):
+        count = rng.randint(2, 9)
+        pairs = count * (count - 1) // 2
+        if trial % 2:
+            # clustered, so the sum lands near bits/2
+            spread = max(1, bits // (2 * pairs) + rng.randint(-4, 12))
+            nodes = random_axis_nodes(rng, count, bits, cluster_exp=spread)
+        else:
+            nodes = random_axis_nodes(rng, count, bits)
+        want = counterexample._cancellation_estimate(nodes, bits) > mpf(bits) / 2
+        assert counterexample._cancellation_exceeds(nodes, bits) is want
+        decisions.add(want)
+    assert decisions == {False, True}
+
+
+# -- appended diagonal -----------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [256, 4096])
+def test_appended_diagonal_matches_full_table_bit_for_bit(bits):
+    rng = random.Random(bits + 17)
+    kernels = [default_kernel(), curved_kernel("0", "1")]
+    for trial in range(12):
+        f = kernels[trial % 2]
+        prefix = random_axis_nodes(rng, rng.randint(0, 9), bits)
+        with workprec(bits):
+            step = mpmath.ldexp(rng.choice([-1, 1]) * rng.randint(1, 15), -40)
+        probe = ap(step, 0, bits) if trial % 3 else ap(0, step, bits)
+        want = delta(f, prefix + [probe], len(prefix), bits).to_mpc()
+        with workprec(bits):
+            zs = [node.to_mpc() for node in prefix]
+            diag = counterexample._last_entries(f, zs)
+            got = counterexample._appended_delta(f, zs, diag, probe.to_mpc())
+        assert got.real == want.real and got.imag == want.imag
 
 
 # -- construction ------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import workprec
 
+from lineinterp import precision
 from lineinterp import (
     ApComplex,
     ConfigError,
@@ -121,6 +122,29 @@ def test_render_exact_values(text, expected):
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_decimal(bad, 256)
+
+
+def test_parse_bounds_the_decimal_order_of_magnitude():
+    top = precision.MAX_DECIMAL_ORDER
+    for text in ("1e%d" % top, "-9.5e%d" % (top - 1), "1e-%d" % top, "0.25e-%d" % (top - 1)):
+        assert parse_decimal(text, 64) != 0
+    for text in ("1e%d" % (top + 1), "10e%d" % top, "1e-%d" % (top + 1), "0.1e-%d" % top,
+                 "1e999999999", "-3e-999999999"):
+        with pytest.raises(ParseError, match="outside"):
+            parse_decimal(text, 64)
+    # zero has no order of magnitude, so its exponent is never used
+    assert parse_decimal("0.000e999999999", 64) == 0
+    # more digits than Python converts to an int
+    with pytest.raises(ParseError, match="too long"):
+        parse_decimal("1" * (top + 1), 64)
+
+
+def test_render_parse_round_trip_at_8192_bits_and_extreme_exponents():
+    rng = random.Random(8192)
+    for e in (-100000, -8192, 8192, 100000):
+        with workprec(8192):
+            v = mpmath.ldexp(mpmath.mpf(rng.getrandbits(8192) | 1 << 8191), e)
+        assert parse_decimal(render_decimal(v), 8192) == v
 
 
 def test_precision_floor_enforced():
