@@ -511,6 +511,9 @@ def test_out_of_range_decimal_exponent_exits_2_quickly(runner, argv):
 # byte-identical, so any change to the arithmetic or its order shows here.
 # The poly case has max_order 3 < n_max 6, so the Horner table is read above
 # the series order.
+# ARTIFACT stands for the --out file of `counterexample --stages 5`, whose
+# nodes read at 8192 bits give decimals with binary exponents far below zero.
+ARTIFACT = "{artifact}"
 _PINNED_BASE = ["--nodes", "family:circle:0,0,1:8", "--grid", "3x3@0.5+2"]
 _PINNED_EXP = _PINNED_BASE + ["--function", "builtin:exp_sum:12"]
 _PINNED_POLY = _PINNED_BASE + [
@@ -604,6 +607,16 @@ _PINNED = [
         0,
         "1c4c0058204540896d1b3bdb20f1e36acbe76c0d60e0f123e2ec8f8058b748b6",
     ),
+    (
+        ["dd", "--nodes", ARTIFACT, "--kernel", "conj-kernel:3", "--precision", "8192"],
+        0,
+        "83ec9a648bbc99b7f5b0f9bd1c543da2d5865f06a450c2759c3ddddef949fa66",
+    ),
+    (
+        ["criterion", "--nodes", ARTIFACT, "--p-max", "4", "--q-max", "3", "--precision", "8192"],
+        0,
+        "cd7ece98ebe1b86b7e944d4c87ea0525bc991ad0337ecebed1c1b7a1a282c08f",
+    ),
 ]
 
 
@@ -613,9 +626,14 @@ _PINNED = [
     ids=["converge-csv", "converge-json", "identity-csv", "identity-json",
          "identity-max-order", "converge-poly", "identity-poly", "dd-csv", "dd-json",
          "criterion-csv", "criterion-json", "counterexample-csv", "counterexample-json",
-         "counterexample-escalating", "mobius"],
+         "counterexample-escalating", "mobius", "dd-8192", "criterion-8192"],
 )
-def test_pinned_output_digests(runner, argv, code, digest):
+def test_pinned_output_digests(runner, tmp_path, argv, code, digest):
+    if ARTIFACT in argv:
+        artifact = str(tmp_path / "seq.json")
+        build = runner.invoke(main, ["counterexample", "--stages", "5", "--out", artifact])
+        assert build.exit_code == 0
+        argv = [artifact if a == ARTIFACT else a for a in argv]
     result = runner.invoke(main, argv)
     assert result.exit_code == code
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
