@@ -47,6 +47,7 @@ from .mobius import (
 )
 from .precision import (
     DEFAULT_PRECISION,
+    MIN_PRECISION,
     ApComplex,
     check_precision,
     parse_decimal,
@@ -83,8 +84,18 @@ def _parse_grid(spec):
         raise ConfigError("grid must be square, got %dx%d" % (side_a, side_b))
     if side_a < 1:
         raise ConfigError("grid side must be at least 1")
+    if parse_decimal(m.group(3), MIN_PRECISION) <= 0:
+        raise ConfigError("grid radius must be positive, got %r" % (spec,))
     extra = int(m.group(4)) if m.group(4) else 0
     return side_a, m.group(3), extra
+
+
+def _parse_tolerance(flag, text, bits):
+    """A residual bound; no residual can meet a negative one."""
+    tol = parse_decimal(text, bits)
+    if tol < 0:
+        raise ConfigError("%s must be nonnegative, got %r" % (flag, text))
+    return tol
 
 
 def _grid_points(spec, bits, seed):
@@ -417,12 +428,11 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
     _check_orders(n_min, n_max)
     _check_max_order(max_order)
     _parse_grid(grid)
+    tol = _parse_tolerance("--tolerance", tolerance, bits)
     nodes = _load_nodes(node_source, bits, seed)
     _require_span(nodes, n_max)
     f = _load_function(function_source, bits)
     points = _grid_points(grid, bits, seed)
-    with workprec(bits):
-        tol = parse_decimal(tolerance, bits)
     plan = LinePlan(f, nodes, n_max, bits)
     rows = []
     with workprec(bits):
@@ -486,6 +496,8 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
 def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolerance, seed, out):
     """Homography reduction report: theta list, bounds, residuals (JSON)."""
     bits = check_precision(precision)
+    tol = _parse_tolerance("--tolerance", tolerance, bits)
+    coh_tol = _parse_tolerance("--coherence-tolerance", coherence_tolerance, bits)
     nodes = _load_nodes(node_source, bits, seed)
     if eta_inf == "inf":
         thetas = theta_infinity(nodes, phi, bits)
@@ -506,8 +518,6 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
     thetas = to_bounded(ctx)
     bound = theta_bound(ctx)
     with workprec(bits):
-        tol = parse_decimal(tolerance, bits)
-        coh_tol = parse_decimal(coherence_tolerance, bits)
         max_mod = mpf(0)
         round_trip = mpf(0)
         for node, theta in zip(nodes, thetas):

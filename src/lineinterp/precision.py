@@ -14,6 +14,8 @@ one.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -26,9 +28,10 @@ from .errors import ConfigError, ParseError
 MIN_PRECISION = 64
 DEFAULT_PRECISION = 256
 
-# Exact decimal expansions of deep binary values need long int->str
-# conversions; lift CPython's conversion cap well clear of anything the
-# supported exponent range produces.
+# Parsing long decimals and rendering values with large positive binary
+# exponents need long int<->str conversions; lift CPython's conversion cap
+# well clear of anything the supported exponent range produces. Expansions
+# for negative exponents are formed as Decimals and held to the same cap.
 _MAX_STR_DIGITS = 500000
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(_MAX_STR_DIGITS, sys.get_int_max_str_digits()))
@@ -38,6 +41,29 @@ if hasattr(sys, "set_int_max_str_digits"):
 # inside this range and round-trip; parsing checks k before building any
 # power of ten, whose cost grows with the exponent.
 MAX_DECIMAL_ORDER = _MAX_STR_DIGITS
+
+# The digits of m * 5^N for a deep exponent N are formed as an exact Decimal:
+# CPython's int->str is quadratic in the digit count, Decimal's str is linear
+# and its multiply is subquadratic. The context can hold any product exactly
+# and traps on any rounding, so a wrong digit cannot be written silently.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded],
+)
+_FIVE_STEP = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _five_pow(n):
+    """5^n as an exact Decimal, for n a multiple of _FIVE_STEP.
+
+    At most 32 powers are kept, so a sweep over extreme exponents cannot grow
+    memory without limit.
+    """
+    return _EXACT.power(decimal.Decimal(5), n)
+
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?$")
 
@@ -137,7 +163,15 @@ def render_decimal(x):
         digits = str(m << e)
         exp10 = 0
     else:
-        digits = str(m * 5**-e)
+        # m * 2^e = m * 5^N / 10^N with N = -e; N - r is a multiple of 256
+        n = -e
+        r = n % _FIVE_STEP
+        exact = _EXACT.multiply(decimal.Decimal(m * 5**r), _five_pow(n - r))
+        if exact.adjusted() >= _MAX_STR_DIGITS:
+            raise ValueError(
+                "Exceeds the limit (%d digits) for a decimal expansion" % _MAX_STR_DIGITS
+            )
+        digits = str(exact)
         exp10 = e
     stripped = digits.rstrip("0")
     exp10 += len(digits) - len(stripped)

@@ -263,6 +263,33 @@ def mpf_to_fraction(x):
     return Fraction(m) * Fraction(2) ** e
 
 
+def reference_render_decimal(x):
+    """Exact decimal of a dyadic int, float or mpf in render_decimal's layout.
+
+    This is render_decimal's former formula: for a value n / 2^s the digits
+    are str(n * 5^s), one Python int. It does not use the decimal module;
+    CPython's int->str is quadratic, so keep the inputs test-sized.
+    """
+    q = mpf_to_fraction(x) if isinstance(x, mpmath.mpf) else Fraction(x)
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    e = 1 - q.denominator.bit_length()
+    digits = str(abs(q.numerator) * 5**-e)
+    stripped = digits.rstrip("0")
+    exp10 = e + len(digits) - len(stripped)
+    k = len(stripped) - 1 + exp10
+    if 0 <= exp10 and k < 24:
+        return sign + stripped + "0" * exp10
+    point = len(stripped) + exp10
+    if 0 < point < len(stripped):
+        return sign + stripped[:point] + "." + stripped[point:]
+    if -6 < point <= 0:
+        return sign + "0." + "0" * -point + stripped
+    body = stripped[0] + ("." + stripped[1:] if len(stripped) > 1 else "")
+    return sign + body + "e" + str(k)
+
+
 # -- generators -------------------------------------------------------------------
 
 

@@ -217,6 +217,8 @@ def test_converge_config_errors(runner, tmp_path):
         ["converge", "--nodes", "family:square:0,0,1:8", "--function", POLY],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", "builtin:nope:3"],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "5x4@0.5"],
+        ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "3x3@0"],
+        ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "2x2@-1"],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--precision", "32"],
     ]
     for args in cases:
@@ -387,6 +389,28 @@ def test_identity_truncated_tail_fails(runner, node_file):
     assert obj["passed"] is False
     with workprec(BITS):
         assert dec(obj["max_residual"]) > dec(obj["tolerance"])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["identity", "--function", POLY, "--grid", "3x3@-0.5"], "radius must be positive"),
+        (["identity", "--function", POLY, "--tolerance", "-1"], "--tolerance must be nonnegative"),
+        (["mobius", "--eta-inf", "0,1", "--tolerance", "-1"], "--tolerance must be nonnegative"),
+        (["mobius", "--eta-inf", "0,1", "--coherence-tolerance", "-1"],
+         "--coherence-tolerance must be nonnegative"),
+        (["mobius", "--eta-inf", "inf", "--tolerance", "-1e-60"],
+         "--tolerance must be nonnegative"),
+    ],
+)
+def test_unmeetable_bound_or_grid_exits_2_before_loading_nodes(runner, tmp_path, argv, message):
+    # The node file is missing, so an error that names the flag shows the
+    # flag was checked before any node was read.
+    missing = str(tmp_path / "missing.json")
+    result = runner.invoke(main, [*argv, "--nodes", missing])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert result.stdout == ""
 
 
 def test_identity_duplicate_node_exits_3(runner, tmp_path):

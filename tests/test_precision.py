@@ -21,6 +21,7 @@ from lineinterp import (
     ulp,
     ulps_apart,
 )
+from support import reference_render_decimal
 
 
 def nearest_bits(num, den, bits):
@@ -145,6 +146,64 @@ def test_render_parse_round_trip_at_8192_bits_and_extreme_exponents():
         with workprec(8192):
             v = mpmath.ldexp(mpmath.mpf(rng.getrandbits(8192) | 1 << 8191), e)
         assert parse_decimal(render_decimal(v), 8192) == v
+
+
+def _dyadic(rng, bits, e, negative=False):
+    """A bits-bit value m * 2^e with m odd, so e is its stored exponent."""
+    m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    with workprec(bits):
+        v = mpmath.ldexp(mpmath.mpf(-m if negative else m), e)
+    assert int(v.exp) == e
+    return v
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 8192])
+def test_render_matches_int_oracle(bits):
+    # Deep exponents: -e = 256k + r with r in {0, 1, 255}, the residue the
+    # cached powers of five leave to an int; then -e < 256, and e >= 0.
+    rng = random.Random(bits)
+    exponents = [-(256 * k + r) for k in (1, 2, 33, 64) for r in (0, 1, 255)]
+    exponents += [-1, -2, -128, -255, 0, 1, 77, 1000]
+    for e in exponents:
+        for negative in (False, True):
+            v = _dyadic(rng, bits, e, negative)
+            assert render_decimal(v) == reference_render_decimal(v), (bits, e)
+
+
+@pytest.mark.parametrize(
+    "x", [0, 1, -7, 10**30, -(3**200), 2**300, 0.0, -0.0, 0.1, -1.5, 1e300, -2.5e-300, 5e-324]
+)
+def test_render_int_and_float_match_int_oracle(x):
+    assert render_decimal(x) == reference_render_decimal(x)
+
+
+def test_powers_of_five_cache_stays_bounded():
+    cache = precision._five_pow
+    cache.cache_clear()
+    rng = random.Random(5)
+    steps = cache.cache_info().maxsize + 8
+    for k in range(steps):
+        v = _dyadic(rng, 256, -(256 * k + 7))
+        assert render_decimal(v) == reference_render_decimal(v), k
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+    assert cache.cache_info().misses == steps
+    # a sweep back over the evicted low steps still renders exactly
+    for k in range(steps):
+        v = _dyadic(rng, 256, -256 * k)
+        assert render_decimal(v) == reference_render_decimal(v), k
+    assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def test_render_holds_deep_expansions_to_the_int_to_str_cap():
+    # 3 * 2^-716000 has more decimal digits than the 500000 that int->str
+    # writes, so its decimal would lie outside the range parsing accepts.
+    with workprec(64):
+        inside = mpmath.ldexp(3, -715000)
+        outside = mpmath.ldexp(3, -716000)
+    assert render_decimal(inside).startswith("1.")
+    with pytest.raises(ValueError, match="500000 digits"):
+        render_decimal(outside)
 
 
 def test_precision_floor_enforced():
