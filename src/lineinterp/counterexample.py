@@ -45,9 +45,6 @@ from .precision import (
     render_decimal,
 )
 
-PHASE_CASES = ("real-pair", "imaginary-pair", "split-pair")
-
-
 def default_kernel():
     """Bounded conjugation kernel zeta -> conj(zeta) / (1 + |zeta|^2).
 

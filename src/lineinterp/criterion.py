@@ -15,20 +15,12 @@ expected.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import (
-    NodeSequence,
-    ScalarFunction,
-    as_node_sequence,
-    conjugation,
-    delta,
-    delta_table,
-)
+from .divdiff import NodeSequence, ScalarFunction, as_node_sequence, delta_table
 from .errors import ArityError, ConfigError, DomainError
 from .precision import (
     DEFAULT_PRECISION,
@@ -164,196 +156,6 @@ def criterion_profile(nodes, p_max, q_max, precision_bits=None):
         raw=raw,
         normalized=tuple(normalized),
         r_hat_observed=r_hat,
-    )
-
-
-def strengthened_bound(nodes, p_max, r_hat, precision_bits=None):
-    """R' = [max(3, 3 * max|eta|, r_hat)]^2 over the profile prefix."""
-    seq = as_node_sequence(nodes)
-    bits = check_precision(precision_bits or seq.precision_bits)
-    with workprec(bits):
-        sup = seq.first(p_max + 1).max_modulus()
-        base = max(mpf(3), 3 * sup, mpf(r_hat))
-        return base**2
-
-
-@dataclass(frozen=True)
-class MixedProfile:
-    """Entries |Delta_p[conj^s / (1+|.|^2)^q]| for all s <= q in the window.
-
-    r_prime_observed is the strengthened constant derived from the diagonal
-    profile's r_hat_observed; violations lists (p, q, s) entries exceeding
-    r_prime_observed^(p+q), which boundedness on line/circle families
-    forbids.
-    """
-
-    p_max: int
-    q_max: int
-    precision_bits: int
-    entries: tuple  # entries[p][q][s]
-    r_prime_observed: mpf
-    violations: tuple
-
-    def entry(self, p, q, s):
-        if s > q:
-            raise DomainError("mixed entries need s <= q")
-        return self.entries[p][q][s]
-
-    def to_csv_text(self):
-        lines = ["p,q,s,raw,normalized"]
-        with workprec(self.precision_bits):
-            for p in range(self.p_max + 1):
-                for q in range(self.q_max + 1):
-                    for s in range(q + 1):
-                        value = self.entries[p][q][s]
-                        norm = value if p + q == 0 else _root(value, p + q)
-                        lines.append(
-                            "%d,%d,%d,%s,%s"
-                            % (p, q, s, render_decimal(value), render_decimal(norm))
-                        )
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self):
-        return {
-            "p_max": self.p_max,
-            "q_max": self.q_max,
-            "precision_bits": self.precision_bits,
-            "estimate_kind": "observed-finite-window",
-            "r_prime_observed": render_decimal(self.r_prime_observed),
-            "violations": [list(v) for v in self.violations],
-            "entries": [
-                [[render_decimal(v) for v in col] for col in row]
-                for row in self.entries
-            ],
-        }
-
-
-def mixed_profile(nodes, p_max, q_max, precision_bits=None):
-    """All mixed-kernel magnitudes plus the strengthened-bound check."""
-    seq = as_node_sequence(nodes)
-    if p_max < 0 or q_max < 0:
-        raise DomainError("profile window must be nonnegative")
-    if len(seq) < p_max + 1:
-        raise ArityError(
-            "profile to order %d needs %d nodes, have %d"
-            % (p_max, p_max + 1, len(seq))
-        )
-    bits = check_precision(precision_bits or seq.precision_bits)
-    diag = criterion_profile(seq, p_max, q_max, bits)
-    r_prime = strengthened_bound(seq, p_max, diag.r_hat_observed, bits)
-    prefix = seq.first(p_max + 1)
-    entries = []
-    violations = []
-    with workprec(bits):
-        tables = {}
-        for q in range(q_max + 1):
-            for s in range(q + 1):
-                tables[(q, s)] = delta_table(conj_kernel(q, s), prefix, bits)
-        for p in range(p_max + 1):
-            row = []
-            for q in range(q_max + 1):
-                col = []
-                for s in range(q + 1):
-                    value = abs(tables[(q, s)].rows[p][0])
-                    col.append(value)
-                    if p + q >= 1 and value > r_prime ** (p + q):
-                        violations.append((p, q, s))
-                row.append(tuple(col))
-            entries.append(tuple(row))
-    return MixedProfile(
-        p_max=p_max,
-        q_max=q_max,
-        precision_bits=bits,
-        entries=tuple(entries),
-        r_prime_observed=r_prime,
-        violations=tuple(violations),
-    )
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Sampled subsequence maxima of |Delta_p[kernel]| and a growth fit.
-
-    Evidence only: the probe samples subsequences, it cannot exhaust them.
-    """
-
-    p_max: int
-    trials: int
-    seed: int
-    kernel_kind: str
-    precision_bits: int
-    per_p_max: tuple
-    growth_ratio: object  # mpf or None when too few nonzero maxima
-
-    def to_json_obj(self):
-        return {
-            "p_max": self.p_max,
-            "trials": self.trials,
-            "seed": self.seed,
-            "kernel": self.kernel_kind,
-            "precision_bits": self.precision_bits,
-            "estimate_kind": "sampled-subsequences",
-            "per_p_max": [render_decimal(v) for v in self.per_p_max],
-            "growth_ratio": (
-                None if self.growth_ratio is None else render_decimal(self.growth_ratio)
-            ),
-        }
-
-
-def uniform_delta_probe(nodes, p_max, trials=200, seed=0, kernel=None,
-                        precision_bits=None):
-    """Max |Delta_p[kernel]| over sampled increasing subsequences, per p.
-
-    The canonical prefix (the first p+1 nodes in order) is always among the
-    sampled subsequences; the rest are seeded random index choices. The
-    growth ratio is fitted from a least-squares line through (p, log2 max_p)
-    over the nonzero maxima with p >= 1.
-    """
-    seq = as_node_sequence(nodes)
-    if p_max < 0:
-        raise DomainError("p_max must be nonnegative")
-    if len(seq) < p_max + 1:
-        raise ArityError(
-            "probe to order %d needs %d nodes, have %d"
-            % (p_max, p_max + 1, len(seq))
-        )
-    if trials < 0:
-        raise DomainError("trials must be nonnegative")
-    bits = check_precision(precision_bits or seq.precision_bits)
-    if kernel is None:
-        kernel = conjugation()
-    rng = random.Random(seed)
-    count = len(seq)
-    per_p = []
-    with workprec(bits):
-        for p in range(p_max + 1):
-            best = mpf(0)
-            picks = [list(range(p + 1))]
-            for _ in range(trials):
-                picks.append(sorted(rng.sample(range(count), p + 1)))
-            for idx in picks:
-                sub = NodeSequence([seq[i] for i in idx], bits)
-                value = delta(kernel, sub, p, bits)
-                best = max(best, abs(value.to_mpc()))
-            per_p.append(best)
-        points = [
-            (p, mpmath.log(per_p[p], 2)) for p in range(1, p_max + 1) if per_p[p] > 0
-        ]
-        ratio = None
-        if len(points) >= 2:
-            xbar = mpf(sum(x for x, _ in points)) / len(points)
-            ybar = sum(y for _, y in points) / len(points)
-            num = sum((x - xbar) * (y - ybar) for x, y in points)
-            den = sum((x - xbar) ** 2 for x, _ in points)
-            ratio = mpf(2) ** (num / den)
-    return ProbeReport(
-        p_max=p_max,
-        trials=trials,
-        seed=seed,
-        kernel_kind=kernel.kind,
-        precision_bits=bits,
-        per_p_max=tuple(per_p),
-        growth_ratio=ratio,
     )
 
 

@@ -153,10 +153,6 @@ class NodeSequence:
         with workprec(self.precision_bits):
             return [n.to_mpc() for n in self.nodes]
 
-    def max_modulus(self):
-        with workprec(self.precision_bits):
-            return max(abs(z) for z in self.to_mpc_list())
-
     def min_gap(self):
         zs = self.to_mpc_list()
         with workprec(self.precision_bits):

@@ -287,37 +287,3 @@ def theta_infinity(nodes, phi="0", precision_bits=None):
         factor = -mpmath.exp(mpc(0, -2 * angle))
         out = [ApComplex.from_mpc(factor * node.to_mpc(), bits) for node in seq]
     return NodeSequence(out, bits)
-
-
-def suggest_eta_inf(nodes, grid=32, margin=None, precision_bits=None):
-    """Deterministic reference slope: center of the largest empty disc found
-    by grid search over an inflated bounding box of the nodes."""
-    seq = as_node_sequence(nodes)
-    bits = check_precision(precision_bits or seq.precision_bits)
-    if grid < 2:
-        raise DomainError("grid must have at least 2 points per axis")
-    with workprec(bits):
-        zs = [node.to_mpc() for node in seq]
-        re_lo = min(z.real for z in zs)
-        re_hi = max(z.real for z in zs)
-        im_lo = min(z.imag for z in zs)
-        im_hi = max(z.imag for z in zs)
-        if margin is None:
-            diam = max(re_hi - re_lo, im_hi - im_lo)
-            pad = max(mpf(1), diam / 4)
-        else:
-            pad = +mpf(margin)
-        re_lo, re_hi = re_lo - pad, re_hi + pad
-        im_lo, im_hi = im_lo - pad, im_hi + pad
-        best = None
-        best_gap = mpf(-1)
-        for i in range(grid):
-            re = re_lo + (re_hi - re_lo) * i / (grid - 1)
-            for j in range(grid):
-                im = im_lo + (im_hi - im_lo) * j / (grid - 1)
-                cand = mpc(re, im)
-                gap = min(abs(cand - z) for z in zs)
-                if gap > best_gap:
-                    best_gap = gap
-                    best = cand
-        return ApComplex.from_mpc(best, bits)

@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 import re
 import sys
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf, mpc, workprec
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, NumericError, ParseError
 
 MIN_PRECISION = 64
 DEFAULT_PRECISION = 256
 
-# Parsing long decimals and rendering values with large positive binary
-# exponents need long int<->str conversions; lift CPython's conversion cap
-# well clear of anything the supported exponent range produces. Expansions
-# for negative exponents are formed as Decimals and held to the same cap.
+# Parsing long decimals needs long str->int conversions; lift CPython's
+# conversion cap well clear of anything the supported exponent range produces.
+# Rendered expansions are formed as Decimals and held to the same cap.
 _MAX_STR_DIGITS = 500000
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(_MAX_STR_DIGITS, sys.get_int_max_str_digits()))
@@ -42,27 +41,29 @@ if hasattr(sys, "set_int_max_str_digits"):
 # power of ten, whose cost grows with the exponent.
 MAX_DECIMAL_ORDER = _MAX_STR_DIGITS
 
-# The digits of m * 5^N for a deep exponent N are formed as an exact Decimal:
-# CPython's int->str is quadratic in the digit count, Decimal's str is linear
-# and its multiply is subquadratic. The context can hold any product exactly
-# and traps on any rounding, so a wrong digit cannot be written silently.
+# The digits of a rendered value are formed as an exact Decimal, for either
+# sign of the binary exponent: CPython's int->str is quadratic in the digit
+# count, Decimal's str is linear and its multiply is subquadratic. The context
+# can hold any product exactly and traps on any rounding, so a wrong digit
+# cannot be written silently.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded],
 )
-_FIVE_STEP = 256
+_POW_STEP = 256
+_TOO_LONG = "decimal expansion exceeds the limit of %d digits" % _MAX_STR_DIGITS
 
 
 @functools.lru_cache(maxsize=32)
-def _five_pow(n):
-    """5^n as an exact Decimal, for n a multiple of _FIVE_STEP.
+def _pow(base, n):
+    """base^n as an exact Decimal, for n a multiple of _POW_STEP.
 
     At most 32 powers are kept, so a sweep over extreme exponents cannot grow
     memory without limit.
     """
-    return _EXACT.power(decimal.Decimal(5), n)
+    return _EXACT.power(decimal.Decimal(base), n)
 
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?$")
@@ -159,20 +160,20 @@ def render_decimal(x):
         return "0"
     sign = "-" if x < 0 else ""
     m, e = int(x.man), int(x.exp)
-    if e >= 0:
-        digits = str(m << e)
-        exp10 = 0
-    else:
-        # m * 2^e = m * 5^N / 10^N with N = -e; N - r is a multiple of 256
-        n = -e
-        r = n % _FIVE_STEP
-        exact = _EXACT.multiply(decimal.Decimal(m * 5**r), _five_pow(n - r))
-        if exact.adjusted() >= _MAX_STR_DIGITS:
-            raise ValueError(
-                "Exceeds the limit (%d digits) for a decimal expansion" % _MAX_STR_DIGITS
-            )
-        digits = str(exact)
-        exp10 = e
+    # The digits are those of m * 2^e for e >= 0, and of m * 5^n for e < 0
+    # (m * 2^e = m * 5^n / 10^n with n = -e); n - r is a multiple of _POW_STEP.
+    base, n = (2, e) if e >= 0 else (5, -e)
+    # low <= log10(m * base^n), so a value far past the cap is turned away
+    # before any power is formed; the exact digit count decides near the cap.
+    low = (m.bit_length() - 1) * math.log10(2) + n * math.log10(base)
+    if low > _MAX_STR_DIGITS + 1:
+        raise NumericError(_TOO_LONG)
+    r = n % _POW_STEP
+    exact = _EXACT.multiply(decimal.Decimal(m * base**r), _pow(base, n - r))
+    if exact.adjusted() >= _MAX_STR_DIGITS:
+        raise NumericError(_TOO_LONG)
+    digits = str(exact)
+    exp10 = min(e, 0)
     stripped = digits.rstrip("0")
     exp10 += len(digits) - len(stripped)
     # Scientific exponent if we wrote d.dddd * 10^k.
@@ -186,19 +187,6 @@ def render_decimal(x):
         return sign + "0." + "0" * -point + stripped
     body = stripped[0] + ("." + stripped[1:] if len(stripped) > 1 else "")
     return sign + body + "e" + str(k)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison policy: |a - b| <= abs_eps + rel_eps * max(|a|, |b|)."""
-
-    rel_eps: mpf
-    abs_eps: mpf
-
-    @classmethod
-    def default(cls, precision_bits=DEFAULT_PRECISION):
-        eps = mpmath.ldexp(1, -(check_precision(precision_bits) // 2))
-        return cls(rel_eps=eps, abs_eps=eps)
 
 
 class ApComplex:
@@ -324,28 +312,6 @@ class ApComplex:
             parse_decimal(obj["im"], precision_bits),
             precision_bits,
         )
-
-
-def make_complex(re_text, im_text="0", precision_bits=DEFAULT_PRECISION):
-    """Build an ApComplex from decimal strings (nearest value at the precision)."""
-    return ApComplex(
-        parse_decimal(re_text, precision_bits),
-        parse_decimal(im_text, precision_bits),
-        precision_bits,
-    )
-
-
-def approx_eq(a, b, tol=None):
-    """True iff |a - b| <= abs_eps + rel_eps * max(|a|, |b|)."""
-    if not isinstance(a, ApComplex) or not isinstance(b, ApComplex):
-        raise ConfigError("approx_eq compares ApComplex values")
-    bits = max(a.precision_bits, b.precision_bits)
-    if tol is None:
-        tol = Tolerance.default(bits)
-    with workprec(bits + 16):
-        gap = abs(a.to_mpc() - b.to_mpc())
-        scale = max(abs(a.to_mpc()), abs(b.to_mpc()))
-        return bool(gap <= mpf(tol.abs_eps) + mpf(tol.rel_eps) * scale)
 
 
 def ulp(scale, precision_bits):

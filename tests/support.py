@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from lineinterp import ApComplex
+from lineinterp import DEFAULT_PRECISION, ApComplex, parse_decimal
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,15 @@ def ap_to_qc(a):
         return Fraction(m) * Fraction(2) ** e
 
     return QC(part(a.re), part(a.im))
+
+
+def make_complex(re_text, im_text="0", precision_bits=DEFAULT_PRECISION):
+    """Build an ApComplex from decimal strings (nearest value at the precision)."""
+    return ApComplex(
+        parse_decimal(re_text, precision_bits),
+        parse_decimal(im_text, precision_bits),
+        precision_bits,
+    )
 
 
 def mpf_to_fraction(x):

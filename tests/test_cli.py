@@ -529,6 +529,21 @@ def test_out_of_range_decimal_exponent_exits_2_quickly(runner, argv):
     assert "outside 1e-500000..1e500000" in result.stderr
 
 
+def test_decimal_expansion_past_the_digit_cap_exits_3(runner):
+    # Every input lies inside the accepted decimal range; the sup error, of
+    # order 1e500000 with a binary exponent above zero, has too many digits.
+    result = runner.invoke(main, [
+        "converge", "--nodes", "family:circle:0,0,1:4",
+        "--function", "builtin:poly:0,2,1e400000,0",
+        "--n-min", "1", "--n-max", "2", "--grid", "1x1@1e100000+1",
+    ])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "numeric failure: decimal expansion exceeds the limit of 500000 digits"
+    ]
+
+
 # -- pinned outputs ------------------------------------------------------------------
 
 # SHA-256 of stdout for small runs of every subcommand: outputs must stay

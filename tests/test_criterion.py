@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,15 +19,14 @@ from lineinterp import (
     ScalarFunction,
     circle_family,
     conj_kernel,
+    conjugation,
     criterion_profile,
     delta,
+    delta_table,
     generate_nodes,
     germ_for_family,
     line_family,
-    mixed_profile,
     parse_decimal,
-    strengthened_bound,
-    uniform_delta_probe,
     ulps_apart,
 )
 from support import QC, qc_dd_table, qc_to_ap, rand_distinct_nodes
@@ -143,35 +143,33 @@ def test_profile_rejects_bad_window():
 
 
 def test_mixed_profile_diagonal_matches_and_origin_entry():
+    # The mixed kernels conj^s / (1+|.|^2)^q with s = q are the diagonal g_q.
     nodes = nodes_of((0,), (1,), (Fraction(1, 2), Fraction(1, 2)))
     prof = criterion_profile(nodes, 2, 2, BITS)
-    mixed = mixed_profile(nodes, 2, 2, BITS)
-    for p in range(3):
+    with workprec(BITS):
         for q in range(3):
-            assert mixed.entry(p, q, q) == prof.raw[p][q]
-    assert mixed.entry(0, 1, 0) == mpf(1)  # kernel 1/(1+|z|^2) at node 0
+            table = delta_table(conj_kernel(q, q), nodes, BITS)
+            for p in range(3):
+                assert abs(table.rows[p][0]) == prof.raw[p][q]
+    assert delta(conj_kernel(1, 0), nodes, 0, BITS) == 1  # 1/(1+|z|^2) at node 0
     with pytest.raises(DomainError):
-        mixed.entry(0, 1, 2)
+        conj_kernel(1, 2)
 
 
 def test_mixed_profile_bound_holds_on_bounded_real_nodes():
+    # Strengthened bound: |Delta_p[conj^s / (1+|.|^2)^q]| <= R'^(p+q) for all
+    # s <= q, with R' = max(3, 3 * max|eta|, r_hat)^2.
     nodes = nodes_of((1,), (2,), (-1,), (Fraction(1, 2),), (Fraction(-3, 2),))
-    mixed = mixed_profile(nodes, 4, 3, BITS)
-    assert mixed.violations == ()
+    r_hat = criterion_profile(nodes, 4, 3, BITS).r_hat_observed
     with workprec(BITS):
-        for p in range(5):
-            for q in range(4):
-                for s in range(q + 1):
-                    if p + q == 0:
-                        continue
-                    assert mixed.entry(p, q, s) <= mixed.r_prime_observed ** (p + q)
-
-
-def test_strengthened_bound_frozen():
-    nodes = nodes_of((2,), (-2,))
-    assert strengthened_bound(nodes, 1, mpf(1), BITS) == mpf(36)
-    nodes_small = nodes_of((Fraction(1, 2),), (Fraction(-1, 4),))
-    assert strengthened_bound(nodes_small, 1, mpf(1), BITS) == mpf(9)
+        sup = max(abs(z) for z in nodes.to_mpc_list())
+        r_prime = max(mpf(3), 3 * sup, r_hat) ** 2
+        for q in range(4):
+            for s in range(q + 1):
+                table = delta_table(conj_kernel(q, s), nodes, BITS)
+                for p in range(5):
+                    if p + q >= 1:
+                        assert abs(table.rows[p][0]) <= r_prime ** (p + q), (p, q, s)
 
 
 def test_binomial_expansion_consistency():
@@ -198,58 +196,14 @@ def test_binomial_expansion_consistency():
                 assert abs(direct.to_mpc() - acc) <= mpmath.ldexp(1, -200)
 
 
-# -- uniform delta probe ---------------------------------------------------------------
-
-
-def test_probe_real_nodes_annihilate_above_order_one():
+def test_conjugation_annihilates_real_nodes_above_order_one():
+    # conj is the identity on real nodes: Delta_1 = 1 and Delta_p = 0 for
+    # p >= 2, over every increasing subsequence.
     nodes = nodes_of((1,), (2,), (3,), (4,), (5,), (6,))
-    report = uniform_delta_probe(nodes, 4, trials=50, seed=5, precision_bits=BITS)
-    assert report.per_p_max[1] == mpf(1)  # conj = identity on reals
-    for p in range(2, 5):
-        assert report.per_p_max[p] == mpf(0)
-    assert report.growth_ratio is None  # one nonzero point cannot be fitted
-    assert report.kernel_kind == "conjugate-kernel"
-
-
-def test_probe_deterministic_and_includes_canonical_prefix():
-    nodes = nodes_of((1,), (0, 1), (-1, Fraction(1, 2)), (2, -1), (Fraction(1, 2),))
-    a = uniform_delta_probe(nodes, 3, trials=20, seed=9, precision_bits=BITS)
-    b = uniform_delta_probe(nodes, 3, trials=20, seed=9, precision_bits=BITS)
-    assert a.per_p_max == b.per_p_max
-    from lineinterp import conjugation
-
-    canonical = uniform_delta_probe(nodes, 3, trials=0, seed=0, precision_bits=BITS)
-    with workprec(BITS):
-        for p in range(4):
-            direct = delta(conjugation(), nodes, p, BITS)
-            assert canonical.per_p_max[p] == abs(direct.to_mpc())
-    # sampling can only increase the maxima
-    for p in range(4):
-        assert a.per_p_max[p] >= canonical.per_p_max[p]
-
-
-def test_probe_kernel_parameter_and_fit():
-    nodes = nodes_of((1,), (0, 1), (-1, Fraction(1, 2)), (2, -1), (Fraction(1, 2),))
-    report = uniform_delta_probe(
-        nodes, 3, trials=10, seed=1, kernel=conj_kernel(1), precision_bits=BITS
-    )
-    assert report.kernel_kind == "conjugate-kernel"
-    if report.growth_ratio is not None:
-        assert report.growth_ratio > 0
-    obj = report.to_json_obj()
-    assert obj["estimate_kind"] == "sampled-subsequences"
-    assert len(obj["per_p_max"]) == 4
-    parse_decimal(obj["per_p_max"][0], BITS)
-
-
-def test_probe_validation():
-    nodes = nodes_of((1,), (2,))
-    with pytest.raises(ArityError):
-        uniform_delta_probe(nodes, 3, trials=5, seed=0)
-    with pytest.raises(DomainError):
-        uniform_delta_probe(nodes, -1, trials=5, seed=0)
-    with pytest.raises(DomainError):
-        uniform_delta_probe(nodes, 1, trials=-2, seed=0)
+    for p in range(1, 5):
+        for idx in itertools.combinations(range(len(nodes)), p + 1):
+            sub = NodeSequence([nodes[i] for i in idx], BITS)
+            assert delta(conjugation(), sub, p, BITS) == (1 if p == 1 else 0), idx
 
 
 # -- node families ----------------------------------------------------------------------
@@ -376,10 +330,3 @@ def test_profile_csv_and_json_serialization():
     obj = prof.to_json_obj()
     assert obj["estimate_kind"] == "observed-finite-window"
     parse_decimal(obj["r_hat_observed"], BITS)
-
-    mixed = mixed_profile(nodes, 1, 2, BITS)
-    mlines = mixed.to_csv_text().strip().split("\n")
-    assert mlines[0] == "p,q,s,raw,normalized"
-    assert len(mlines) == 1 + 2 * (1 + 2 + 3)
-    mobj = mixed.to_json_obj()
-    assert mobj["violations"] == []

@@ -24,7 +24,6 @@ from lineinterp import (
     delta_table,
     lagrange_sum,
     leibniz_delta,
-    make_complex,
     monotone_tuple_count,
     newton_sum,
     product,
@@ -35,6 +34,7 @@ from support import (
     QC_ONE,
     QC_ZERO,
     ap_to_qc,
+    make_complex,
     qc_dd_table,
     qc_lagrange_sum,
     qc_newton_sum,

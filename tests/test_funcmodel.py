@@ -17,7 +17,6 @@ from lineinterp import (
     eval2,
     exp_sum_series,
     expcos_series,
-    make_complex,
     poly_series,
     project_to_line,
     restrict_to_line,
@@ -27,6 +26,7 @@ from lineinterp import (
 from support import (
     QC,
     ap_to_qc,
+    make_complex,
     qc_poly2_eval,
     qc_pow,
     qc_to_ap,

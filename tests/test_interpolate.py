@@ -27,13 +27,13 @@ from lineinterp import (
     identity_report,
     interpolation_check,
     lagrange_monomial,
-    make_complex,
     parse_decimal,
 )
 from support import (
     QC,
     QC_ONE,
     ap_to_qc,
+    make_complex,
     qc_eval_EN,
     qc_eval_RN_lagrange,
     qc_eval_RN_newton,

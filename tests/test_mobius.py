@@ -26,7 +26,6 @@ from lineinterp.mobius import (
     line_factor_check,
     make_context,
     pushforward,
-    suggest_eta_inf,
     theta_bound,
     theta_infinity,
     theta_of,
@@ -225,20 +224,6 @@ def test_theta_infinity_rotation():
             assert abs(abs(after.to_mpc()) - abs(before.to_mpc())) <= mpmath.ldexp(
                 1, -245
             )
-
-
-# -- reference slope suggestion --------------------------------------------------------------
-
-
-def test_suggest_eta_inf_is_separated_and_deterministic():
-    nodes = nodes_of((-1,), (1,))
-    a = suggest_eta_inf(nodes, grid=16, precision_bits=BITS)
-    b = suggest_eta_inf(nodes, grid=16, precision_bits=BITS)
-    assert a == b
-    ctx = make_context(nodes, a, BITS)
-    assert ctx.epsilon_inf >= mpf(1)
-    with pytest.raises(DomainError):
-        suggest_eta_inf(nodes, grid=1, precision_bits=BITS)
 
 
 def test_context_json_dump():

@@ -1,6 +1,7 @@
-"""Value-type tests: decimal codec, promotion, field laws, comparison policy."""
+"""Value-type tests: decimal codec, promotion, field laws, ulp distances."""
 
 import random
+import time
 
 import mpmath
 import pytest
@@ -12,16 +13,14 @@ from lineinterp import precision
 from lineinterp import (
     ApComplex,
     ConfigError,
+    NumericError,
     ParseError,
-    Tolerance,
-    approx_eq,
-    make_complex,
     parse_decimal,
     render_decimal,
     ulp,
     ulps_apart,
 )
-from support import reference_render_decimal
+from support import make_complex, reference_render_decimal
 
 
 def nearest_bits(num, den, bits):
@@ -159,11 +158,12 @@ def _dyadic(rng, bits, e, negative=False):
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 8192])
 def test_render_matches_int_oracle(bits):
-    # Deep exponents: -e = 256k + r with r in {0, 1, 255}, the residue the
-    # cached powers of five leave to an int; then -e < 256, and e >= 0.
+    # Deep exponents of both signs: |e| = 256k + r with r in {0, 1, 255}, the
+    # residue the cached powers leave to an int; then |e| < 256.
     rng = random.Random(bits)
-    exponents = [-(256 * k + r) for k in (1, 2, 33, 64) for r in (0, 1, 255)]
-    exponents += [-1, -2, -128, -255, 0, 1, 77, 1000]
+    exponents = [sign * (256 * k + r) for sign in (1, -1)
+                 for k in (1, 2, 33, 64) for r in (0, 1, 255)]
+    exponents += [-1, -2, -128, -255, 0, 1, 77, 255]
     for e in exponents:
         for negative in (False, True):
             v = _dyadic(rng, bits, e, negative)
@@ -178,7 +178,7 @@ def test_render_int_and_float_match_int_oracle(x):
 
 
 def test_powers_of_five_cache_stays_bounded():
-    cache = precision._five_pow
+    cache = precision._pow
     cache.cache_clear()
     rng = random.Random(5)
     steps = cache.cache_info().maxsize + 8
@@ -193,17 +193,56 @@ def test_powers_of_five_cache_stays_bounded():
         v = _dyadic(rng, 256, -256 * k)
         assert render_decimal(v) == reference_render_decimal(v), k
     assert cache.cache_info().currsize <= cache.cache_info().maxsize
+    # powers of two for positive exponents share the same bounded cache
+    for k in range(steps):
+        v = _dyadic(rng, 256, 256 * k + 7)
+        assert render_decimal(v) == reference_render_decimal(v), k
+    assert cache.cache_info().misses == 3 * steps
+    assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
 def test_render_holds_deep_expansions_to_the_int_to_str_cap():
-    # 3 * 2^-716000 has more decimal digits than the 500000 that int->str
-    # writes, so its decimal would lie outside the range parsing accepts.
+    # 3 * 2^-716000 and 3 * 2^1661000 have more than the 500000 decimal digits
+    # render_decimal writes, so their decimals would lie outside the range
+    # parsing accepts.
     with workprec(64):
         inside = mpmath.ldexp(3, -715000)
-        outside = mpmath.ldexp(3, -716000)
+        outside = (mpmath.ldexp(3, -716000), mpmath.ldexp(3, 1661000))
     assert render_decimal(inside).startswith("1.")
-    with pytest.raises(ValueError, match="500000 digits"):
-        render_decimal(outside)
+    for v in outside:
+        with pytest.raises(NumericError, match="500000 digits"):
+            render_decimal(v)
+
+
+def test_render_turns_away_values_far_past_the_cap_at_once():
+    # Forming 2^40000000 or 5^40000000 exactly takes seconds and tens of MB.
+    for e in (40000000, -40000000):
+        with workprec(64):
+            v = mpmath.ldexp(3, e)
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="500000 digits"):
+            render_decimal(v)
+        assert time.perf_counter() - start < 0.1, e
+
+
+def test_render_deep_positive_exponent_is_fast():
+    # 3 * 2^1660000 has 499711 digits; the int oracle is quadratic at this
+    # size, so check the leading digits against a logarithm and the trailing
+    # ones against modular arithmetic.
+    with workprec(64):
+        v = mpmath.ldexp(3, 1660000)
+    start = time.perf_counter()
+    text = render_decimal(v)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    mantissa, _, k = text.partition("e")
+    digits = mantissa.replace(".", "")
+    with workprec(128):
+        log10 = mpmath.log10(3) + 1660000 * mpmath.log10(2)
+        lead = int(mpmath.floor(10 ** (log10 - mpmath.floor(log10) + 14)))
+    assert int(k) == int(log10) and len(digits) == int(k) + 1 == 499711
+    assert mantissa[1] == "." and int(digits[:15]) == lead
+    assert int(digits[-12:]) == 3 * pow(2, 1660000, 10**12) % 10**12
 
 
 def test_precision_floor_enforced():
@@ -305,23 +344,6 @@ def test_multiplication_distributes_within_eight_ulp():
         assert float(ulps_apart(left, right, scale=scale)) <= 8.0
 
 
-def test_approx_eq_policy():
-    a = make_complex("1", "0", 256)
-    tol = Tolerance.default(256)
-    # Perturbation below the default threshold 2^-128.
-    near = a + ApComplex(mpmath.ldexp(1, -140), 0, 256)
-    far = a + ApComplex(mpmath.ldexp(1, -100), 0, 256)
-    assert approx_eq(a, near, tol)
-    assert not approx_eq(a, far, tol)
-    assert approx_eq(a, a)
-
-
-def test_tolerance_default_value():
-    tol = Tolerance.default(256)
-    assert tol.rel_eps == mpmath.ldexp(1, -128)
-    assert tol.abs_eps == mpmath.ldexp(1, -128)
-
-
 def test_double_precision_rerun_stays_within_tolerance():
     # A short pipeline (dot product) run at 256 and 512 bits.
     rng = random.Random(9)
@@ -348,9 +370,8 @@ def test_double_precision_rerun_stays_within_tolerance():
     v256 = pipeline(256)
     v512 = pipeline(512)
     gap = (v256 - v512).magnitude()
-    tol = Tolerance.default(256)
-    scale = v512.magnitude()
-    assert gap <= mpmath.mpf(tol.abs_eps) + mpmath.mpf(tol.rel_eps) * scale
+    eps = mpmath.ldexp(1, -128)
+    assert gap <= eps + eps * v512.magnitude()
     assert xs and ys
 
 
