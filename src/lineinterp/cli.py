@@ -441,10 +441,9 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
         tables = plan.at(z1, z2)
         for n in range(n_min, n_max + 1):
             rep = tables.report(n, max_order)
-            with workprec(bits):
-                mag = abs(rep.identity_residual.to_mpc())
-                if mag > worst:
-                    worst = mag
+            mag = rep.identity_residual.magnitude()
+            if mag > worst:
+                worst = mag
             rows.append((n, idx, render_decimal(mag), render_decimal(rep.cross_form_gap)))
     rows.sort(key=lambda row: row[:2])
     passed = worst <= tol

@@ -28,7 +28,14 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .criterion import conj_kernel
-from .divdiff import NodeSequence, ScalarFunction, delta, delta_table, difference_rows
+from .divdiff import (
+    NodeSequence,
+    ScalarFunction,
+    _pair_gaps,
+    delta,
+    delta_table,
+    difference_rows,
+)
 from .errors import (
     ConfigError,
     ConstructionFailureError,
@@ -44,6 +51,10 @@ from .precision import (
     parse_decimal,
     render_decimal,
 )
+
+# Halvings of a stage's pair radius before its working precision doubles.
+SHRINK_BUDGET = 64
+
 
 def default_kernel():
     """Bounded conjugation kernel zeta -> conj(zeta) / (1 + |zeta|^2).
@@ -172,21 +183,18 @@ class EscalationPolicy:
     """Working-precision schedule for the staged construction.
 
     Bits start at start_bits and double whenever a stage exhausts
-    shrink_budget halvings of its pair radius, or the candidate nodes'
+    SHRINK_BUDGET halvings of its pair radius, or the candidate nodes'
     pairwise gaps predict more than bits/2 of cancellation. Doubling past
     max_bits abandons the construction.
     """
 
     start_bits: int = DEFAULT_PRECISION
     max_bits: int = 8192
-    shrink_budget: int = 64
 
     def __post_init__(self):
         check_precision(self.start_bits)
         if self.max_bits < self.start_bits:
             raise ConfigError("max_bits must be at least start_bits")
-        if self.shrink_budget < 1:
-            raise DomainError("shrink budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -301,11 +309,9 @@ class _NeedMoreBits(Exception):
 def _cancellation_estimate(nodes, bits):
     """Sum of |log2 gap| over node pairs, a proxy for subtraction losses."""
     with workprec(bits):
-        zs = [n.to_mpc() for n in nodes]
         total = mpf(0)
-        for i in range(len(zs)):
-            for j in range(i + 1, len(zs)):
-                total += abs(mpmath.log(abs(zs[i] - zs[j]), 2))
+        for _, _, gap in _pair_gaps([n.to_mpc() for n in nodes]):
+            total += abs(mpmath.log(gap, 2))
     return total
 
 
@@ -333,10 +339,7 @@ def _cancellation_exceeds(nodes, bits):
     band, or when two nodes coincide, the full-precision sum decides.
     """
     with workprec(bits):
-        zs = [n.to_mpc() for n in nodes]
-        gaps = [
-            abs(zs[i] - zs[j]) for i in range(len(zs)) for j in range(i + 1, len(zs))
-        ]
+        gaps = [gap for _, _, gap in _pair_gaps([n.to_mpc() for n in nodes])]
     if all(gaps):
         total = sum(abs(_log2_float(gap)) for gap in gaps)
         half = bits / 2
@@ -351,7 +354,7 @@ def _power_of_two_below(value):
     return mpmath.ldexp(1, exponent - 2)
 
 
-def _run_stage(f, prev_nodes, stage, bits, policy):
+def _run_stage(f, prev_nodes, stage, bits):
     """One stage at fixed working precision; raises _NeedMoreBits on stall."""
     p = stage - 1
     target = stage**stage
@@ -393,7 +396,7 @@ def _run_stage(f, prev_nodes, stage, bits, policy):
         sin_half = mpmath.sin(theta / 2)
 
         radius = lead / 2
-        for step in range(policy.shrink_budget):
+        for step in range(SHRINK_BUDGET):
             if phase_case == "real-pair":
                 second = ApComplex(radius, 0, bits)
                 third = ApComplex(-radius, 0, bits)
@@ -461,7 +464,7 @@ def build_sequence(f, stages, policy=None):
     for stage in range(1, stages + 1):
         while True:
             try:
-                record, trio = _run_stage(f, nodes, stage, bits, policy)
+                record, trio = _run_stage(f, nodes, stage, bits)
             except _NeedMoreBits:
                 bits = bits * 2
                 if bits > policy.max_bits:

@@ -22,6 +22,7 @@ from mpmath import mpc, mpf, workprec
 
 from .divdiff import NodeSequence, ScalarFunction, as_node_sequence, delta_table
 from .errors import ArityError, ConfigError, DomainError
+from .funcmodel import _weight
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
@@ -47,11 +48,10 @@ def conj_kernel(q, s=None):
         raise DomainError("kernel needs s <= q, got s=%d q=%d" % (s, q))
 
     def fn(w):
-        denom = (1 + w.real**2 + w.imag**2) ** q
-        return w.conjugate() ** s / denom
+        return w.conjugate() ** s / _weight(w) ** q
 
     def conj_derivative(w):
-        mod2 = 1 + w.real**2 + w.imag**2
+        mod2 = _weight(w)
         first = mpc(0)
         if s > 0:
             first = s * w.conjugate() ** (s - 1) / mod2**q

@@ -154,27 +154,14 @@ class NodeSequence:
             return [n.to_mpc() for n in self.nodes]
 
     def min_gap(self):
-        zs = self.to_mpc_list()
         with workprec(self.precision_bits):
-            return min(
-                abs(zs[i] - zs[j])
-                for i in range(len(zs))
-                for j in range(i + 1, len(zs))
-            ) if len(zs) > 1 else mpf("inf")
+            gaps = _pair_gaps(self.to_mpc_list())
+            return min((gap for _, _, gap in gaps), default=mpf("inf"))
 
     def near_pairs(self, threshold=None):
         """Pairs closer than the conditioning threshold (default 2^-(P/2))."""
-        if threshold is None:
-            threshold = mpmath.ldexp(1, -(self.precision_bits // 2))
-        zs = self.to_mpc_list()
-        out = []
         with workprec(self.precision_bits):
-            for i in range(len(zs)):
-                for j in range(i + 1, len(zs)):
-                    gap = abs(zs[i] - zs[j])
-                    if gap < threshold:
-                        out.append((i, j, gap))
-        return out
+            return _near(_pair_gaps(self.to_mpc_list()), self.precision_bits, threshold)
 
     def to_json_obj(self):
         return {"nodes": [n.to_json_obj() for n in self.nodes]}
@@ -189,6 +176,23 @@ class NodeSequence:
             [ApComplex.from_json_obj(entry, precision_bits) for entry in obj["nodes"]],
             precision_bits,
         )
+
+
+def _pair_gaps(zs):
+    """(i, j, |zs[i] - zs[j]|) for every pair i < j, row by row.
+
+    A generator: each gap is formed at the precision ambient when it is drawn.
+    """
+    for i, z in enumerate(zs):
+        for j in range(i + 1, len(zs)):
+            yield i, j, abs(z - zs[j])
+
+
+def _near(gaps, precision_bits, threshold=None):
+    """The (i, j, gap) triples with gap below threshold (default 2^-(P/2))."""
+    if threshold is None:
+        threshold = mpmath.ldexp(1, -(precision_bits // 2))
+    return [pair for pair in gaps if pair[2] < threshold]
 
 
 def as_node_sequence(nodes, precision_bits=None):
@@ -229,7 +233,7 @@ def delta_table(h, nodes, precision_bits=None):
     seq = as_node_sequence(nodes)
     bits = check_precision(precision_bits or seq.precision_bits)
     with workprec(bits):
-        zs = [n.to_mpc() for n in seq]
+        zs = seq.to_mpc_list()
         rows = difference_rows([mpc(h.raw(z)) for z in zs], zs)
     return DividedDiffTable(seq, bits, rows)
 
@@ -312,7 +316,7 @@ def lagrange_sum(h, nodes, n, x, precision_bits=None):
         raise ArityError("Lagrange sum of order %d needs %d nodes" % (n, n))
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
     with workprec(bits):
-        zs = [node.to_mpc() for node in seq.first(n)]
+        zs = seq.first(n).to_mpc_list()
         xv = x.to_mpc()
         total = mpc(0)
         for p in range(n):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from mpmath import mpc, mpf, workprec
 
+from .divdiff import _running_products
 from .errors import ConfigError, ParseError
 from .precision import (
     DEFAULT_PRECISION,
@@ -171,6 +172,7 @@ class GradedTerms:
     The series value is the sum of all rows and the tail of order n the sum
     from row n on; both accumulate term by term in graded order, so every
     partial sum is the one a direct evaluation of that range would give.
+    Sums are raw mpc at precision_bits.
     """
 
     __slots__ = ("rows", "precision_bits")
@@ -178,12 +180,8 @@ class GradedTerms:
     def __init__(self, f, z1, z2):
         bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
         with workprec(bits):
-            w1, w2 = z1.to_mpc(), z2.to_mpc()
-            pow1 = [mpc(1)]
-            pow2 = [mpc(1)]
-            for _ in range(f.max_order):
-                pow1.append(pow1[-1] * w1)
-                pow2.append(pow2[-1] * w2)
+            pow1 = _running_products([z1.to_mpc()] * f.max_order)
+            pow2 = _running_products([z2.to_mpc()] * f.max_order)
             self.rows = [
                 [a * pow1[k] * pow2[m - k] for k, a in f.degree_row(m)]
                 for m in range(f.max_order + 1)
@@ -199,12 +197,13 @@ class GradedTerms:
             for m in range(start, stop + 1):
                 for term in self.rows[m]:
                     total += term
-        return ApComplex.from_mpc(total, self.precision_bits)
+        return total
 
 
 def eval2(f, z1, z2):
     """Value of the truncated series at (z1, z2), summed in graded order."""
-    return GradedTerms(f, z1, z2).total()
+    terms = GradedTerms(f, z1, z2)
+    return ApComplex.from_mpc(terms.total(), terms.precision_bits)
 
 
 def restrict_to_line(f, eta, precision_bits=None):
@@ -213,10 +212,7 @@ def restrict_to_line(f, eta, precision_bits=None):
         raise ConfigError("eta must be an ApComplex value")
     bits = check_precision(precision_bits or max(f.precision_bits, eta.precision_bits))
     with workprec(bits):
-        ev = eta.to_mpc()
-        powers = [mpc(1)]
-        for _ in range(f.max_order):
-            powers.append(powers[-1] * ev)
+        powers = _running_products([eta.to_mpc()] * f.max_order)
         out = []
         for m in range(f.max_order + 1):
             total = mpc(0)

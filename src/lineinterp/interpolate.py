@@ -29,9 +29,16 @@ from functools import cached_property
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import _newton_total, _running_products, as_node_sequence, difference_rows
+from .divdiff import (
+    _near,
+    _newton_total,
+    _pair_gaps,
+    _running_products,
+    as_node_sequence,
+    difference_rows,
+)
 from .errors import ArityError, ConfigError, DomainError
-from .funcmodel import GradedTerms, _projection, _weight, eval2, restrict_to_line
+from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
 from .precision import ApComplex, check_precision, parse_decimal, render_decimal
 
 
@@ -65,10 +72,18 @@ def lagrange_monomial(nodes, n, q, z1, z2):
         raise DomainError("q must lie in 1..%d" % n)
     bits = max(seq.precision_bits, z1.precision_bits, z2.precision_bits)
     with workprec(bits):
-        zs = [node.to_mpc() for node in seq.first(n)]
+        zs = seq.first(n).to_mpc_list()
         z1v, z2v = z1.to_mpc(), z2.to_mpc()
         total = _lagrange_chain([z1v - eta * z2v for eta in zs], zs, q - 1, n)[-1]
     return ApComplex.from_mpc(total, bits)
+
+
+def _inverse_gap_product(gaps):
+    """Product of 1/gap over (i, j, gap) triples, at the ambient precision."""
+    total = mpf(1)
+    for _, _, gap in gaps:
+        total /= gap
+    return total
 
 
 def condition_estimate(nodes, n):
@@ -76,12 +91,7 @@ def condition_estimate(nodes, n):
     seq = as_node_sequence(nodes)
     _require_order(seq, n)
     with workprec(seq.precision_bits):
-        zs = [node.to_mpc() for node in seq.first(n)]
-        total = mpf(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                total /= abs(zs[i] - zs[j])
-        return total
+        return _inverse_gap_product(_pair_gaps(seq.first(n).to_mpc_list()))
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ class LinePlan:
         self.precision_bits = bits
         self.restriction_coeffs = [r.coeffs for r in restrictions[:n_max]]
         with workprec(bits):
-            zs = [node.to_mpc() for node in seq.first(n_max)]
+            zs = seq.first(n_max).to_mpc_list()
             self.zs = zs
             self.denoms = [_weight(z) for z in zs]
             # gaps[q][t] = product of (eta_q - eta_j) over the first t indices
@@ -189,10 +199,13 @@ class LinePlan:
         """(condition_estimate, near pairs) of the first n nodes."""
         self._check(n)
         if n not in self._conditioning_cache:
-            self._conditioning_cache[n] = (
-                condition_estimate(self.nodes, n),
-                tuple(self.nodes.first(n).near_pairs()),
-            )
+            bits = self.nodes.precision_bits
+            with workprec(bits):
+                gaps = list(_pair_gaps(self.zs[:n]))
+                self._conditioning_cache[n] = (
+                    _inverse_gap_product(gaps),
+                    tuple(_near(gaps, bits)),
+                )
         return self._conditioning_cache[n]
 
     def at(self, z1, z2):
@@ -204,9 +217,8 @@ class LinePlan:
             sups = {n: mpf(0) for n in orders}
             for z1, z2 in points:
                 tables = self.at(z1, z2)
-                fz = tables.f_value.to_mpc()
                 for n in orders:
-                    gap = abs(tables.en(n).to_mpc() - fz)
+                    gap = abs(tables.en(n) - tables.f_value)
                     if gap > sups[n]:
                         sups[n] = gap
         return sups
@@ -219,7 +231,8 @@ class PointTables:
     H[q][k] = sum_{m>=k} w_q^(m-k) c_m(eta_q) (zero above the series order)
     and, on first use, the graded series terms, the Lagrange basis chains and
     the Newton products. The inner sums of E_N are H[q][N-p]; both remainder
-    forms take the kernel values H[q][N] * w_q at the nodes.
+    forms take the kernel values H[q][N] * w_q at the nodes. Every member
+    is a raw mpc; the public functions box it.
     """
 
     def __init__(self, plan, z1, z2):
@@ -274,9 +287,6 @@ class PointTables:
     def _kernel_values(self, n):
         return [self.horner[q][n] * self.w[q] for q in range(n)]
 
-    def _boxed(self, value):
-        return ApComplex.from_mpc(value, self.plan.precision_bits)
-
     def en(self, n):
         """E_N(f) at this point from the first n lines."""
         coeffs = self.plan._coefficients(n)
@@ -289,7 +299,7 @@ class PointTables:
                 for q in range(p, n):
                     inner += coeffs[p][q - p] * self.horner[q][n - 1 - p]
                 total += suffix[n - 1 - p] * inner
-        return self._boxed(total)
+        return total
 
     def rn_lagrange(self, n):
         """Remainder in Lagrange form: kernel values against the basis L_p."""
@@ -298,7 +308,7 @@ class PointTables:
             total = mpc(0)
             for p, value in enumerate(self._kernel_values(n)):
                 total += self._lagrange[p][n - 1] * value
-        return self._boxed(total)
+        return total
 
     def rn_newton(self, n):
         """Remainder in Newton form: divided differences of the kernel values."""
@@ -307,7 +317,7 @@ class PointTables:
         with workprec(self.plan.precision_bits):
             rows = difference_rows(self._kernel_values(n), self.plan.zs[:n])
             total = _newton_total(z2pow, lead, rows)
-        return self._boxed(total)
+        return total
 
     def report(self, n, tail_max_order=None):
         """All identity members for the first n lines; the tail may be capped."""
@@ -316,21 +326,25 @@ class PointTables:
         rn = self.rn_newton(n)
         tail = self._series.total(n, tail_max_order)
         fz = self.f_value
-        residual = en - rl + tail - fz
         bits = self.plan.precision_bits
         with workprec(bits):
-            gap = abs(rl.to_mpc() - rn.to_mpc())
+            residual = en - rl + tail - fz
+            gap = abs(rl - rn)
         estimate, pairs = self.plan._conditioning(n)
+
+        def box(value, precision_bits=bits):
+            return ApComplex.from_mpc(value, precision_bits)
+
         return InterpolantReport(
             n=n,
             node_count=len(self.plan.nodes),
             precision_bits=bits,
-            value_en=en,
-            value_rn_lagrange=rl,
-            value_rn_newton=rn,
-            value_tail=tail,
-            value_f=fz,
-            identity_residual=residual,
+            value_en=box(en),
+            value_rn_lagrange=box(rl),
+            value_rn_newton=box(rn),
+            value_tail=box(tail, self._series.precision_bits),
+            value_f=box(fz, self._series.precision_bits),
+            identity_residual=box(residual),
             cross_form_gap=gap,
             condition_estimate=estimate,
             conditioning_pairs=pairs,
@@ -342,26 +356,32 @@ def _point_tables(f, nodes, n, z1, z2, restrictions=None):
     return LinePlan(f, seq, n, _work_bits(f, seq, z1, z2), restrictions).at(z1, z2)
 
 
+def _edge_value(member, f, nodes, n, z1, z2, restrictions=None):
+    tables = _point_tables(f, nodes, n, z1, z2, restrictions)
+    return ApComplex.from_mpc(member(tables, n), tables.plan.precision_bits)
+
+
 def eval_EN(f, nodes, n, z1, z2, restrictions=None):
     """Interpolant value at (z1, z2) built from the first n line restrictions."""
-    return _point_tables(f, nodes, n, z1, z2, restrictions).en(n)
+    return _edge_value(PointTables.en, f, nodes, n, z1, z2, restrictions)
 
 
 def eval_RN_lagrange(f, nodes, n, z1, z2, restrictions=None):
     """Remainder in Lagrange form: high restriction terms against L_p."""
-    return _point_tables(f, nodes, n, z1, z2, restrictions).rn_lagrange(n)
+    return _edge_value(PointTables.rn_lagrange, f, nodes, n, z1, z2, restrictions)
 
 
 def eval_RN_newton(f, nodes, n, z1, z2):
     """Remainder in Newton form: divided differences of the tail kernel."""
-    return _point_tables(f, nodes, n, z1, z2).rn_newton(n)
+    return _edge_value(PointTables.rn_newton, f, nodes, n, z1, z2)
 
 
 def eval_tail(f, n, z1, z2):
     """Tail sum of the series itself: terms with total degree >= n."""
     if n < 0:
         raise DomainError("tail order must be nonnegative")
-    return GradedTerms(f, z1, z2).total(n)
+    terms = GradedTerms(f, z1, z2)
+    return ApComplex.from_mpc(terms.total(n), terms.precision_bits)
 
 
 def identity_report(f, nodes, n, z1, z2):
@@ -382,10 +402,10 @@ def interpolation_check(f, nodes, n, p, v):
     eta = seq[p - 1]
     with workprec(bits):
         z1 = ApComplex.from_mpc(eta.to_mpc() * v.to_mpc(), bits)
-    z2 = v.at_precision(bits)
-    en = eval_EN(f, seq, n, z1, z2)
-    fz = eval2(f, z1, z2)
-    return en - fz
+    tables = _point_tables(f, seq, n, z1, v.at_precision(bits))
+    with workprec(bits):
+        gap = tables.en(n) - tables.f_value
+    return ApComplex.from_mpc(gap, bits)
 
 
 def default_zgrid(precision_bits=None, radius="0.5", side=5, extra=10, seed=0):

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import NodeSequence, as_node_sequence
+from .divdiff import NodeSequence, _running_products, as_node_sequence
 from .errors import DomainError, SeparationError
-from .funcmodel import TaylorSeries2
+from .funcmodel import TaylorSeries2, _weight
 from .interpolate import eval_EN
 from .precision import (
     ApComplex,
@@ -41,19 +41,15 @@ class MobiusContext:
 
     eta_inf: ApComplex
     epsilon_inf: mpf
-    unitary: tuple  # ((u11, u12), (u21, u22)) as ApComplex
+    unitary: tuple  # ((u11, u12), (u21, u22)) as raw mpc at precision_bits
     nodes: NodeSequence
     precision_bits: int
-
-    def _u_raw(self):
-        (a, b), (c, d) = self.unitary
-        return a.to_mpc(), b.to_mpc(), c.to_mpc(), d.to_mpc()
 
     def apply_unitary(self, z1, z2):
         """U applied to (z1, z2)."""
         bits = self.precision_bits
+        (a, b), (c, d) = self.unitary
         with workprec(bits):
-            a, b, c, d = self._u_raw()
             w1, w2 = z1.to_mpc(), z2.to_mpc()
             return (
                 ApComplex.from_mpc(a * w1 + b * w2, bits),
@@ -63,8 +59,8 @@ class MobiusContext:
     def apply_adjoint(self, z1, z2):
         """U* (conjugate transpose) applied to (z1, z2)."""
         bits = self.precision_bits
+        (a, b), (c, d) = self.unitary
         with workprec(bits):
-            a, b, c, d = self._u_raw()
             w1, w2 = z1.to_mpc(), z2.to_mpc()
             return (
                 ApComplex.from_mpc(a.conjugate() * w1 + c.conjugate() * w2, bits),
@@ -73,9 +69,8 @@ class MobiusContext:
 
     def unitarity_defect(self):
         """max |(U U* - I)_{jk}|, which unitarity keeps at rounding level."""
+        rows = self.unitary
         with workprec(self.precision_bits):
-            a, b, c, d = self._u_raw()
-            rows = ((a, b), (c, d))
             worst = mpf(0)
             for j in range(2):
                 for k in range(2):
@@ -95,7 +90,8 @@ class MobiusContext:
             "epsilon_inf": render_decimal(self.epsilon_inf),
             "precision_bits": self.precision_bits,
             "unitary": [
-                [entry.to_json_obj() for entry in row] for row in self.unitary
+                [ApComplex.from_mpc(u, self.precision_bits).to_json_obj() for u in row]
+                for row in self.unitary
             ],
             "theta": [t.to_json_obj() for t in thetas],
         }
@@ -115,17 +111,8 @@ def make_context(nodes, eta_inf, precision_bits=None):
             if gap == 0:
                 raise SeparationError("eta_inf coincides with a node")
             eps = min(eps, gap)
-        scale = 1 / mpmath.sqrt(1 + e.real**2 + e.imag**2)
-        unitary = (
-            (
-                ApComplex.from_mpc(scale * e.conjugate(), bits),
-                ApComplex.from_mpc(mpc(scale), bits),
-            ),
-            (
-                ApComplex.from_mpc(mpc(scale), bits),
-                ApComplex.from_mpc(-scale * e, bits),
-            ),
-        )
+        scale = 1 / mpmath.sqrt(_weight(e))
+        unitary = ((scale * e.conjugate(), mpc(scale)), (mpc(scale), -scale * e))
     return MobiusContext(
         eta_inf=eta_inf.at_precision(bits),
         epsilon_inf=eps,
@@ -192,7 +179,7 @@ def line_factor_check(ctx, eta_j, zeta):
         e = ctx.eta_inf.to_mpc()
         ej = eta_j.to_mpc()
         lhs = u1.to_mpc() - ej * u2.to_mpc()
-        factor = (e - ej) / mpmath.sqrt(1 + e.real**2 + e.imag**2)
+        factor = (e - ej) / mpmath.sqrt(_weight(e))
         rhs = factor * (z1.to_mpc() - theta.to_mpc() * z2.to_mpc())
         return ApComplex.from_mpc(lhs - rhs, bits)
 
@@ -204,20 +191,12 @@ def pushforward(f, ctx):
     """
     bits = max(f.precision_bits, ctx.precision_bits)
     top = f.max_order
+    (a, b), (c, d) = ctx.unitary
     with workprec(bits):
-        a, b, c, d = ctx._u_raw()
         # z1 -> conj(a) zeta1 + conj(c) zeta2, z2 -> conj(b) zeta1 + conj(d) zeta2
-        v11, v12 = a.conjugate(), c.conjugate()
-        v21, v22 = b.conjugate(), d.conjugate()
-        pow11 = [mpc(1)]
-        pow12 = [mpc(1)]
-        pow21 = [mpc(1)]
-        pow22 = [mpc(1)]
-        for _ in range(top):
-            pow11.append(pow11[-1] * v11)
-            pow12.append(pow12[-1] * v12)
-            pow21.append(pow21[-1] * v21)
-            pow22.append(pow22[-1] * v22)
+        pow11, pow12, pow21, pow22 = (
+            _running_products([u.conjugate()] * top) for u in (a, c, b, d)
+        )
         binom = [[mpf(mpmath.binomial(n, i)) for i in range(n + 1)] for n in range(top + 1)]
         out = {}
         for (k, l), coeff in f.items():
@@ -230,10 +209,7 @@ def pushforward(f, ctx):
                         out[key] += weight
                     else:
                         out[key] = weight
-        frozen = {
-            key: ApComplex.from_mpc(value, bits) for key, value in out.items()
-        }
-    return TaylorSeries2(frozen, top, bits)
+    return TaylorSeries2(out, top, bits)
 
 
 def _random_point(rng, bits):

@@ -1,8 +1,9 @@
 """Arbitrary-precision complex values with explicit per-value precision.
 
 Every value wraps a pair of mpmath binary floats together with the precision
-(in bits) it is maintained at. Arithmetic between operands of different
-precision is performed, and the result reported, at the larger of the two.
+(in bits) it is maintained at. ApComplex is the type values enter and leave
+the library as; it carries no arithmetic. Computations unbox with to_mpc, work
+on raw mpc under workprec, and box their results once with from_mpc.
 
 Decimal I/O is exact in both directions: rendering writes the exact decimal
 expansion of the stored binary value (every m * 2^e has one), and parsing
@@ -223,49 +224,7 @@ class ApComplex:
         """Same value re-rounded (or exactly embedded) at another precision."""
         return ApComplex(self.re, self.im, bits)
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, ApComplex):
-            return other
-        if isinstance(other, (int, mpf)):
-            return ApComplex(other, 0, self.precision_bits)
-        return None
-
-    def _binop(self, other, op):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        bits = max(self.precision_bits, rhs.precision_bits)
-        with workprec(bits):
-            value = op(self.to_mpc(), rhs.to_mpc())
-        return ApComplex.from_mpc(value, bits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        with workprec(self.precision_bits):
-            return ApComplex(-self.re, -self.im, self.precision_bits)
+    # -- edge accessors -------------------------------------------------------
 
     def conjugate(self):
         with workprec(self.precision_bits):
@@ -282,10 +241,11 @@ class ApComplex:
     # -- comparison and hashing ----------------------------------------------
 
     def __eq__(self, other):
-        rhs = self._coerce(other) if not isinstance(other, ApComplex) else other
-        if rhs is None:
-            return NotImplemented
-        return self.re == rhs.re and self.im == rhs.im
+        if isinstance(other, ApComplex):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, mpf)):
+            return self.re == other and self.im == 0
+        return NotImplemented
 
     def __hash__(self):
         # mpc hashes like the equal Python number, as __eq__ requires

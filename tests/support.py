@@ -10,7 +10,6 @@ data.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,6 +260,13 @@ def make_complex(re_text, im_text="0", precision_bits=DEFAULT_PRECISION):
         parse_decimal(im_text, precision_bits),
         precision_bits,
     )
+
+
+def ap_gap(a, b):
+    """|a - b| of two ApComplex values, formed on mpc at the larger precision."""
+    bits = max(a.precision_bits, b.precision_bits)
+    with mpmath.workprec(bits):
+        return abs(a.to_mpc() - b.to_mpc())
 
 
 def mpf_to_fraction(x):

@@ -88,6 +88,14 @@ def _mag(a, bits=BITS):
         return abs(a.to_mpc())
 
 
+def _mag_diff(a, b, bits=BITS):
+    """|a - b|: the difference formed at bits, its modulus at bits + 16."""
+    with workprec(bits):
+        diff = a.to_mpc() - b.to_mpc()
+    with workprec(bits + 16):
+        return abs(diff)
+
+
 def _series(qcoeffs, max_order, bits):
     return TaylorSeries2(
         {kl: qc_to_ap(v, bits) for kl, v in qcoeffs.items()}, max_order, bits
@@ -401,7 +409,7 @@ def test_ac9_mobius_reduction():
     with workprec(BITS):
         in_bound = all(abs(t.to_mpc()) <= bound for t in thetas)
         round_trip = max(
-            _mag(inverse_homography(ctx, t) - nd) for nd, t in zip(nodes, thetas)
+            _mag_diff(inverse_homography(ctx, t), nd) for nd, t in zip(nodes, thetas)
         )
         unitarity = +ctx.unitarity_defect()
         line_res = mpf(0)
@@ -431,7 +439,7 @@ def test_ac9_mobius_reduction():
         z1 = qc_to_ap(rand_qc(rng, 1), BITS)
         z2 = qc_to_ap(rand_qc(rng, 1), BITS)
         u1, u2 = small_ctx.apply_unitary(z1, z2)
-        gap = _mag(eval_EN(f, small, n, z1, z2) - eval_EN(g, small_thetas, n, u1, u2))
+        gap = _mag_diff(eval_EN(f, small, n, z1, z2), eval_EN(g, small_thetas, n, u1, u2))
         with workprec(BITS):
             if gap > coherence:
                 coherence = gap

@@ -339,8 +339,6 @@ def test_build_validation_and_unsuitable_kernels():
 def test_escalation_policy_validation():
     with pytest.raises(ConfigError):
         EscalationPolicy(start_bits=256, max_bits=128)
-    with pytest.raises(DomainError):
-        EscalationPolicy(shrink_budget=0)
     with pytest.raises(ConfigError):
         EscalationPolicy(start_bits=32)
 

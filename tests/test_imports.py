@@ -1,0 +1,63 @@
+"""Every top-level import in the package and the tests is used.
+
+A name counts as used when the module reads it anywhere, or lists it in
+__all__. An import statement marked `# noqa: F401` is exempt, for a binding
+kept on purpose for outside readers.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "lineinterp").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source):
+    """(line, name) of each top-level imported name the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+        if "# noqa: F401" in text:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in read:
+                out.append((node.lineno, name))
+    return out
+
+
+def test_no_unused_top_level_imports():
+    sample = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import re as regex\n"
+        "from math import pi, tau\n"
+        "from json import dumps  # noqa: F401\n"
+        "__all__ = ['tau']\n"
+        "print(regex, pi)\n"
+    )
+    assert unused_imports(sample) == [(2, "os")]  # the checker itself
+    found = {}
+    for path in MODULES:
+        unused = unused_imports(path.read_text(encoding="utf-8"))
+        if unused:
+            found[str(path.relative_to(ROOT))] = unused
+    assert found == {}

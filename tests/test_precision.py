@@ -257,12 +257,15 @@ def test_default_precision_is_256():
     assert make_complex("1", "1").precision_bits == 256
 
 
-def test_promotion_to_larger_precision():
-    a = make_complex("1.5", "2", 256)
-    b = make_complex("0.25", "-1", 512)
-    assert (a + b).precision_bits == 512
-    assert (b * a).precision_bits == 512
-    assert (a - 1).precision_bits == 256
+def test_values_carry_no_arithmetic():
+    # ApComplex is an edge type: computations unbox with to_mpc and work on mpc.
+    with pytest.raises(TypeError):
+        ApComplex(1) + ApComplex(1)
+    one = ApComplex(1, 0, 256)
+    with pytest.raises(TypeError):
+        one * 2
+    with pytest.raises(TypeError):
+        -one
 
 
 def test_immutability():
@@ -303,76 +306,13 @@ def test_squared_magnitude_identity_within_two_ulp():
         )
         if a.is_zero():
             continue
-        prod = a * a.conjugate()
-        mag2 = ApComplex(a.magnitude(), 0, a.precision_bits)
-        mag2 = mag2 * mag2
+        bits = a.precision_bits
+        with workprec(bits):
+            av = a.to_mpc()
+            prod = ApComplex.from_mpc(av * av.conjugate(), bits)
+            mag = a.magnitude()
+            mag2 = ApComplex.from_mpc(mpmath.mpc(mag) * mpmath.mpc(mag), bits)
         assert float(ulps_apart(prod, mag2)) <= 2.0
-
-
-def _rand_triple(rng, bits=256):
-    def one():
-        return make_complex(
-            "%d.%09d" % (rng.randint(-5, 5), rng.randint(0, 10**9 - 1)),
-            "%d.%09d" % (rng.randint(-5, 5), rng.randint(0, 10**9 - 1)),
-            bits,
-        )
-
-    return one(), one(), one()
-
-
-def test_addition_associates_within_four_ulp():
-    rng = random.Random(7)
-    for _ in range(200):
-        a, b, c = _rand_triple(rng)
-        left = (a + b) + c
-        right = a + (b + c)
-        scale = max(
-            x.magnitude() for x in (a, b, c, a + b, b + c, left, right)
-        )
-        assert float(ulps_apart(left, right, scale=scale)) <= 4.0
-
-
-def test_multiplication_distributes_within_eight_ulp():
-    rng = random.Random(8)
-    for _ in range(200):
-        a, b, c = _rand_triple(rng)
-        left = a * (b + c)
-        right = a * b + a * c
-        scale = max(x.magnitude() for x in (a * b, a * c, left, right))
-        if scale == 0:
-            continue
-        assert float(ulps_apart(left, right, scale=scale)) <= 8.0
-
-
-def test_double_precision_rerun_stays_within_tolerance():
-    # A short pipeline (dot product) run at 256 and 512 bits.
-    rng = random.Random(9)
-    xs = [_rand_triple(rng, 256) for _ in range(10)]
-    ys = [_rand_triple(rng, 512) for _ in range(10)]
-
-    def pipeline(bits):
-        total = make_complex("0", "0", bits)
-        rng2 = random.Random(99)
-        for _ in range(40):
-            a = make_complex(
-                "%d.%012d" % (rng2.randint(-5, 5), rng2.randint(0, 10**12 - 1)),
-                "%d.%012d" % (rng2.randint(-5, 5), rng2.randint(0, 10**12 - 1)),
-                bits,
-            )
-            b = make_complex(
-                "%d.%012d" % (rng2.randint(-5, 5), rng2.randint(0, 10**12 - 1)),
-                "%d.%012d" % (rng2.randint(-5, 5), rng2.randint(0, 10**12 - 1)),
-                bits,
-            )
-            total = total + a * b / (1 + a * a.conjugate())
-        return total
-
-    v256 = pipeline(256)
-    v512 = pipeline(512)
-    gap = (v256 - v512).magnitude()
-    eps = mpmath.ldexp(1, -128)
-    assert gap <= eps + eps * v512.magnitude()
-    assert xs and ys
 
 
 def test_json_codec_round_trip():
