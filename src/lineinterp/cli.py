@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 import re
 import sys
 
 import click
-from mpmath import mpf, workprec
+from mpmath import workprec
 
 from .counterexample import EscalationPolicy, build_sequence, verify_growth
 from .criterion import (
@@ -35,19 +34,9 @@ from .errors import ConfigError, NumericError, ParseError
 # eval2 stays bound here: perfbench's tracer checks use this second binding.
 from .funcmodel import TaylorSeries2, eval2, series_from_spec  # noqa: F401
 from .interpolate import LinePlan, default_zgrid
-from .mobius import (
-    _coherence_residual,
-    _random_point,
-    inverse_homography,
-    line_factor_check,
-    make_context,
-    theta_bound,
-    theta_infinity,
-    to_bounded,
-)
+from .mobius import make_context, theta_bound, theta_infinity, to_bounded
 from .precision import (
     DEFAULT_PRECISION,
-    MIN_PRECISION,
     ApComplex,
     check_precision,
     parse_decimal,
@@ -74,8 +63,11 @@ def _check_max_order(max_order):
         raise ConfigError("max order must be nonnegative")
 
 
-def _parse_grid(spec):
-    """Grid spec SIDExSIDE@RADIUS[+EXTRA], e.g. the default 5x5@0.5+10."""
+def _parse_grid(spec, bits):
+    """Grid spec SIDExSIDE@RADIUS[+EXTRA], e.g. the default 5x5@0.5+10.
+
+    Returns (radius, side, extra), the order default_zgrid takes them in.
+    """
     m = _GRID_RE.match(spec)
     if not m:
         raise ConfigError("grid spec must look like 5x5@0.5+10, got %r" % (spec,))
@@ -84,10 +76,11 @@ def _parse_grid(spec):
         raise ConfigError("grid must be square, got %dx%d" % (side_a, side_b))
     if side_a < 1:
         raise ConfigError("grid side must be at least 1")
-    if parse_decimal(m.group(3), MIN_PRECISION) <= 0:
+    radius = parse_decimal(m.group(3), bits)
+    if radius <= 0:
         raise ConfigError("grid radius must be positive, got %r" % (spec,))
     extra = int(m.group(4)) if m.group(4) else 0
-    return side_a, m.group(3), extra
+    return radius, side_a, extra
 
 
 def _parse_tolerance(flag, text, bits):
@@ -96,11 +89,6 @@ def _parse_tolerance(flag, text, bits):
     if tol < 0:
         raise ConfigError("%s must be nonnegative, got %r" % (flag, text))
     return tol
-
-
-def _grid_points(spec, bits, seed):
-    side, radius, extra = _parse_grid(spec)
-    return default_zgrid(bits, radius=radius, side=side, extra=extra, seed=seed)
 
 
 def _parse_point(text, bits):
@@ -128,7 +116,7 @@ def _load_json(path):
         raise ParseError("%s is not valid JSON: %s" % (path, exc)) from exc
 
 
-def _load_nodes(source, bits, seed, count=None):
+def _load_nodes(source, bits, seed):
     """Node source: a JSON file with a "nodes" list, or family:KIND:ARGS[:COUNT].
 
     Families: family:line:A,B,C:COUNT for the line A*Re+B*Im+C=0 and
@@ -157,11 +145,8 @@ def _load_nodes(source, bits, seed, count=None):
             family = line_family(coords[0], coords[1], coords[2], fam_count)
         else:
             family = circle_family((coords[0], coords[1]), coords[2], fam_count)
-        return generate_nodes(family, count=count, seed=seed, precision_bits=bits)
-    seq = NodeSequence.from_json_obj(_load_json(source), bits)
-    if count is not None:
-        return seq.first(count)
-    return seq
+        return generate_nodes(family, seed=seed, precision_bits=bits)
+    return NodeSequence.from_json_obj(_load_json(source), bits)
 
 
 def _load_function(source, bits):
@@ -313,11 +298,11 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
     """Sup-grid interpolation error against the line count N."""
     bits = check_precision(precision)
     _check_orders(n_min, n_max)
-    _parse_grid(grid)
+    grid_args = _parse_grid(grid, bits)
     nodes = _load_nodes(node_source, bits, seed)
     _require_span(nodes, n_max)
     f = _load_function(function_source, bits)
-    points = _grid_points(grid, bits, seed)
+    points = default_zgrid(bits, *grid_args, seed=seed)
     orders = range(n_min, n_max + 1)
     sups = LinePlan(f, nodes, n_max, bits).sup_errors(points, orders)
     rows = []
@@ -427,29 +412,19 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
     bits = check_precision(precision)
     _check_orders(n_min, n_max)
     _check_max_order(max_order)
-    _parse_grid(grid)
+    grid_args = _parse_grid(grid, bits)
     tol = _parse_tolerance("--tolerance", tolerance, bits)
     nodes = _load_nodes(node_source, bits, seed)
     _require_span(nodes, n_max)
     f = _load_function(function_source, bits)
-    points = _grid_points(grid, bits, seed)
-    plan = LinePlan(f, nodes, n_max, bits)
-    rows = []
-    with workprec(bits):
-        worst = mpf(0)
-    for idx, (z1, z2) in enumerate(points):
-        tables = plan.at(z1, z2)
-        for n in range(n_min, n_max + 1):
-            rep = tables.report(n, max_order)
-            mag = rep.identity_residual.magnitude()
-            if mag > worst:
-                worst = mag
-            rows.append((n, idx, render_decimal(mag), render_decimal(rep.cross_form_gap)))
-    rows.sort(key=lambda row: row[:2])
+    points = default_zgrid(bits, *grid_args, seed=seed)
+    orders = range(n_min, n_max + 1)
+    rows = LinePlan(f, nodes, n_max, bits).identity_residuals(points, orders, max_order)
+    worst = max(mag for _, _, mag, _ in rows)
     passed = worst <= tol
     _emit_table(
         ("n", "point", "residual", "cross_form_gap"),
-        rows,
+        [(n, idx, render_decimal(mag), render_decimal(gap)) for n, idx, mag, gap in rows],
         fmt,
         out,
         precision_bits=bits,
@@ -516,28 +491,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
     ctx = make_context(nodes, center, bits)
     thetas = to_bounded(ctx)
     bound = theta_bound(ctx)
-    with workprec(bits):
-        max_mod = mpf(0)
-        round_trip = mpf(0)
-        for node, theta in zip(nodes, thetas):
-            m = abs(theta.to_mpc())
-            if m > max_mod:
-                max_mod = m
-            back = abs(inverse_homography(ctx, theta).to_mpc() - node.to_mpc())
-            if back > round_trip:
-                round_trip = back
-    rng = random.Random(seed)
-    with workprec(bits):
-        line_res = mpf(0)
-        for node, theta in zip(nodes, thetas):
-            probes = [(theta, ApComplex(1, 0, bits))]
-            for _ in range(2):
-                probes.append((_random_point(rng, bits), _random_point(rng, bits)))
-            for zeta in probes:
-                m = abs(line_factor_check(ctx, node, zeta).to_mpc())
-                if m > line_res:
-                    line_res = m
-    coherence = _coherence_residual(ctx, nodes, thetas, rng, bits)
+    max_mod, round_trip, line_res, coherence = ctx.residuals(thetas, seed)
     unitarity = ctx.unitarity_defect()
     passed = (
         max_mod <= bound

@@ -32,7 +32,6 @@ from .divdiff import (
     NodeSequence,
     ScalarFunction,
     _pair_gaps,
-    delta,
     delta_table,
     difference_rows,
 )
@@ -118,39 +117,47 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
         )
     bits = check_precision(precision_bits)
     with workprec(bits):
-        zs = [n.to_mpc() for n in nodes]
-        diag = _last_entries(f, zs)
-        denom = mpc(1)
-        for z in zs:
-            denom = denom * (-z)
-        d_zbar = mpc(f.conj_derivative(mpc(0))) / denom
+        d_z, d_zbar = _wirtinger(f, [n.to_mpc() for n in nodes], bits)
+    return WirtingerPair(
+        d_z=ApComplex.from_mpc(d_z, bits),
+        d_zbar=ApComplex.from_mpc(d_zbar, bits),
+        precision_bits=bits,
+    )
 
-        h_exp = -(bits // 3)
-        if zs:
-            _, top = mpmath.frexp(min(abs(z) for z in zs))
-            h_exp = min(h_exp, top - 4)
-        h = mpmath.ldexp(1, h_exp)
 
-        def extended_delta(re, im):
-            return _appended_delta(f, zs, diag, mpc(re, im))
+def _wirtinger(f, zs, bits):
+    """(d_z, d_zbar) of wirtinger_at_zero over the raw prefix nodes zs.
 
-        def central(step, along_imag):
-            if along_imag:
-                upper = extended_delta(0, step)
-                lower = extended_delta(0, -step)
-            else:
-                upper = extended_delta(step, 0)
-                lower = extended_delta(-step, 0)
-            return (upper - lower) / (2 * step)
+    Runs under the ambient working precision, which must be bits: the
+    difference step is derived from it.
+    """
+    diag = _last_entries(f, zs)
+    denom = mpc(1)
+    for z in zs:
+        denom = denom * (-z)
+    d_zbar = mpc(f.conj_derivative(mpc(0))) / denom
 
-        dx = (4 * central(h / 2, False) - central(h, False)) / 3
-        dy = (4 * central(h / 2, True) - central(h, True)) / 3
-        d_z = (dx - mpc(0, 1) * dy) / 2
-        return WirtingerPair(
-            d_z=ApComplex.from_mpc(d_z, bits),
-            d_zbar=ApComplex.from_mpc(d_zbar, bits),
-            precision_bits=bits,
-        )
+    h_exp = -(bits // 3)
+    if zs:
+        _, top = mpmath.frexp(min(abs(z) for z in zs))
+        h_exp = min(h_exp, top - 4)
+    h = mpmath.ldexp(1, h_exp)
+
+    def extended_delta(re, im):
+        return _appended_delta(f, zs, diag, mpc(re, im))
+
+    def central(step, along_imag):
+        if along_imag:
+            upper = extended_delta(0, step)
+            lower = extended_delta(0, -step)
+        else:
+            upper = extended_delta(step, 0)
+            lower = extended_delta(-step, 0)
+        return (upper - lower) / (2 * step)
+
+    dx = (4 * central(h / 2, False) - central(h, False)) / 3
+    dy = (4 * central(h / 2, True) - central(h, True)) / 3
+    return (dx - mpc(0, 1) * dy) / 2, d_zbar
 
 
 def _last_entries(f, zs):
@@ -306,11 +313,11 @@ class _NeedMoreBits(Exception):
     """Internal signal: retry the stage at doubled working precision."""
 
 
-def _cancellation_estimate(nodes, bits):
-    """Sum of |log2 gap| over node pairs, a proxy for subtraction losses."""
+def _cancellation_estimate(zs, bits):
+    """Sum of |log2 gap| over pairs of the raw nodes zs, a proxy for subtraction losses."""
     with workprec(bits):
         total = mpf(0)
-        for _, _, gap in _pair_gaps([n.to_mpc() for n in nodes]):
+        for _, _, gap in _pair_gaps(zs):
             total += abs(mpmath.log(gap, 2))
     return total
 
@@ -327,8 +334,8 @@ def _log2_float(x):
     return (exp + width) + math.log2(man / (1 << width))
 
 
-def _cancellation_exceeds(nodes, bits):
-    """Whether _cancellation_estimate(nodes, bits) exceeds bits/2.
+def _cancellation_exceeds(zs, bits):
+    """Whether _cancellation_estimate(zs, bits) exceeds bits/2.
 
     The gaps are formed at working precision as before, but their |log2|
     are summed in floats. Each term is within (1 + term) * 2^-51 of its true
@@ -339,13 +346,13 @@ def _cancellation_exceeds(nodes, bits):
     band, or when two nodes coincide, the full-precision sum decides.
     """
     with workprec(bits):
-        gaps = [gap for _, _, gap in _pair_gaps([n.to_mpc() for n in nodes])]
+        gaps = [gap for _, _, gap in _pair_gaps(zs)]
     if all(gaps):
         total = sum(abs(_log2_float(gap)) for gap in gaps)
         half = bits / 2
         if abs(total - half) > len(gaps) * (1 + total) * 2.0**-40:
             return total > half
-    return _cancellation_estimate(nodes, bits) > mpf(bits) / 2
+    return _cancellation_estimate(zs, bits) > mpf(bits) / 2
 
 
 def _power_of_two_below(value):
@@ -354,13 +361,16 @@ def _power_of_two_below(value):
     return mpmath.ldexp(1, exponent - 2)
 
 
-def _run_stage(f, prev_nodes, stage, bits):
-    """One stage at fixed working precision; raises _NeedMoreBits on stall."""
+def _run_stage(f, prev, stage, bits):
+    """One stage at fixed working precision; raises _NeedMoreBits on stall.
+
+    prev and the returned trio are raw mpc nodes. Bits only grow from
+    stage to stage, so a node made at fewer bits is exact at these.
+    """
     p = stage - 1
     target = stage**stage
     with workprec(bits):
-        prev = [n.at_precision(bits) for n in prev_nodes]
-        moduli = [n.magnitude() for n in prev]
+        moduli = [abs(z) for z in prev]
         cap = mpf(1) / (3 * p + 1)
         if moduli:
             cap = min(cap, min(moduli))
@@ -373,12 +383,10 @@ def _run_stage(f, prev_nodes, stage, bits):
         # the product formula; each halving doubles it, so this terminates
         while cd_zero / (scale * lead) < target + 1:
             lead = lead / 2
-        eta_first = ApComplex(lead, 0, bits)
+        eta_first = mpc(lead, 0)
         active = prev + [eta_first]
 
-        wirt = wirtinger_at_zero(f, active, precision_bits=bits)
-        d_z = wirt.d_z.to_mpc()
-        d_zbar = wirt.d_zbar.to_mpc()
+        d_z, d_zbar = _wirtinger(f, active, bits)
         band = mpmath.ldexp(1, -(bits // 4))
         phase_case = "real-pair"
         theta = mpf(0)
@@ -398,31 +406,29 @@ def _run_stage(f, prev_nodes, stage, bits):
         radius = lead / 2
         for step in range(SHRINK_BUDGET):
             if phase_case == "real-pair":
-                second = ApComplex(radius, 0, bits)
-                third = ApComplex(-radius, 0, bits)
+                second, third = mpc(radius, 0), mpc(-radius, 0)
             elif phase_case == "imaginary-pair":
-                second = ApComplex(0, radius, bits)
-                third = ApComplex(0, -radius, bits)
+                second, third = mpc(0, radius), mpc(0, -radius)
             else:
-                second = ApComplex(radius * cos_half, 0, bits)
-                third = ApComplex(0, radius * sin_half, bits)
+                second, third = mpc(radius * cos_half, 0), mpc(0, radius * sin_half)
             candidate = active + [second, third]
             if _cancellation_exceeds(candidate, bits):
                 raise _NeedMoreBits
-            achieved = delta(f, candidate, 3 * p + 2, bits).magnitude()
+            # the order 3p+2 difference over all 3p+3 nodes, as delta_table forms it
+            rows = difference_rows([mpc(f.raw(z)) for z in candidate], candidate)
+            achieved = abs(rows[-1][0])
             if achieved >= target:
+                trio = [eta_first, second, third]
                 record = StageRecord(
-                    stage=stage,
-                    eta_first=eta_first,
-                    eta_second=second,
-                    eta_third=third,
+                    stage,
+                    *(ApComplex.from_mpc(z, bits) for z in trio),
                     achieved=achieved,
                     target=target,
                     phase_case=phase_case,
                     shrink_steps=step,
                     precision_bits=bits,
                 )
-                return record, [eta_first, second, third]
+                return record, trio
             radius = radius / 2
     raise _NeedMoreBits
 
@@ -477,7 +483,7 @@ def build_sequence(f, stages, policy=None):
             break
         nodes.extend(trio)
         log.append(record)
-    sequence = NodeSequence([n.at_precision(bits) for n in nodes], bits)
+    sequence = NodeSequence([ApComplex.from_mpc(z, bits) for z in nodes], bits)
     return AdversarialSequence(
         nodes=sequence,
         stage_log=tuple(log),

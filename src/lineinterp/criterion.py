@@ -180,6 +180,13 @@ class NodeFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ConfigError("unknown node family kind %r" % (self.kind,))
+        # Parameters are checked as mpf at the lowest precision: rounding to
+        # it keeps the sign of any value and never turns a nonzero value into zero.
+        if self.kind == "line":
+            if _as_real(self.a, MIN_PRECISION) == 0 and _as_real(self.b, MIN_PRECISION) == 0:
+                raise ConfigError("line family needs (a, b) != (0, 0)")
+        elif _as_real(self.radius, MIN_PRECISION) <= 0:
+            raise ConfigError("circle family needs a positive radius")
 
 
 def _as_real(value, bits):
@@ -198,21 +205,13 @@ def _as_point(value, bits):
         return ApComplex(_as_real(value, bits), 0, bits)
 
 
-# Parameters are checked as mpf at the lowest precision: rounding to it keeps
-# the sign of any value and never turns a nonzero value into zero.
-
-
 def line_family(a, b, c, count=None):
     """Nodes on the real line a*Re(z) + b*Im(z) + c = 0."""
-    if _as_real(a, MIN_PRECISION) == 0 and _as_real(b, MIN_PRECISION) == 0:
-        raise ConfigError("line family needs (a, b) != (0, 0)")
     return NodeFamily(kind="line", a=a, b=b, c=c, count=count)
 
 
 def circle_family(center, radius, count=None):
     """Nodes on the circle |z - center| = radius."""
-    if _as_real(radius, MIN_PRECISION) <= 0:
-        raise ConfigError("circle family needs a positive radius")
     return NodeFamily(kind="circle", center=center, radius=radius, count=count)
 
 
@@ -237,8 +236,6 @@ def generate_nodes(family, count=None, seed=0, precision_bits=DEFAULT_PRECISION)
             a = _as_real(family.a, bits)
             b = _as_real(family.b, bits)
             c = _as_real(family.c, bits)
-            if a == 0 and b == 0:
-                raise ConfigError("line family needs (a, b) != (0, 0)")
             norm2 = a**2 + b**2
             base = mpc(-c * a / norm2, -c * b / norm2)
             direction = mpc(-b, a)
@@ -250,8 +247,6 @@ def generate_nodes(family, count=None, seed=0, precision_bits=DEFAULT_PRECISION)
         else:
             center = _as_point(family.center, bits).to_mpc()
             radius = _as_real(family.radius, bits)
-            if radius <= 0:
-                raise ConfigError("circle family needs a positive radius")
             for k in range(count):
                 angle = 2 * mpmath.pi * ((k + seed) * phi)
                 out.append(center + radius * mpc(mpmath.cos(angle), mpmath.sin(angle)))

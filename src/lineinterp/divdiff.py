@@ -70,19 +70,14 @@ class ScalarFunction:
             return ApComplex.from_mpc(mpc(self.fn(z.to_mpc())), z.precision_bits)
 
 
-def analytic_series(coeffs, center=None):
-    """ScalarFunction for the truncated series sum a_n (zeta - center)^n."""
+def analytic_series(coeffs):
+    """ScalarFunction for the truncated series sum a_n zeta^n."""
     frozen = [c.to_mpc() if isinstance(c, ApComplex) else mpc(c) for c in coeffs]
-    if center is None:
-        c0 = mpc(0)
-    else:
-        c0 = center.to_mpc() if isinstance(center, ApComplex) else mpc(center)
 
     def fn(w):
-        shifted = w - c0
         total = mpc(0)
         for a in reversed(frozen):
-            total = total * shifted + a
+            total = total * w + a
         return total
 
     # holomorphic, so the conjugate derivative is identically zero
@@ -158,10 +153,10 @@ class NodeSequence:
             gaps = _pair_gaps(self.to_mpc_list())
             return min((gap for _, _, gap in gaps), default=mpf("inf"))
 
-    def near_pairs(self, threshold=None):
-        """Pairs closer than the conditioning threshold (default 2^-(P/2))."""
+    def near_pairs(self):
+        """Pairs closer than the conditioning threshold 2^-(P/2)."""
         with workprec(self.precision_bits):
-            return _near(_pair_gaps(self.to_mpc_list()), self.precision_bits, threshold)
+            return _near(_pair_gaps(self.to_mpc_list()), self.precision_bits)
 
     def to_json_obj(self):
         return {"nodes": [n.to_json_obj() for n in self.nodes]}
@@ -188,10 +183,9 @@ def _pair_gaps(zs):
             yield i, j, abs(z - zs[j])
 
 
-def _near(gaps, precision_bits, threshold=None):
-    """The (i, j, gap) triples with gap below threshold (default 2^-(P/2))."""
-    if threshold is None:
-        threshold = mpmath.ldexp(1, -(precision_bits // 2))
+def _near(gaps, precision_bits):
+    """The (i, j, gap) triples with gap below the threshold 2^-(P/2)."""
+    threshold = mpmath.ldexp(1, -(precision_bits // 2))
     return [pair for pair in gaps if pair[2] < threshold]
 
 

@@ -223,6 +223,18 @@ class LinePlan:
                         sups[n] = gap
         return sups
 
+    def identity_residuals(self, points, orders, tail_max_order=None):
+        """(N, point index, |identity residual|, cross_form_gap) rows, by N then point."""
+        rows = []
+        with workprec(self.precision_bits):
+            for idx, (z1, z2) in enumerate(points):
+                tables = self.at(z1, z2)
+                for n in orders:
+                    *_, residual, gap = tables.identity(n, tail_max_order)
+                    rows.append((n, idx, abs(residual), gap))
+        rows.sort(key=lambda row: row[:2])
+        return rows
+
 
 class PointTables:
     """Tables of one evaluation point, shared by every N of its plan.
@@ -232,7 +244,7 @@ class PointTables:
     and, on first use, the graded series terms, the Lagrange basis chains and
     the Newton products. The inner sums of E_N are H[q][N-p]; both remainder
     forms take the kernel values H[q][N] * w_q at the nodes. Every member
-    is a raw mpc; the public functions box it.
+    returns raw values; the public functions box them.
     """
 
     def __init__(self, plan, z1, z2):
@@ -319,36 +331,20 @@ class PointTables:
             total = _newton_total(z2pow, lead, rows)
         return total
 
-    def report(self, n, tail_max_order=None):
-        """All identity members for the first n lines; the tail may be capped."""
+    def identity(self, n, tail_max_order=None):
+        """The identity members for the first n lines; the tail may be capped.
+
+        (E_N, R_N Lagrange, R_N Newton, tail_N, f, residual, cross-form gap)
+        with residual = E_N - R_N + tail_N - f, as mpc, and the gap |R_N
+        Lagrange - R_N Newton| as mpf.
+        """
         en = self.en(n)
         rl = self.rn_lagrange(n)
         rn = self.rn_newton(n)
         tail = self._series.total(n, tail_max_order)
         fz = self.f_value
-        bits = self.plan.precision_bits
-        with workprec(bits):
-            residual = en - rl + tail - fz
-            gap = abs(rl - rn)
-        estimate, pairs = self.plan._conditioning(n)
-
-        def box(value, precision_bits=bits):
-            return ApComplex.from_mpc(value, precision_bits)
-
-        return InterpolantReport(
-            n=n,
-            node_count=len(self.plan.nodes),
-            precision_bits=bits,
-            value_en=box(en),
-            value_rn_lagrange=box(rl),
-            value_rn_newton=box(rn),
-            value_tail=box(tail, self._series.precision_bits),
-            value_f=box(fz, self._series.precision_bits),
-            identity_residual=box(residual),
-            cross_form_gap=gap,
-            condition_estimate=estimate,
-            conditioning_pairs=pairs,
-        )
+        with workprec(self.plan.precision_bits):
+            return en, rl, rn, tail, fz, en - rl + tail - fz, abs(rl - rn)
 
 
 def _point_tables(f, nodes, n, z1, z2, restrictions=None):
@@ -389,7 +385,24 @@ def identity_report(f, nodes, n, z1, z2):
 
     f(z) = E_N(f)(z) - R_N(f)(z) + tail_N(f)(z).
     """
-    return _point_tables(f, nodes, n, z1, z2).report(n)
+    tables = _point_tables(f, nodes, n, z1, z2)
+    en, rl, rn, tail, fz, residual, gap = tables.identity(n)
+    bits, series_bits = tables.plan.precision_bits, tables._series.precision_bits
+    estimate, pairs = tables.plan._conditioning(n)
+    return InterpolantReport(
+        n=n,
+        node_count=len(tables.plan.nodes),
+        precision_bits=bits,
+        value_en=ApComplex.from_mpc(en, bits),
+        value_rn_lagrange=ApComplex.from_mpc(rl, bits),
+        value_rn_newton=ApComplex.from_mpc(rn, bits),
+        value_tail=ApComplex.from_mpc(tail, series_bits),
+        value_f=ApComplex.from_mpc(fz, series_bits),
+        identity_residual=ApComplex.from_mpc(residual, bits),
+        cross_form_gap=gap,
+        condition_estimate=estimate,
+        conditioning_pairs=pairs,
+    )
 
 
 def interpolation_check(f, nodes, n, p, v):

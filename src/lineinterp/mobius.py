@@ -14,10 +14,15 @@ it is unitary all the Hermitian quantities in the interpolant transform
 covariantly; reduction coherence is checked numerically in the tests. The
 degenerate reference slope at infinity corresponds to a pure rotation
 theta_j = -exp(-2*i*phi) * eta_j and is reachable through theta_infinity.
+
+MobiusContext.residuals is the one evaluator of the reduction's checks: the
+round trip through the inverse homography, the line-factor identity and the
+coherence of the interpolant under the frame change, all on raw mpc.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import mpmath
@@ -59,13 +64,19 @@ class MobiusContext:
     def apply_adjoint(self, z1, z2):
         """U* (conjugate transpose) applied to (z1, z2)."""
         bits = self.precision_bits
-        (a, b), (c, d) = self.unitary
         with workprec(bits):
-            w1, w2 = z1.to_mpc(), z2.to_mpc()
-            return (
-                ApComplex.from_mpc(a.conjugate() * w1 + c.conjugate() * w2, bits),
-                ApComplex.from_mpc(b.conjugate() * w1 + d.conjugate() * w2, bits),
-            )
+            u1, u2 = self._adjoint(z1.to_mpc(), z2.to_mpc())
+            return ApComplex.from_mpc(u1, bits), ApComplex.from_mpc(u2, bits)
+
+    def _adjoint(self, w1, w2):
+        (a, b), (c, d) = self.unitary
+        return a.conjugate() * w1 + c.conjugate() * w2, b.conjugate() * w1 + d.conjugate() * w2
+
+    def _line_factor_defect(self, e, ej, theta, w1, w2):
+        """Raw defect of the line-factor identity (see line_factor_check)."""
+        u1, u2 = self._adjoint(w1, w2)
+        factor = (e - ej) / mpmath.sqrt(_weight(e))
+        return u1 - ej * u2 - factor * (w1 - theta * w2)
 
     def unitarity_defect(self):
         """max |(U U* - I)_{jk}|, which unitarity keeps at rounding level."""
@@ -82,6 +93,47 @@ class MobiusContext:
                         entry -= 1
                     worst = max(worst, abs(entry))
             return worst
+
+    def residuals(self, thetas, seed):
+        """(max |theta_j|, round-trip, line-factor, coherence residuals) as mpf.
+
+        thetas is to_bounded(self). The round trip maps each theta_j back to
+        its node. The line-factor identity is probed at (theta_j, 1) and at
+        two seeded points per node. Coherence compares E_n of three seeded
+        polynomials of total degree n+1 (n = min(4, node count)) over the
+        nodes at a seeded point z with E_n of their pushforwards over the
+        thetas at U z. Every draw comes from one random.Random(seed), in
+        that order, each point's real part before its imaginary part.
+        """
+        bits = self.precision_bits
+        rng = random.Random(seed)
+
+        def draw():
+            # dyadic numerators keep the draw exactly representable at any precision
+            return mpc(mpf(rng.randint(-64, 64)) / 128, mpf(rng.randint(-64, 64)) / 128)
+
+        with workprec(bits):
+            e = self.eta_inf.to_mpc()
+            max_mod = round_trip = line_res = coherence = mpf(0)
+            for ej, theta in zip(self.nodes.to_mpc_list(), thetas.to_mpc_list()):
+                max_mod = max(max_mod, abs(theta))
+                round_trip = max(round_trip, abs(_inverse(e, theta) - ej))
+                probes = [(theta, mpc(1)), (draw(), draw()), (draw(), draw())]
+                for w1, w2 in probes:
+                    gap = abs(self._line_factor_defect(e, ej, theta, w1, w2))
+                    line_res = max(line_res, gap)
+            n = min(4, len(self.nodes))
+            for _ in range(3):
+                coeffs = {(k, m): draw() for k in range(n + 2) for m in range(n + 2 - k)}
+                f = TaylorSeries2(coeffs, n + 1, bits)
+                z1, z2 = (ApComplex.from_mpc(draw(), bits) for _ in range(2))
+                u1, u2 = self.apply_unitary(z1, z2)
+                gap = abs(
+                    eval_EN(f, self.nodes, n, z1, z2).to_mpc()
+                    - eval_EN(pushforward(f, self), thetas, n, u1, u2).to_mpc()
+                )
+                coherence = max(coherence, gap)
+        return max_mod, round_trip, line_res, coherence
 
     def to_json_obj(self):
         thetas = to_bounded(self)
@@ -122,22 +174,24 @@ def make_context(nodes, eta_inf, precision_bits=None):
     )
 
 
+def _theta(e, w):
+    """theta = (1 + conj(e) w) / (w - e) on raw mpc at the ambient precision."""
+    denom = w - e
+    if denom == 0:
+        raise SeparationError("homography undefined at eta_inf itself")
+    return (1 + e.conjugate() * w) / denom
+
+
 def theta_of(ctx, eta):
     """theta = (1 + conj(eta_inf) eta) / (eta - eta_inf) for a single slope."""
     bits = ctx.precision_bits
     with workprec(bits):
-        e = ctx.eta_inf.to_mpc()
-        w = eta.to_mpc()
-        denom = w - e
-        if denom == 0:
-            raise SeparationError("homography undefined at eta_inf itself")
-        return ApComplex.from_mpc((1 + e.conjugate() * w) / denom, bits)
+        return ApComplex.from_mpc(_theta(ctx.eta_inf.to_mpc(), eta.to_mpc()), bits)
 
 
-def to_bounded(ctx, nodes=None):
+def to_bounded(ctx):
     """Map the nodes through the homography; the image is a bounded set."""
-    seq = ctx.nodes if nodes is None else as_node_sequence(nodes)
-    return NodeSequence([theta_of(ctx, node) for node in seq], ctx.precision_bits)
+    return NodeSequence([theta_of(ctx, node) for node in ctx.nodes], ctx.precision_bits)
 
 
 def theta_bound(ctx):
@@ -153,16 +207,19 @@ def theta_bound(ctx):
         return max(first, second)
 
 
+def _inverse(e, t):
+    """eta = (e * t + 1) / (t - conj(e)) on raw mpc at the ambient precision."""
+    denom = t - e.conjugate()
+    if denom == 0:
+        raise DomainError("inverse homography undefined at conj(eta_inf)")
+    return (e * t + 1) / denom
+
+
 def inverse_homography(ctx, w):
     """Recover the slope: eta = (eta_inf * w + 1) / (w - conj(eta_inf))."""
     bits = ctx.precision_bits
     with workprec(bits):
-        e = ctx.eta_inf.to_mpc()
-        t = w.to_mpc()
-        denom = t - e.conjugate()
-        if denom == 0:
-            raise DomainError("inverse homography undefined at conj(eta_inf)")
-        return ApComplex.from_mpc((e * t + 1) / denom, bits)
+        return ApComplex.from_mpc(_inverse(ctx.eta_inf.to_mpc(), w.to_mpc()), bits)
 
 
 def line_factor_check(ctx, eta_j, zeta):
@@ -172,16 +229,11 @@ def line_factor_check(ctx, eta_j, zeta):
         == (eta_inf - eta_j) / sqrt(1 + |eta_inf|^2) * (zeta_1 - theta_j zeta_2).
     """
     bits = ctx.precision_bits
-    z1, z2 = zeta
-    u1, u2 = ctx.apply_adjoint(z1, z2)
-    theta = theta_of(ctx, eta_j)
     with workprec(bits):
-        e = ctx.eta_inf.to_mpc()
-        ej = eta_j.to_mpc()
-        lhs = u1.to_mpc() - ej * u2.to_mpc()
-        factor = (e - ej) / mpmath.sqrt(_weight(e))
-        rhs = factor * (z1.to_mpc() - theta.to_mpc() * z2.to_mpc())
-        return ApComplex.from_mpc(lhs - rhs, bits)
+        e, ej = ctx.eta_inf.to_mpc(), eta_j.to_mpc()
+        w1, w2 = (z.to_mpc() for z in zeta)
+        defect = ctx._line_factor_defect(e, ej, _theta(e, ej), w1, w2)
+        return ApComplex.from_mpc(defect, bits)
 
 
 def pushforward(f, ctx):
@@ -210,42 +262,6 @@ def pushforward(f, ctx):
                     else:
                         out[key] = weight
     return TaylorSeries2(out, top, bits)
-
-
-def _random_point(rng, bits):
-    # dyadic numerators keep the draw exactly representable at any precision
-    with workprec(bits):
-        return ApComplex(
-            mpf(rng.randint(-64, 64)) / 128, mpf(rng.randint(-64, 64)) / 128, bits
-        )
-
-
-def _coherence_residual(ctx, nodes, thetas, rng, bits):
-    """Largest frame-change defect of the interpolant on random polynomials.
-
-    Draws three polynomials of total degree n+1 (n = min(4, len(nodes))) and
-    one point each from rng, and compares E_n of f at z over the nodes with
-    E_n of the pushforward at U z over the thetas.
-    """
-    n = min(4, len(nodes))
-    with workprec(bits):
-        worst = mpf(0)
-        for _ in range(3):
-            coeffs = {}
-            for k in range(n + 2):
-                for m in range(n + 2 - k):
-                    coeffs[(k, m)] = _random_point(rng, bits)
-            f = TaylorSeries2(coeffs, n + 1, bits)
-            g = pushforward(f, ctx)
-            z1, z2 = _random_point(rng, bits), _random_point(rng, bits)
-            u1, u2 = ctx.apply_unitary(z1, z2)
-            gap = abs(
-                eval_EN(f, nodes, n, z1, z2).to_mpc()
-                - eval_EN(g, thetas, n, u1, u2).to_mpc()
-            )
-            if gap > worst:
-                worst = gap
-    return worst
 
 
 def theta_infinity(nodes, phi="0", precision_bits=None):

@@ -647,6 +647,17 @@ _PINNED = [
         "1c4c0058204540896d1b3bdb20f1e36acbe76c0d60e0f123e2ec8f8058b748b6",
     ),
     (
+        # off-axis complex center
+        ["mobius", "--nodes", "family:circle:0,0,2:12", "--eta-inf", "0.5,0.25", "--seed", "7"],
+        0,
+        "20b3c39ece5d7f51a9e32f8ddf1096249cfdd6b70c721441be1952a219d6b3f9",
+    ),
+    (
+        ["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "inf", "--phi", "0.5"],
+        0,
+        "e038d07116816c4737c1fcfe7b47b7406c64c6aa3a49a620632ba38161dec24c",
+    ),
+    (
         ["dd", "--nodes", ARTIFACT, "--kernel", "conj-kernel:3", "--precision", "8192"],
         0,
         "83ec9a648bbc99b7f5b0f9bd1c543da2d5865f06a450c2759c3ddddef949fa66",
@@ -665,7 +676,8 @@ _PINNED = [
     ids=["converge-csv", "converge-json", "identity-csv", "identity-json",
          "identity-max-order", "converge-poly", "identity-poly", "dd-csv", "dd-json",
          "criterion-csv", "criterion-json", "counterexample-csv", "counterexample-json",
-         "counterexample-escalating", "mobius", "dd-8192", "criterion-8192"],
+         "counterexample-escalating", "mobius", "mobius-complex-center",
+         "mobius-rotation", "dd-8192", "criterion-8192"],
 )
 def test_pinned_output_digests(runner, tmp_path, argv, code, digest):
     if ARTIFACT in argv:

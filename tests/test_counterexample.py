@@ -197,18 +197,15 @@ def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypat
     exact = counterexample._cancellation_estimate
     fallbacks = []
 
-    def counting(nodes, precision):
+    def counting(zs, precision):
         fallbacks.append(precision)
-        return exact(nodes, precision)
+        return exact(zs, precision)
 
     monkeypatch.setattr(counterexample, "_cancellation_estimate", counting)
     for shift, escalates in ((bits // 2, False), (bits // 2 + 1, True)):
         with workprec(bits):
             gap = mpmath.ldexp(1, -shift)
-            pairs = (
-                [ap(gap, 0, bits), ap(2 * gap, 0, bits)],
-                [ap(0, 1, bits), ap(0, 1 + gap, bits)],
-            )
+            pairs = ([mpc(gap, 0), mpc(2 * gap, 0)], [mpc(0, 1), mpc(0, 1 + gap)])
         for pair in pairs:
             assert counterexample._cancellation_exceeds(pair, bits) is escalates
     # a sum equal to bits/2 sits inside the guard band; one bit more does not
@@ -228,8 +225,9 @@ def test_cancellation_gate_matches_full_precision_sum(bits):
             nodes = random_axis_nodes(rng, count, bits, cluster_exp=spread)
         else:
             nodes = random_axis_nodes(rng, count, bits)
-        want = counterexample._cancellation_estimate(nodes, bits) > mpf(bits) / 2
-        assert counterexample._cancellation_exceeds(nodes, bits) is want
+        zs = [n.to_mpc() for n in nodes]
+        want = counterexample._cancellation_estimate(zs, bits) > mpf(bits) / 2
+        assert counterexample._cancellation_exceeds(zs, bits) is want
         decisions.add(want)
     assert decisions == {False, True}
 

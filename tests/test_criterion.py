@@ -15,6 +15,7 @@ from lineinterp import (
     ArityError,
     ConfigError,
     DomainError,
+    NodeFamily,
     NodeSequence,
     ScalarFunction,
     circle_family,
@@ -271,6 +272,11 @@ def test_family_validation():
         line_family("0.0", "-0", "1")
     with pytest.raises(ConfigError):
         circle_family(("0", "0"), "-1e-400")
+    # a family built directly is checked the same way
+    with pytest.raises(ConfigError, match="positive radius"):
+        NodeFamily(kind="circle", center=0, radius=0)
+    with pytest.raises(ConfigError, match=r"\(a, b\) != \(0, 0\)"):
+        NodeFamily(kind="line", a="0", b=0, c=1)
 
 
 def test_family_validation_is_exact_for_tiny_parameters():

@@ -1,8 +1,11 @@
-"""Every top-level import in the package and the tests is used.
+"""Import hygiene of the package and the tests.
 
-A name counts as used when the module reads it anywhere, or lists it in
-__all__. An import statement marked `# noqa: F401` is exempt, for a binding
-kept on purpose for outside readers.
+Every top-level import is used: a name counts as used when the module reads
+it anywhere, or lists it in __all__. An import statement marked
+`# noqa: F401` is exempt, for a binding kept on purpose for outside readers.
+
+The CLI imports no underscore-prefixed name from the package, so it stays a
+client of the public API and the mathematics stays in the library.
 """
 
 import ast
@@ -61,3 +64,34 @@ def test_no_unused_top_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def private_package_imports(source):
+    """(line, name) of each underscore-prefixed name imported from lineinterp."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.partition(".")[0] != "lineinterp":
+            continue
+        out += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_cli_imports_no_private_package_names():
+    sample = (
+        "from os import _exit\n"
+        "from .mobius import _coherence_residual, make_context\n"
+        "from lineinterp.divdiff import _near\n"
+        "from . import _private\n"
+        "from lineinterp import ApComplex\n"
+    )
+    # the checker itself
+    assert private_package_imports(sample) == [
+        (2, "_coherence_residual"),
+        (3, "_near"),
+        (4, "_private"),
+    ]
+    cli = ROOT / "src" / "lineinterp" / "cli.py"
+    assert private_package_imports(cli.read_text(encoding="utf-8")) == []

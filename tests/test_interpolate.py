@@ -229,12 +229,30 @@ def test_plan_shares_tables_across_orders_bit_for_bit():
             assert tables.en(n) == eval_EN(f, nodes, n, z1, z2).to_mpc()
             assert tables.rn_lagrange(n) == eval_RN_lagrange(f, nodes, n, z1, z2).to_mpc()
             assert tables.rn_newton(n) == eval_RN_newton(f, nodes, n, z1, z2).to_mpc()
-            rep, single = tables.report(n), identity_report(f, nodes, n, z1, z2)
-            assert rep.identity_residual == single.identity_residual
-            assert rep.cross_form_gap == single.cross_form_gap
-            assert rep.condition_estimate == single.condition_estimate
-            assert rep.conditioning_pairs == single.conditioning_pairs
+            *members, gap = tables.identity(n)
+            single = identity_report(f, nodes, n, z1, z2)
+            assert members == _boxed_members(single)
+            assert gap == single.cross_form_gap
+            assert plan._conditioning(n) == (
+                single.condition_estimate,
+                single.conditioning_pairs,
+            )
         assert tables.f_value == eval2(f, z1, z2).to_mpc()
+
+
+def _boxed_members(rep):
+    """The boxed identity members of an InterpolantReport, unboxed in order."""
+    return [
+        v.to_mpc()
+        for v in (
+            rep.value_en,
+            rep.value_rn_lagrange,
+            rep.value_rn_newton,
+            rep.value_tail,
+            rep.value_f,
+            rep.identity_residual,
+        )
+    ]
 
 
 def test_plan_capped_tail_matches_truncated_series():
@@ -247,17 +265,14 @@ def test_plan_capped_tail_matches_truncated_series():
     for cap in (0, 2, 4, 6, 9):
         truncated = f.truncated(cap) if cap < m else f
         for n in range(1, 5):
-            rep = tables.report(n, cap)
-            tail = eval_tail(truncated, n, z1, z2)
-            assert rep.value_tail == tail
+            en, rl, rn, tail, fz, residual, _ = tables.identity(n, cap)
+            # only the tail depends on the cap
+            uncapped = _boxed_members(identity_report(f, nodes, n, z1, z2))
+            assert [en, rl, rn, fz] == uncapped[:3] + uncapped[4:5]
+            want = eval_tail(truncated, n, z1, z2).to_mpc()
+            assert tail == want
             with workprec(BITS):
-                residual = (
-                    rep.value_en.to_mpc()
-                    - rep.value_rn_lagrange.to_mpc()
-                    + tail.to_mpc()
-                    - rep.value_f.to_mpc()
-                )
-            assert rep.identity_residual.to_mpc() == residual
+                assert residual == en - rl + want - fz
 
 
 def test_plan_rejects_orders_and_points_it_cannot_serve():
