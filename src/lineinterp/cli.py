@@ -117,30 +117,29 @@ def _load_json(path):
 
 
 def _load_nodes(source, bits, seed):
-    """Node source: a JSON file with a "nodes" list, or family:KIND:ARGS[:COUNT].
+    """Node source: a JSON file with a "nodes" list, or family:KIND:ARGS:COUNT.
 
     Families: family:line:A,B,C:COUNT for the line A*Re+B*Im+C=0 and
     family:circle:RE,IM,R:COUNT for the circle of radius R around RE+IM*i.
+    The node count COUNT is required.
     """
     if source is None:
         raise ConfigError("a node source is required (--nodes)")
     if source.startswith("family:"):
         parts = source.split(":")
         kind = parts[1] if len(parts) > 1 else ""
-        if kind not in ("line", "circle") or len(parts) not in (3, 4):
+        if kind not in ("line", "circle") or len(parts) != 4:
             raise ConfigError(
-                "family spec must be family:line:A,B,C[:COUNT] or "
-                "family:circle:RE,IM,R[:COUNT], got %r" % (source,)
+                "family spec must be family:line:A,B,C:COUNT or "
+                "family:circle:RE,IM,R:COUNT, got %r" % (source,)
             )
         coords = parts[2].split(",")
         if len(coords) != 3:
             raise ConfigError("family %r needs three coordinates" % (kind,))
-        fam_count = None
-        if len(parts) == 4:
-            try:
-                fam_count = int(parts[3])
-            except ValueError as exc:
-                raise ConfigError("bad family count %r" % (parts[3],)) from exc
+        try:
+            fam_count = int(parts[3])
+        except ValueError as exc:
+            raise ConfigError("bad family count %r" % (parts[3],)) from exc
         if kind == "line":
             family = line_family(coords[0], coords[1], coords[2], fam_count)
         else:

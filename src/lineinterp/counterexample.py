@@ -32,7 +32,6 @@ from .divdiff import (
     NodeSequence,
     ScalarFunction,
     _pair_gaps,
-    delta_table,
     difference_rows,
 )
 from .errors import (
@@ -78,14 +77,6 @@ class WirtingerPair:
     precision_bits: int
 
 
-def _as_prefix(prefix):
-    if prefix is None:
-        return ()
-    if isinstance(prefix, NodeSequence):
-        return prefix.nodes
-    return tuple(prefix)
-
-
 def wirtinger_at_zero(f, prefix=(), precision_bits=None):
     """Wirtinger derivatives at 0 of zeta -> Delta_n(f)(eta_1..eta_n, zeta).
 
@@ -101,23 +92,24 @@ def wirtinger_at_zero(f, prefix=(), precision_bits=None):
         raise ConfigError("wirtinger_at_zero needs a ScalarFunction kernel")
     if f.conj_derivative is None:
         raise ConfigError("kernel lacks a closed-form conjugate derivative")
-    nodes = _as_prefix(prefix)
-    for i, node in enumerate(nodes):
-        if not isinstance(node, ApComplex):
-            raise ConfigError("prefix nodes must be ApComplex values")
-        if node.is_zero():
+    if isinstance(prefix, NodeSequence):
+        nodes, zs = prefix.nodes, prefix.zs
+    else:
+        nodes = tuple(prefix or ())
+        # rejects nodes that are not ApComplex values or coincide exactly
+        zs = NodeSequence(nodes).zs if nodes else ()
+    for i, z in enumerate(zs):
+        if z == 0:
             raise DegenerateNodeError(
                 "prefix node %d sits at 0, the expansion point" % i
             )
-    if nodes:
-        NodeSequence(nodes)  # rejects coincident prefix nodes
     if precision_bits is None:
         precision_bits = max(
-            [n.precision_bits for n in nodes], default=DEFAULT_PRECISION
+            (n.precision_bits for n in nodes), default=DEFAULT_PRECISION
         )
     bits = check_precision(precision_bits)
     with workprec(bits):
-        d_z, d_zbar = _wirtinger(f, [n.to_mpc() for n in nodes], bits)
+        d_z, d_zbar = _wirtinger(f, zs, bits)
     return WirtingerPair(
         d_z=ApComplex.from_mpc(d_z, bits),
         d_zbar=ApComplex.from_mpc(d_zbar, bits),
@@ -576,7 +568,11 @@ def verify_growth(seq, f):
                 node = seq.nodes[needed - 3 + offset]
                 if node.re * node.im != 0:
                     notes.append("node %d off-axis" % (needed - 2 + offset))
-            moduli = [abs(mpc(n.re, n.im)) for n in seq.nodes[:needed]]
+            # rejects stage nodes that coincide once rounded to these bits
+            head = NodeSequence(
+                [n.at_precision(bits) for n in seq.nodes[:needed]], bits
+            )
+            moduli = [abs(z) for z in head.zs]
             lead = moduli[needed - 3]
             if not (0 < moduli[needed - 2] < lead and 0 < moduli[needed - 1] < lead):
                 notes.append("pair moduli not inside the stage opening")
@@ -585,14 +581,8 @@ def verify_growth(seq, f):
                 notes.append("stage opening not below earlier moduli")
             if not lead < mpf(1) / (3 * stage - 2):
                 notes.append("stage opening at or above 1/(3s-2)")
-            table = delta_table(
-                f,
-                NodeSequence(
-                    [n.at_precision(bits) for n in seq.nodes[:needed]], bits
-                ),
-                bits,
-            )
-            achieved = abs(table.rows[needed - 1][0])
+            values = [mpc(f.raw(z)) for z in head.zs]
+            achieved = abs(difference_rows(values, head.zs)[needed - 1][0])
         passed = not notes and achieved >= target
         rows.append(GrowthRow(stage, achieved, target, passed, "; ".join(notes), bits))
     return GrowthReport(tuple(rows))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import NodeSequence, ScalarFunction, as_node_sequence, delta_table
+from .divdiff import NodeSequence, ScalarFunction, as_node_sequence, difference_rows
 from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import _weight
 from .precision import (
@@ -127,12 +127,13 @@ def criterion_profile(nodes, p_max, q_max, precision_bits=None):
             % (p_max, p_max + 1, len(seq))
         )
     bits = check_precision(precision_bits or seq.precision_bits)
-    prefix = seq.first(p_max + 1)
+    zs = seq.zs[: p_max + 1]
     raw_cols = []
     with workprec(bits):
         for q in range(q_max + 1):
-            table = delta_table(conj_kernel(q), prefix, bits)
-            raw_cols.append([abs(table.rows[p][0]) for p in range(p_max + 1)])
+            kernel = conj_kernel(q)
+            rows = difference_rows([mpc(kernel.raw(z)) for z in zs], zs)
+            raw_cols.append([abs(row[0]) for row in rows])
         raw = tuple(
             tuple(raw_cols[q][p] for q in range(q_max + 1))
             for p in range(p_max + 1)

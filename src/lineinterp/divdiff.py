@@ -97,9 +97,12 @@ def product(g, h):
 
 
 class NodeSequence:
-    """Ordered, pairwise-distinct complex nodes at a common working precision."""
+    """Ordered, pairwise-distinct complex nodes at a common working precision.
 
-    __slots__ = ("nodes", "precision_bits")
+    zs holds the nodes as raw mpc, unboxed once here; computations read it.
+    """
+
+    __slots__ = ("nodes", "precision_bits", "zs")
 
     def __init__(self, nodes, precision_bits=None):
         nodes = tuple(nodes)
@@ -121,6 +124,7 @@ class NodeSequence:
             seen[key] = i
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "precision_bits", bits)
+        object.__setattr__(self, "zs", tuple(n.to_mpc() for n in nodes))
 
     def __setattr__(self, name, value):
         raise AttributeError("NodeSequence is immutable")
@@ -144,19 +148,15 @@ class NodeSequence:
             raise ConfigError("not a permutation of node indices")
         return NodeSequence([self.nodes[i] for i in perm], self.precision_bits)
 
-    def to_mpc_list(self):
-        with workprec(self.precision_bits):
-            return [n.to_mpc() for n in self.nodes]
-
     def min_gap(self):
         with workprec(self.precision_bits):
-            gaps = _pair_gaps(self.to_mpc_list())
+            gaps = _pair_gaps(self.zs)
             return min((gap for _, _, gap in gaps), default=mpf("inf"))
 
     def near_pairs(self):
         """Pairs closer than the conditioning threshold 2^-(P/2)."""
         with workprec(self.precision_bits):
-            return _near(_pair_gaps(self.to_mpc_list()), self.precision_bits)
+            return _near(_pair_gaps(self.zs), self.precision_bits)
 
     def to_json_obj(self):
         return {"nodes": [n.to_json_obj() for n in self.nodes]}
@@ -227,8 +227,7 @@ def delta_table(h, nodes, precision_bits=None):
     seq = as_node_sequence(nodes)
     bits = check_precision(precision_bits or seq.precision_bits)
     with workprec(bits):
-        zs = seq.to_mpc_list()
-        rows = difference_rows([mpc(h.raw(z)) for z in zs], zs)
+        rows = difference_rows([mpc(h.raw(z)) for z in seq.zs], seq.zs)
     return DividedDiffTable(seq, bits, rows)
 
 
@@ -250,18 +249,23 @@ def difference_rows(values, zs):
     return tuple(rows)
 
 
+def _order_prefix(nodes, p):
+    """The first p+1 nodes, which an order-p divided difference reads."""
+    seq = as_node_sequence(nodes)
+    if p < 0:
+        raise DomainError("order p must be nonnegative")
+    if len(seq) < p + 1:
+        raise ArityError("order %d needs %d nodes, have %d" % (p, p + 1, len(seq)))
+    return seq.first(p + 1)
+
+
 def delta(h, nodes, p, precision_bits=None):
     """Order-p divided difference of h over the first p+1 nodes.
 
     The recursion consumes nodes eta_1..eta_p and evaluates at eta_{p+1},
     matching the two-point recursion on the leading column of the table.
     """
-    seq = as_node_sequence(nodes)
-    if p < 0:
-        raise DomainError("order p must be nonnegative")
-    if len(seq) < p + 1:
-        raise ArityError("order %d needs %d nodes, have %d" % (p, p + 1, len(seq)))
-    return delta_table(h, seq.first(p + 1), precision_bits).entry(p)
+    return delta_table(h, _order_prefix(nodes, p), precision_bits).entry(p)
 
 
 def _running_products(factors):
@@ -293,11 +297,12 @@ def newton_sum(h, nodes, n, x, precision_bits=None):
     if len(seq) < n:
         raise ArityError("Newton sum of order %d needs %d nodes" % (n, n))
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
-    table = delta_table(h, seq.first(n), bits)
     with workprec(bits):
+        zs = seq.zs[:n]
+        rows = difference_rows([mpc(h.raw(z)) for z in zs], zs)
         xv = x.to_mpc()
-        lead = _running_products(xv - seq[p].to_mpc() for p in range(n - 1))
-        total = _newton_total([mpc(1)] * n, lead, table.rows)
+        lead = _running_products(xv - z for z in zs[:-1])
+        total = _newton_total([mpc(1)] * n, lead, rows)
     return ApComplex.from_mpc(total, bits)
 
 
@@ -310,7 +315,7 @@ def lagrange_sum(h, nodes, n, x, precision_bits=None):
         raise ArityError("Lagrange sum of order %d needs %d nodes" % (n, n))
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
     with workprec(bits):
-        zs = seq.first(n).to_mpc_list()
+        zs = seq.zs[:n]
         xv = x.to_mpc()
         total = mpc(0)
         for p in range(n):
@@ -328,12 +333,7 @@ def leibniz_delta(g, h, nodes, p, precision_bits=None):
     Delta_p(gh)(eta_{p+1}) = sum_q Delta_{p-q}(g over eta_{q+1..p})(eta_{p+1})
                                    * Delta_q(h over eta_1..q)(eta_{q+1}).
     """
-    seq = as_node_sequence(nodes)
-    if p < 0:
-        raise DomainError("order p must be nonnegative")
-    if len(seq) < p + 1:
-        raise ArityError("order %d needs %d nodes, have %d" % (p, p + 1, len(seq)))
-    head = seq.first(p + 1)
+    head = _order_prefix(nodes, p)
     bits = check_precision(precision_bits or head.precision_bits)
     tg = delta_table(g, head, bits)
     th = delta_table(h, head, bits)
@@ -353,12 +353,7 @@ def delta_analytic(coeffs, center, nodes, p, precision_bits=None):
     one-variable-at-a-time recurrence. This route never forms a difference
     quotient, so it is the cross-check partner of the table recursion.
     """
-    seq = as_node_sequence(nodes)
-    if p < 0:
-        raise DomainError("order p must be nonnegative")
-    if len(seq) < p + 1:
-        raise ArityError("order %d needs %d nodes, have %d" % (p, p + 1, len(seq)))
-    head = seq.first(p + 1)
+    head = _order_prefix(nodes, p)
     bits = check_precision(precision_bits or head.precision_bits)
     frozen = [c.to_mpc() if isinstance(c, ApComplex) else mpc(c) for c in coeffs]
     if not frozen:
@@ -371,7 +366,7 @@ def delta_analytic(coeffs, center, nodes, p, precision_bits=None):
             c0 = mpc(0)
         else:
             c0 = center.to_mpc() if isinstance(center, ApComplex) else mpc(center)
-        xs = [node.to_mpc() - c0 for node in head]
+        xs = [z - c0 for z in head.zs]
         # homog[m] = complete homogeneous symmetric polynomial of degree m in
         # the variables added so far; updating in ascending m adds one variable.
         homog = [mpc(1)]

@@ -72,7 +72,7 @@ def lagrange_monomial(nodes, n, q, z1, z2):
         raise DomainError("q must lie in 1..%d" % n)
     bits = max(seq.precision_bits, z1.precision_bits, z2.precision_bits)
     with workprec(bits):
-        zs = seq.first(n).to_mpc_list()
+        zs = seq.zs[:n]
         z1v, z2v = z1.to_mpc(), z2.to_mpc()
         total = _lagrange_chain([z1v - eta * z2v for eta in zs], zs, q - 1, n)[-1]
     return ApComplex.from_mpc(total, bits)
@@ -91,7 +91,7 @@ def condition_estimate(nodes, n):
     seq = as_node_sequence(nodes)
     _require_order(seq, n)
     with workprec(seq.precision_bits):
-        return _inverse_gap_product(_pair_gaps(seq.first(n).to_mpc_list()))
+        return _inverse_gap_product(_pair_gaps(seq.zs[:n]))
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,10 @@ class LinePlan:
 
     Built once per (f, nodes, n_max, precision): the restrictions c_m(eta_q)
     of the first n_max lines, the node values, and the node-only factors of
-    the double sum in E_N. The coefficients for one N, its condition
-    estimate and its near pairs are made on first use and kept. `at(z1, z2)`
-    returns the tables of one point, which all N share. eval_EN, both
-    remainder forms and identity_report are one-point, one-N uses of a plan,
-    so a plan gives their values bit for bit.
+    the double sum in E_N. The coefficients for one N are made on first use
+    and kept. `at(z1, z2)` returns the tables of one point, which all N
+    share. eval_EN, both remainder forms and identity_report are one-point,
+    one-N uses of a plan, so a plan gives their values bit for bit.
     """
 
     def __init__(self, f, nodes, n_max, precision_bits=None, restrictions=None):
@@ -156,9 +155,8 @@ class LinePlan:
         self.n_max = n_max
         self.precision_bits = bits
         self.restriction_coeffs = [r.coeffs for r in restrictions[:n_max]]
+        self.zs = zs = seq.zs[:n_max]
         with workprec(bits):
-            zs = seq.first(n_max).to_mpc_list()
-            self.zs = zs
             self.denoms = [_weight(z) for z in zs]
             # gaps[q][t] = product of (eta_q - eta_j) over the first t indices
             # j != q: prod_{j<p} for t = p <= q, prod_{j<N, j != q} for t = N-1.
@@ -176,7 +174,6 @@ class LinePlan:
                 for p in range(n_max)
             ]
         self._coeff_cache = {}
-        self._conditioning_cache = {}
 
     def _check(self, n):
         if n < 1:
@@ -198,15 +195,10 @@ class LinePlan:
     def _conditioning(self, n):
         """(condition_estimate, near pairs) of the first n nodes."""
         self._check(n)
-        if n not in self._conditioning_cache:
-            bits = self.nodes.precision_bits
-            with workprec(bits):
-                gaps = list(_pair_gaps(self.zs[:n]))
-                self._conditioning_cache[n] = (
-                    _inverse_gap_product(gaps),
-                    tuple(_near(gaps, bits)),
-                )
-        return self._conditioning_cache[n]
+        bits = self.nodes.precision_bits
+        with workprec(bits):
+            gaps = list(_pair_gaps(self.zs[:n]))
+            return _inverse_gap_product(gaps), tuple(_near(gaps, bits))
 
     def at(self, z1, z2):
         return PointTables(self, z1, z2)
@@ -412,9 +404,8 @@ def interpolation_check(f, nodes, n, p, v):
     if not 1 <= p <= n:
         raise DomainError("line index p must lie in 1..%d" % n)
     bits = _work_bits(f, seq, v)
-    eta = seq[p - 1]
     with workprec(bits):
-        z1 = ApComplex.from_mpc(eta.to_mpc() * v.to_mpc(), bits)
+        z1 = ApComplex.from_mpc(seq.zs[p - 1] * v.to_mpc(), bits)
     tables = _point_tables(f, seq, n, z1, v.at_precision(bits))
     with workprec(bits):
         gap = tables.en(n) - tables.f_value

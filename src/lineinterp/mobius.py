@@ -115,7 +115,7 @@ class MobiusContext:
         with workprec(bits):
             e = self.eta_inf.to_mpc()
             max_mod = round_trip = line_res = coherence = mpf(0)
-            for ej, theta in zip(self.nodes.to_mpc_list(), thetas.to_mpc_list()):
+            for ej, theta in zip(self.nodes.zs, thetas.zs):
                 max_mod = max(max_mod, abs(theta))
                 round_trip = max(round_trip, abs(_inverse(e, theta) - ej))
                 probes = [(theta, mpc(1)), (draw(), draw()), (draw(), draw())]
@@ -158,8 +158,8 @@ def make_context(nodes, eta_inf, precision_bits=None):
     with workprec(bits):
         e = eta_inf.to_mpc()
         eps = mpf("inf")
-        for node in seq:
-            gap = abs(node.to_mpc() - e)
+        for z in seq.zs:
+            gap = abs(z - e)
             if gap == 0:
                 raise SeparationError("eta_inf coincides with a node")
             eps = min(eps, gap)
@@ -191,7 +191,11 @@ def theta_of(ctx, eta):
 
 def to_bounded(ctx):
     """Map the nodes through the homography; the image is a bounded set."""
-    return NodeSequence([theta_of(ctx, node) for node in ctx.nodes], ctx.precision_bits)
+    bits = ctx.precision_bits
+    with workprec(bits):
+        e = ctx.eta_inf.to_mpc()
+        thetas = [ApComplex.from_mpc(_theta(e, z), bits) for z in ctx.nodes.zs]
+    return NodeSequence(thetas, bits)
 
 
 def theta_bound(ctx):
@@ -277,5 +281,5 @@ def theta_infinity(nodes, phi="0", precision_bits=None):
         else:
             angle = +mpf(phi)
         factor = -mpmath.exp(mpc(0, -2 * angle))
-        out = [ApComplex.from_mpc(factor * node.to_mpc(), bits) for node in seq]
+        out = [ApComplex.from_mpc(factor * z, bits) for z in seq.zs]
     return NodeSequence(out, bits)

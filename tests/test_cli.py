@@ -215,6 +215,7 @@ def test_converge_config_errors(runner, tmp_path):
             "3",
         ],
         ["converge", "--nodes", "family:square:0,0,1:8", "--function", POLY],
+        ["converge", "--nodes", "family:line:0,1,0", "--function", POLY],  # no count
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", "builtin:nope:3"],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "5x4@0.5"],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "3x3@0"],
@@ -224,6 +225,8 @@ def test_converge_config_errors(runner, tmp_path):
     for args in cases:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
+        if args[2] == "family:line:0,1,0":
+            assert "family:line:A,B,C:COUNT" in result.stderr
 
 
 # -- criterion -----------------------------------------------------------------------

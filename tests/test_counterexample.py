@@ -33,6 +33,7 @@ from lineinterp import (
     criterion_profile,
     default_kernel,
     delta,
+    delta_table,
     parse_decimal,
     verify_growth,
     wirtinger_at_zero,
@@ -442,6 +443,36 @@ def test_verify_growth_flags_off_axis_node(seq3):
     report = verify_growth(tampered, default_kernel())
     assert [row.passed for row in report.rows] == [True, True, False]
     assert "node 9 off-axis" in report.rows[2].note
+
+
+def test_prebuilt_sequences_are_not_unboxed_again(seq3, monkeypatch):
+    # Computations read NodeSequence.zs. Only building a sequence unboxes its
+    # nodes: verify_growth builds one per stage, at the verification bits.
+    unboxing = {"all": 0, "outside construction": 0}
+    building = []
+    to_mpc, init = ApComplex.to_mpc, NodeSequence.__init__
+
+    def counted_to_mpc(self):
+        unboxing["all"] += 1
+        if not building:
+            unboxing["outside construction"] += 1
+        return to_mpc(self)
+
+    def marked_init(self, *args, **kwargs):
+        building.append(self)
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    nodes = seq3.nodes
+    monkeypatch.setattr(ApComplex, "to_mpc", counted_to_mpc)
+    monkeypatch.setattr(NodeSequence, "__init__", marked_init)
+    criterion_profile(nodes, len(nodes) - 1, 3)
+    delta_table(default_kernel(), nodes)
+    assert unboxing == {"all": 0, "outside construction": 0}
+    verify_growth(seq3, default_kernel())
+    assert unboxing == {"all": 3 + 6 + 9, "outside construction": 0}
 
 
 def test_verify_growth_validation(seq3):

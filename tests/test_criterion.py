@@ -163,7 +163,7 @@ def test_mixed_profile_bound_holds_on_bounded_real_nodes():
     nodes = nodes_of((1,), (2,), (-1,), (Fraction(1, 2),), (Fraction(-3, 2),))
     r_hat = criterion_profile(nodes, 4, 3, BITS).r_hat_observed
     with workprec(BITS):
-        sup = max(abs(z) for z in nodes.to_mpc_list())
+        sup = max(abs(z) for z in nodes.zs)
         r_prime = max(mpf(3), 3 * sup, r_hat) ** 2
         for q in range(4):
             for s in range(q + 1):

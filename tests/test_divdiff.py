@@ -88,7 +88,7 @@ def test_table_recursion_invariant_holds_exactly():
     fn, _ = series_function(coeffs)
     nodes = NodeSequence([qc_to_ap(q) for q in qnodes])
     table = delta_table(fn, nodes)
-    zs = nodes.to_mpc_list()
+    zs = nodes.zs
     with workprec(nodes.precision_bits):
         for p in range(table.order()):
             for k in range(len(nodes) - p - 1):
@@ -97,6 +97,20 @@ def test_table_recursion_invariant_holds_exactly():
                     zs[k + p + 1] - zs[k]
                 )
                 assert abs(lhs - rhs) <= mpmath.ldexp(1, -200) * max(1, abs(lhs))
+
+
+def test_zs_holds_each_node_unboxed_bit_for_bit():
+    # nodes held below, at and above the sequence's 256 bits keep their own
+    # precision in zs: nothing is re-rounded to the sequence's
+    nodes = [
+        make_complex("0.1", "-0.3", bits) for bits in (64, 256, 1024)
+    ] + [make_complex("1e-40", "7", 1024)]
+    seq = NodeSequence(nodes, 256)
+    assert isinstance(seq.zs, tuple)
+    assert [z._mpc_ for z in seq.zs] == [n.to_mpc()._mpc_ for n in nodes]
+    assert seq.zs[2] != seq.zs[1]  # 0.1 at 1024 bits is not 0.1 at 256
+    head = seq.first(2)
+    assert [z._mpc_ for z in head.zs] == [z._mpc_ for z in seq.zs[:2]]
 
 
 def test_duplicate_nodes_rejected():

@@ -6,15 +6,17 @@ it anywhere, or lists it in __all__. An import statement marked
 
 The CLI imports no underscore-prefixed name from the package, so it stays a
 client of the public API and the mathematics stays in the library.
+
+Every underscore-prefixed top-level function or class of the package is read
+by the package itself: tests alone do not keep a private helper alive.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "lineinterp").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "lineinterp").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _exported(tree):
@@ -95,3 +97,52 @@ def test_cli_imports_no_private_package_names():
     ]
     cli = ROOT / "src" / "lineinterp" / "cli.py"
     assert private_package_imports(cli.read_text(encoding="utf-8")) == []
+
+
+def _read_names(tree):
+    """Every name a subtree reads, as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def dead_private_helpers(sources):
+    """(module, name) of each private top-level function or class nobody reads.
+
+    sources is a list of (module, source text). A helper counts as read when
+    any of the modules reads its name outside the helper's own definition,
+    so recursion does not keep it alive.
+    """
+    defined, read = [], set()
+    for module, source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    own = node.name
+                    defined.append((module, own))
+            read.update(name for name in _read_names(node) if name != own)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_no_dead_private_helpers():
+    sample = [
+        (
+            "a",
+            "def _used():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Orphan:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return 2\n",
+        ),
+        ("b", "from a import _used\nprint(_used())\n"),
+    ]
+    # the checker itself
+    assert dead_private_helpers(sample) == [("a", "_recursive"), ("a", "_Orphan")]
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in PACKAGE]
+    assert dead_private_helpers(sources) == []
