@@ -2,10 +2,11 @@
 
 Each subcommand reads a node source (JSON file or generated family), an
 optional function source (JSON file or builtin series spec), runs one
-experiment, and emits a CSV or JSON table. Magnitudes are rendered as exact
-decimal strings, never binary floats, so outputs written at different working
-precisions stay comparable. Identical flags and seed produce byte-identical
-output.
+experiment, and emits a CSV or JSON table. The layout of every table is
+decided here, and every CSV table goes through the one writer `_csv_text`.
+Magnitudes are rendered as exact decimal strings, never binary floats, so
+outputs written at different working precisions stay comparable. Identical
+flags and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 property-check failure, 2 configuration error,
 3 numeric or construction failure.
@@ -14,6 +15,7 @@ Exit codes: 0 success, 1 property-check failure, 2 configuration error,
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 import sys
@@ -208,15 +210,26 @@ def _json_text(obj):
     return json.dumps(obj, indent=2)
 
 
+def _csv_text(columns, rows):
+    """A header line of the columns, then one line per row; a None cell is empty.
+
+    rows may be a generator that renders its cells as it is drawn: the whole
+    text is formed before anything is written, so a rendering failure leaves
+    the output empty, and the rendered cells are dropped once their line is.
+    """
+    lines = itertools.chain([columns], rows)
+    return "".join(
+        ",".join("" if v is None else str(v) for v in line) + "\n" for line in lines
+    )
+
+
 def _emit_table(columns, rows, fmt, out_path, **meta):
     """Rows as CSV under a header, or as JSON objects after the meta fields.
 
     A None cell is empty in CSV and null in JSON.
     """
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
-        _emit("\n".join(lines), out_path)
+        _emit(_csv_text(columns, rows), out_path)
     else:
         table = {**meta, "rows": [dict(zip(columns, row)) for row in rows]}
         _emit(_json_text(table), out_path)
@@ -269,7 +282,7 @@ _grid_opt = click.option(
     "--grid", default=DEFAULT_GRID, show_default=True, help="Evaluation grid spec."
 )
 _nodes_opt = click.option(
-    "--nodes", "node_source", default=None, help="Node file or family:KIND:ARGS."
+    "--nodes", "node_source", default=None, help="Node file or family:KIND:ARGS:COUNT."
 )
 _function_opt = click.option(
     "--function",
@@ -331,11 +344,29 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     """Normalized conjugate-kernel divided-difference profile."""
     bits = check_precision(precision)
     nodes = _load_nodes(node_source, bits, seed)
-    profile = criterion_profile(nodes, p_max, q_max, bits)
+    prof = criterion_profile(nodes, p_max, q_max, bits)
     if fmt == "csv":
-        _emit(profile.to_csv_text(), out)
+        cells = (
+            (p, q, render_decimal(prof.raw[p][q]), render_decimal(prof.normalized[p][q]))
+            for p in range(p_max + 1)
+            for q in range(q_max + 1)
+        )
+        text = _csv_text(("p", "q", "raw", "normalized"), cells)
     else:
-        _emit(_json_text(profile.to_json_obj()), out)
+        text = _json_text(
+            {
+                "p_max": p_max,
+                "q_max": q_max,
+                "precision_bits": prof.precision_bits,
+                "estimate_kind": "observed-finite-window",
+                "r_hat_observed": render_decimal(prof.r_hat_observed),
+                "raw": [[render_decimal(v) for v in row] for row in prof.raw],
+                "normalized": [
+                    [render_decimal(v) for v in row] for row in prof.normalized
+                ],
+            }
+        )
+    _emit(text, out)
     return 0
 
 
@@ -357,7 +388,12 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     show_default=True,
     help="Scalar kernel spec (see dd --help).",
 )
-@_out_opt
+@click.option(
+    "--out",
+    default=None,
+    help="Write the node-sequence artifact (JSON) here; the growth table "
+    "still goes to stdout.",
+)
 @_format_opt
 @_guarded
 def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
@@ -374,9 +410,32 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
     if out:
         _emit(_json_text(seq.to_json_obj()), out)
     if fmt == "csv":
-        _emit(report.to_csv_text(), None)
+        text = _csv_text(
+            ("p", "achieved", "target", "precision_bits"),
+            (
+                (row.stage, render_decimal(row.achieved), row.target, row.precision_bits)
+                for row in report.rows
+            ),
+        )
     else:
-        _emit(_json_text({"sequence": seq.to_json_obj(), "growth": report.to_json_obj()}), None)
+        growth = [
+            {
+                "stage": row.stage,
+                "achieved": render_decimal(row.achieved),
+                "target": row.target,
+                "passed": row.passed,
+                "note": row.note,
+                "precision_bits": row.precision_bits,
+            }
+            for row in report.rows
+        ]
+        text = _json_text(
+            {
+                "sequence": seq.to_json_obj(),
+                "growth": {"rows": growth, "all_passed": report.all_passed},
+            }
+        )
+    _emit(text, None)
     return 0 if report.all_passed else 1
 
 
@@ -548,23 +607,27 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
     h = _parse_kernel(kernel, bits)
     table = delta_table(h, nodes, bits)
     if fmt == "csv":
-        _emit(table.to_csv_text(), out)
-    else:
-        rows = []
-        for p in range(table.order() + 1):
-            rows.append(
-                [table.entry(p, k).to_json_obj() for k in range(table.order() + 1 - p)]
-            )
-        _emit(
-            _json_text(
-                {
-                    "precision_bits": bits,
-                    "nodes": [z.to_json_obj() for z in nodes],
-                    "rows": rows,
-                }
-            ),
-            out,
+        cells = (
+            (p, k, render_decimal(v.real), render_decimal(v.imag))
+            for p, row in enumerate(table.rows)
+            for k, v in enumerate(row)
         )
+        text = _csv_text(("p", "k", "re", "im"), cells)
+    else:
+        text = _json_text(
+            {
+                "precision_bits": bits,
+                "nodes": [z.to_json_obj() for z in nodes],
+                "rows": [
+                    [
+                        {"re": render_decimal(v.real), "im": render_decimal(v.imag)}
+                        for v in row
+                    ]
+                    for row in table.rows
+                ],
+            }
+        )
+    _emit(text, out)
     return 0
 
 

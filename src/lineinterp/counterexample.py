@@ -20,7 +20,6 @@ pairwise node gaps predict more cancellation than the precision absorbs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -505,37 +504,6 @@ class GrowthReport:
     @property
     def all_passed(self):
         return all(row.passed for row in self.rows)
-
-    def to_csv_text(self):
-        out = io.StringIO()
-        out.write("p,achieved,target,precision_bits\n")
-        for row in self.rows:
-            out.write(
-                "%d,%s,%d,%d\n"
-                % (
-                    row.stage,
-                    render_decimal(row.achieved),
-                    row.target,
-                    row.precision_bits,
-                )
-            )
-        return out.getvalue()
-
-    def to_json_obj(self):
-        return {
-            "rows": [
-                {
-                    "stage": row.stage,
-                    "achieved": render_decimal(row.achieved),
-                    "target": row.target,
-                    "passed": row.passed,
-                    "note": row.note,
-                    "precision_bits": row.precision_bits,
-                }
-                for row in self.rows
-            ],
-            "all_passed": self.all_passed,
-        }
 
 
 def verify_growth(seq, f):

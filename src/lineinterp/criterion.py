@@ -29,7 +29,6 @@ from .precision import (
     ApComplex,
     check_precision,
     parse_decimal,
-    render_decimal,
 )
 
 
@@ -86,34 +85,6 @@ class CriterionProfile:
     raw: tuple
     normalized: tuple
     r_hat_observed: mpf
-
-    def to_csv_text(self):
-        lines = ["p,q,raw,normalized"]
-        for p in range(self.p_max + 1):
-            for q in range(self.q_max + 1):
-                lines.append(
-                    "%d,%d,%s,%s"
-                    % (
-                        p,
-                        q,
-                        render_decimal(self.raw[p][q]),
-                        render_decimal(self.normalized[p][q]),
-                    )
-                )
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self):
-        return {
-            "p_max": self.p_max,
-            "q_max": self.q_max,
-            "precision_bits": self.precision_bits,
-            "estimate_kind": "observed-finite-window",
-            "r_hat_observed": render_decimal(self.r_hat_observed),
-            "raw": [[render_decimal(v) for v in row] for row in self.raw],
-            "normalized": [
-                [render_decimal(v) for v in row] for row in self.normalized
-            ],
-        }
 
 
 def criterion_profile(nodes, p_max, q_max, precision_bits=None):

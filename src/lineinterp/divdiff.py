@@ -17,7 +17,6 @@ confluence is exercised by shrinking clusters of distinct nodes.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -31,12 +30,7 @@ from .errors import (
     NodeDistinctnessError,
     ParseError,
 )
-from .precision import (
-    DEFAULT_PRECISION,
-    ApComplex,
-    check_precision,
-    render_decimal,
-)
+from .precision import DEFAULT_PRECISION, ApComplex, check_precision
 
 SCALAR_KINDS = ("analytic-series", "conjugate-kernel", "composite")
 
@@ -209,17 +203,6 @@ class DividedDiffTable:
     def entry(self, p, k=0):
         """T[p][k] as an ApComplex."""
         return ApComplex.from_mpc(self.rows[p][k], self.precision_bits)
-
-    def to_csv_text(self):
-        out = io.StringIO()
-        out.write("p,k,re,im\n")
-        for p, row in enumerate(self.rows):
-            for k, value in enumerate(row):
-                out.write(
-                    "%d,%d,%s,%s\n"
-                    % (p, k, render_decimal(value.real), render_decimal(value.imag))
-                )
-        return out.getvalue()
 
 
 def delta_table(h, nodes, precision_bits=None):

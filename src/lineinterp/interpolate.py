@@ -39,7 +39,7 @@ from .divdiff import (
 )
 from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
-from .precision import ApComplex, check_precision, parse_decimal, render_decimal
+from .precision import ApComplex, check_precision, parse_decimal
 
 
 def _require_order(seq, n):
@@ -110,25 +110,6 @@ class InterpolantReport:
     cross_form_gap: mpf
     condition_estimate: mpf
     conditioning_pairs: tuple
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "node_count": self.node_count,
-            "precision_bits": self.precision_bits,
-            "value_en": self.value_en.to_json_obj(),
-            "value_rn_lagrange": self.value_rn_lagrange.to_json_obj(),
-            "value_rn_newton": self.value_rn_newton.to_json_obj(),
-            "value_tail": self.value_tail.to_json_obj(),
-            "value_f": self.value_f.to_json_obj(),
-            "identity_residual": self.identity_residual.to_json_obj(),
-            "cross_form_gap": render_decimal(self.cross_form_gap),
-            "condition_estimate": render_decimal(self.condition_estimate),
-            "conditioning_pairs": [
-                {"i": i, "j": j, "gap": render_decimal(gap)}
-                for i, j, gap in self.conditioning_pairs
-            ],
-        }
 
 
 class LinePlan:

@@ -32,12 +32,7 @@ from .divdiff import NodeSequence, _running_products, as_node_sequence
 from .errors import DomainError, SeparationError
 from .funcmodel import TaylorSeries2, _weight
 from .interpolate import eval_EN
-from .precision import (
-    ApComplex,
-    check_precision,
-    parse_decimal,
-    render_decimal,
-)
+from .precision import ApComplex, check_precision, parse_decimal
 
 
 @dataclass(frozen=True)
@@ -134,19 +129,6 @@ class MobiusContext:
                 )
                 coherence = max(coherence, gap)
         return max_mod, round_trip, line_res, coherence
-
-    def to_json_obj(self):
-        thetas = to_bounded(self)
-        return {
-            "eta_inf": self.eta_inf.to_json_obj(),
-            "epsilon_inf": render_decimal(self.epsilon_inf),
-            "precision_bits": self.precision_bits,
-            "unitary": [
-                [ApComplex.from_mpc(u, self.precision_bits).to_json_obj() for u in row]
-                for row in self.unitary
-            ],
-            "theta": [t.to_json_obj() for t in thetas],
-        }
 
 
 def make_context(nodes, eta_inf, precision_bits=None):

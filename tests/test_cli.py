@@ -14,9 +14,12 @@ from lineinterp import (
     AdversarialSequence,
     ApComplex,
     NodeSequence,
+    build_sequence,
     conjugation,
+    default_kernel,
     delta,
     parse_decimal,
+    verify_growth,
 )
 from lineinterp.cli import main
 
@@ -49,6 +52,13 @@ def integer_node_file(tmp_path):
     payload = {"nodes": [{"re": str(j), "im": "0"} for j in range(1, 13)]}
     path = tmp_path / "integers.json"
     path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def write_nodes(tmp_path, *nodes):
+    """A node file of (re, im) decimal string pairs."""
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"nodes": [{"re": re, "im": im} for re, im in nodes]}))
     return str(path)
 
 
@@ -92,6 +102,17 @@ def test_dd_csv_matches_direct_delta(runner, node_file):
         assert dec(got[3]) == want.im
 
 
+def test_dd_conjugation_table_over_three_nodes(runner, tmp_path):
+    nodes = write_nodes(tmp_path, ("1", "0"), ("0", "1"), ("-1", "0"))
+    result = runner.invoke(main, ["dd", "--nodes", nodes, "--kernel", "conjugation"])
+    assert result.exit_code == 0
+    lines = result.output.strip().split("\n")
+    assert lines[0] == "p,k,re,im"
+    assert len(lines) == 1 + 3 + 2 + 1
+    # Top entry is the frozen order-2 value i.
+    assert lines[-1] == "2,0,0,1"
+
+
 def test_dd_json_triangle_shape(runner, node_file):
     result = runner.invoke(
         main, ["dd", "--nodes", node_file, "--format", "json", "--max-order", "2"]
@@ -101,6 +122,23 @@ def test_dd_json_triangle_shape(runner, node_file):
     assert [len(row) for row in obj["rows"]] == [3, 2, 1]
     assert obj["rows"][0][0] == {"re": "0.5", "im": "0"}
     assert obj["precision_bits"] == BITS
+
+
+def test_dd_and_criterion_json_carry_the_csv_cells(runner, node_file):
+    # both layouts are built in the CLI from the same raw results
+    dd = ["dd", "--nodes", node_file, "--kernel", "conj-kernel:2"]
+    _, rows = csv_rows(runner.invoke(main, dd).output)
+    obj = json.loads(runner.invoke(main, dd + ["--format", "json"]).output)
+    cells = [(str(p), str(k), v["re"], v["im"])
+             for p, row in enumerate(obj["rows"]) for k, v in enumerate(row)]
+    assert cells == [tuple(r) for r in rows]
+    crit = ["criterion", "--nodes", node_file, "--p-max", "4", "--q-max", "2"]
+    _, rows = csv_rows(runner.invoke(main, crit).output)
+    obj = json.loads(runner.invoke(main, crit + ["--format", "json"]).output)
+    cells = [(str(p), str(q), raw, norm)
+             for p, (raw_row, norm_row) in enumerate(zip(obj["raw"], obj["normalized"]))
+             for q, (raw, norm) in enumerate(zip(raw_row, norm_row))]
+    assert cells == [tuple(r) for r in rows]
 
 
 def test_dd_kernel_spec_errors(runner, node_file):
@@ -245,6 +283,24 @@ def test_criterion_real_line_q0_rows_vanish(runner):
             assert row[2] == "0"
 
 
+def test_criterion_csv_and_json_layout(runner, tmp_path):
+    nodes = write_nodes(tmp_path, ("1", "0"), ("0", "1"), ("-2", "0"))
+    argv = ["criterion", "--nodes", nodes, "--p-max", "2", "--q-max", "2"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    lines = result.output.strip().split("\n")
+    assert lines[0] == "p,q,raw,normalized"
+    assert len(lines) == 1 + 3 * 3
+    first = lines[1].split(",")
+    assert first[0] == "0" and first[1] == "0"
+    assert dec(first[2]) == 1
+    result = runner.invoke(main, argv + ["--format", "json"])
+    assert result.exit_code == 0
+    obj = json.loads(result.output)
+    assert obj["estimate_kind"] == "observed-finite-window"
+    dec(obj["r_hat_observed"])  # renders as a valid decimal
+
+
 def test_criterion_reads_counterexample_artifact(runner, tmp_path):
     artifact = tmp_path / "seq.json"
     build = runner.invoke(
@@ -282,6 +338,14 @@ def test_counterexample_artifact_and_growth_table(runner, tmp_path):
     assert header == ["p", "achieved", "target", "precision_bits"]
     assert [r[0] for r in rows] == ["1", "2"]
     assert [r[2] for r in rows] == ["1", "4"]
+    # each row parses back exactly to the recomputed stage certificates
+    report = verify_growth(build_sequence(default_kernel(), 2), default_kernel())
+    assert len(rows) == len(report.rows)
+    for row, fields in zip(report.rows, rows):
+        assert int(fields[0]) == row.stage
+        assert parse_decimal(fields[1], row.precision_bits) == row.achieved
+        assert int(fields[2]) == row.target
+        assert int(fields[3]) == row.precision_bits
     obj = json.loads(artifact.read_text())
     seq = AdversarialSequence.from_json_obj(obj)
     assert len(seq.nodes) == 6
@@ -297,6 +361,17 @@ def test_counterexample_json_format(runner):
     obj = json.loads(result.output)
     assert obj["growth"]["all_passed"] is True
     assert len(obj["sequence"]["nodes"]) == 3
+    report = verify_growth(build_sequence(default_kernel(), 1), default_kernel())
+    assert len(obj["growth"]["rows"]) == len(report.rows)
+    for row, fields in zip(report.rows, obj["growth"]["rows"]):
+        assert parse_decimal(fields.pop("achieved"), row.precision_bits) == row.achieved
+        assert fields == {
+            "stage": row.stage,
+            "target": row.target,
+            "passed": row.passed,
+            "note": row.note,
+            "precision_bits": row.precision_bits,
+        }
 
 
 def test_counterexample_stage_zero_exits_2(runner):
@@ -532,19 +607,40 @@ def test_out_of_range_decimal_exponent_exits_2_quickly(runner, argv):
     assert "outside 1e-500000..1e500000" in result.stderr
 
 
-def test_decimal_expansion_past_the_digit_cap_exits_3(runner):
-    # Every input lies inside the accepted decimal range; the sup error, of
-    # order 1e500000 with a binary exponent above zero, has too many digits.
-    result = runner.invoke(main, [
-        "converge", "--nodes", "family:circle:0,0,1:4",
-        "--function", "builtin:poly:0,2,1e400000,0",
-        "--n-min", "1", "--n-max", "2", "--grid", "1x1@1e100000+1",
-    ])
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == [
-        "numeric failure: decimal expansion exceeds the limit of 500000 digits"
-    ]
+def test_decimal_expansion_past_the_digit_cap_exits_3(runner, tmp_path):
+    # Every input lies inside the accepted decimal range. The converge sup
+    # error, of order 1e500000 with a binary exponent above zero, has too many
+    # digits; so has the dd entry 1e499999 * 100. A table is rendered in full
+    # before its first byte is written, so stdout stays empty.
+    dd = ["dd", "--nodes", write_nodes(tmp_path, ("100", "0"), ("0.5", "0")),
+          "--kernel", "analytic:0,1e499999"]
+    for argv in (
+        ["converge", "--nodes", "family:circle:0,0,1:4",
+         "--function", "builtin:poly:0,2,1e400000,0",
+         "--n-min", "1", "--n-max", "2", "--grid", "1x1@1e100000+1"],
+        dd,
+        dd + ["--format", "json"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, argv
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "numeric failure: decimal expansion exceeds the limit of 500000 digits"
+        ]
+
+
+def test_help_names_the_family_count_and_the_artifact(runner):
+    for command in ("converge", "identity", "criterion", "mobius", "dd"):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert "family:KIND:ARGS:COUNT" in result.output, command
+    # wide enough that click does not wrap the option's help line
+    result = runner.invoke(main, ["counterexample", "--help"], terminal_width=200)
+    assert result.exit_code == 0
+    assert (
+        "--out TEXT           Write the node-sequence artifact (JSON) here; "
+        "the growth table still goes to stdout." in result.output
+    )
 
 
 # -- pinned outputs ------------------------------------------------------------------

@@ -34,7 +34,6 @@ from lineinterp import (
     default_kernel,
     delta,
     delta_table,
-    parse_decimal,
     verify_growth,
     wirtinger_at_zero,
 )
@@ -502,22 +501,6 @@ def test_sequence_json_roundtrip(seq3):
     assert len(plain) == len(seq3.nodes)
     for entry in payload["nodes"]:
         assert entry["axis"] in ("real", "imaginary")
-
-
-def test_growth_report_serialization(seq3):
-    report = verify_growth(seq3, default_kernel())
-    lines = report.to_csv_text().strip().split("\n")
-    assert lines[0] == "p,achieved,target,precision_bits"
-    assert len(lines) == 4
-    for row, line in zip(report.rows, lines[1:]):
-        fields = line.split(",")
-        assert int(fields[0]) == row.stage
-        assert parse_decimal(fields[1], 320) == row.achieved
-        assert int(fields[2]) == row.target
-        assert int(fields[3]) == row.precision_bits
-    obj = report.to_json_obj()
-    assert obj["all_passed"] is True
-    assert [r["stage"] for r in obj["rows"]] == [1, 2, 3]
 
 
 # -- criterion refutation ----------------------------------------------------

@@ -27,7 +27,6 @@ from lineinterp import (
     generate_nodes,
     germ_for_family,
     line_family,
-    parse_decimal,
     ulps_apart,
 )
 from support import QC, qc_dd_table, qc_to_ap, rand_distinct_nodes
@@ -317,22 +316,3 @@ def test_germ_matches_conjugate_on_generated_nodes():
         seq = generate_nodes(family, 12, seed=1, precision_bits=BITS)
         for node in seq:
             assert ulps_apart(germ(node), node.conjugate()) <= 4
-
-
-
-# -- serialization ------------------------------------------------------------------------
-
-
-def test_profile_csv_and_json_serialization():
-    nodes = nodes_of((1,), (0, 1), (-2,))
-    prof = criterion_profile(nodes, 2, 2, BITS)
-    csv_text = prof.to_csv_text()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "p,q,raw,normalized"
-    assert len(lines) == 1 + 3 * 3
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    assert parse_decimal(first[2], BITS) == mpf(1)
-    obj = prof.to_json_obj()
-    assert obj["estimate_kind"] == "observed-finite-window"
-    parse_decimal(obj["r_hat_observed"], BITS)

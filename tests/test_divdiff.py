@@ -370,18 +370,6 @@ def test_node_json_round_trip():
         NodeSequence.from_json_obj({"points": []}, 256)
 
 
-def test_table_csv_dump_shape():
-    nodes = NodeSequence(
-        [make_complex("1"), make_complex("0", "1"), make_complex("-1")]
-    )
-    text = delta_table(conjugation(), nodes).to_csv_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,k,re,im"
-    assert len(lines) == 1 + 3 + 2 + 1
-    # Top entry is the frozen order-2 value i.
-    assert lines[-1] == "2,0,0,1"
-
-
 def test_cluster_shrink_tracks_confluent_limit_recursively():
     # Recursive route on shrinking distinct clusters approaches the series
     # coefficient, the documented substitute for confluent nodes.

@@ -9,6 +9,10 @@ client of the public API and the mathematics stays in the library.
 
 Every underscore-prefixed top-level function or class of the package is read
 by the package itself: tests alone do not keep a private helper alive.
+
+The package writes only the formats it reads back: no `to_csv_text`, and a
+class with `to_json_obj` also has `from_json_obj`. The layout of a printed
+table belongs to the CLI.
 """
 
 import ast
@@ -146,3 +150,52 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sample) == [("a", "_recursive"), ("a", "_Orphan")]
     sources = [(path.name, path.read_text(encoding="utf-8")) for path in PACKAGE]
     assert dead_private_helpers(sources) == []
+
+
+def one_way_formats(source):
+    """Each to_csv_text, and each to_json_obj without a from_json_obj beside it.
+
+    Module-level functions are named bare, methods as Class.method.
+    """
+    tree = ast.parse(source)
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    scopes = [("", tree.body)] + [(c.name + ".", c.body) for c in classes]
+    out = []
+    for prefix, body in scopes:
+        defined = {n.name for n in body if isinstance(n, ast.FunctionDef)}
+        if "to_csv_text" in defined:
+            out.append(prefix + "to_csv_text")
+        if "to_json_obj" in defined and "from_json_obj" not in defined:
+            out.append(prefix + "to_json_obj")
+    return out
+
+
+def test_package_writes_only_formats_it_reads_back():
+    sample = (
+        "def to_csv_text(rows):\n"
+        "    pass\n"
+        "class Table:\n"
+        "    def to_csv_text(self):\n"
+        "        pass\n"
+        "class Dump:\n"
+        "    def to_json_obj(self):\n"
+        "        pass\n"
+        "class Both:\n"
+        "    def to_json_obj(self):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def from_json_obj(cls, obj):\n"
+        "        pass\n"
+    )
+    # the checker itself
+    assert one_way_formats(sample) == [
+        "to_csv_text",
+        "Table.to_csv_text",
+        "Dump.to_json_obj",
+    ]
+    found = {}
+    for path in PACKAGE:
+        one_way = one_way_formats(path.read_text(encoding="utf-8"))
+        if one_way:
+            found[path.name] = one_way
+    assert found == {}

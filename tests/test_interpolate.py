@@ -27,7 +27,6 @@ from lineinterp import (
     identity_report,
     interpolation_check,
     lagrange_monomial,
-    parse_decimal,
 )
 from support import (
     QC,
@@ -374,28 +373,6 @@ def test_condition_estimate_explodes_for_near_pair():
 
 
 # -- reports, probes, grids ----------------------------------------------------------
-
-
-def test_report_json_round_trips():
-    f = series_from_qc({(1, 1): QC_ONE, (0, 2): QC.of(Fraction(1, 2))}, 3)
-    nodes = nodes_from_qc([QC.of(1), QC.of(2)])
-    rep = identity_report(f, nodes, 2, ap(Fraction(1, 2)), ap(Fraction(1, 4)))
-    obj = rep.to_json_obj()
-    assert obj["n"] == 2 and obj["node_count"] == 2
-    assert set(obj) >= {
-        "value_en",
-        "value_rn_lagrange",
-        "value_rn_newton",
-        "value_tail",
-        "value_f",
-        "identity_residual",
-        "cross_form_gap",
-        "condition_estimate",
-        "conditioning_pairs",
-    }
-    back = ApComplex.from_json_obj(obj["value_en"], BITS)
-    assert back == rep.value_en
-    parse_decimal(obj["cross_form_gap"], BITS)  # renders as valid decimal
 
 
 def test_en_is_node_order_invariant():

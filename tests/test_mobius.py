@@ -19,7 +19,6 @@ from lineinterp import (
     eval_EN,
     eval_RN_lagrange,
     eval_tail,
-    parse_decimal,
 )
 from lineinterp.mobius import (
     inverse_homography,
@@ -242,15 +241,3 @@ def test_theta_infinity_rotation():
             assert abs(abs(after.to_mpc()) - abs(before.to_mpc())) <= mpmath.ldexp(
                 1, -245
             )
-
-
-def test_context_json_dump():
-    nodes = nodes_of((1,), (2,), (-3, 1))
-    ctx = make_context(nodes, ap(0, 1), BITS)
-    obj = ctx.to_json_obj()
-    assert set(obj) == {"eta_inf", "epsilon_inf", "precision_bits", "unitary", "theta"}
-    assert len(obj["theta"]) == 3
-    assert len(obj["unitary"]) == 2 and len(obj["unitary"][0]) == 2
-    parse_decimal(obj["epsilon_inf"], BITS)
-    back = ApComplex.from_json_obj(obj["eta_inf"], BITS)
-    assert back == ctx.eta_inf
