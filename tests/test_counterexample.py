@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 from mpmath import mpc, mpf, workprec
 
 from lineinterp import (
@@ -34,10 +35,12 @@ from lineinterp import (
     default_kernel,
     delta,
     delta_table,
+    parse_decimal,
     verify_growth,
     wirtinger_at_zero,
 )
 from lineinterp import counterexample
+from lineinterp.cli import main
 from support import (
     QC,
     QC_ONE,
@@ -501,6 +504,33 @@ def test_sequence_json_roundtrip(seq3):
     assert len(plain) == len(seq3.nodes)
     for entry in payload["nodes"]:
         assert entry["axis"] in ("real", "imaginary")
+
+
+def test_growth_report_serialization(seq3):
+    # The growth report is serialized by the counterexample command, as CSV
+    # and as JSON; both must carry every stage row exactly.
+    report = verify_growth(seq3, default_kernel())
+    runner = CliRunner()
+    csv_result = runner.invoke(main, ["counterexample", "--stages", "3"])
+    assert csv_result.exit_code == 0
+    lines = csv_result.output.strip().split("\n")
+    assert lines[0] == "p,achieved,target,precision_bits"
+    assert len(lines) == 4
+    for row, line in zip(report.rows, lines[1:]):
+        fields = line.split(",")
+        assert int(fields[0]) == row.stage
+        assert parse_decimal(fields[1], row.precision_bits) == row.achieved
+        assert int(fields[2]) == row.target
+        assert int(fields[3]) == row.precision_bits
+    json_result = runner.invoke(
+        main, ["counterexample", "--stages", "3", "--format", "json"]
+    )
+    assert json_result.exit_code == 0
+    obj = json.loads(json_result.output)["growth"]
+    assert obj["all_passed"] is True
+    assert [r["stage"] for r in obj["rows"]] == [1, 2, 3]
+    for row, fields in zip(report.rows, obj["rows"]):
+        assert parse_decimal(fields["achieved"], row.precision_bits) == row.achieved
 
 
 # -- criterion refutation ----------------------------------------------------
