@@ -654,6 +654,7 @@ def test_help_names_the_family_count_and_the_artifact(runner):
 ARTIFACT = "{artifact}"
 _PINNED_BASE = ["--nodes", "family:circle:0,0,1:8", "--grid", "3x3@0.5+2"]
 _PINNED_EXP = _PINNED_BASE + ["--function", "builtin:exp_sum:12"]
+_PINNED_EXPCOS = _PINNED_BASE + ["--function", "builtin:expcos:10"]
 _PINNED_POLY = _PINNED_BASE + [
     "--function",
     "builtin:poly:0,0,1,0;1,0,0.5,-0.25;2,1,0.3,0.1;0,3,-0.2,0",
@@ -766,6 +767,17 @@ _PINNED = [
         0,
         "cd7ece98ebe1b86b7e944d4c87ea0525bc991ad0337ecebed1c1b7a1a282c08f",
     ),
+    (
+        # a real-coefficient series with odd powers of z2 absent, at the 64-bit floor
+        ["converge", *_PINNED_EXPCOS, "--n-min", "2", "--n-max", "8", "--precision", "64"],
+        0,
+        "2e3282bce50435c50282b26f486d475234b3dbab5d6729822552acf682db667e",
+    ),
+    (
+        ["identity", *_PINNED_EXPCOS, "--n-min", "1", "--n-max", "6", "--precision", "1024"],
+        0,
+        "c7e8ea31893f8d877a57636376ee22689b873b0a748067cf1d3bded05eb8b68f",
+    ),
 ]
 
 
@@ -776,7 +788,8 @@ _PINNED = [
          "identity-max-order", "converge-poly", "identity-poly", "dd-csv", "dd-json",
          "criterion-csv", "criterion-json", "counterexample-csv", "counterexample-json",
          "counterexample-escalating", "mobius", "mobius-complex-center",
-         "mobius-rotation", "dd-8192", "criterion-8192"],
+         "mobius-rotation", "dd-8192", "criterion-8192", "converge-expcos-64",
+         "identity-expcos-1024"],
 )
 def test_pinned_output_digests(runner, tmp_path, argv, code, digest):
     if ARTIFACT in argv:
