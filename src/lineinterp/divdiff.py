@@ -30,7 +30,7 @@ from .errors import (
     NodeDistinctnessError,
     ParseError,
 )
-from .precision import DEFAULT_PRECISION, ApComplex, check_precision
+from .precision import DEFAULT_PRECISION, ApComplex, _dot, check_precision
 
 SCALAR_KINDS = ("analytic-series", "conjugate-kernel", "composite")
 
@@ -197,9 +197,6 @@ class DividedDiffTable:
     precision_bits: int
     rows: tuple
 
-    def order(self):
-        return len(self.rows) - 1
-
     def entry(self, p, k=0):
         """T[p][k] as an ApComplex."""
         return ApComplex.from_mpc(self.rows[p][k], self.precision_bits)
@@ -266,10 +263,7 @@ def _newton_total(scale, lead, rows):
     first n nodes; a unit scale gives the plain Newton form.
     """
     n = len(rows)
-    total = mpc(0)
-    for p in range(n):
-        total += scale[n - 1 - p] * lead[p] * rows[p][0]
-    return total
+    return _dot((scale[n - 1 - p] * lead[p], rows[p][0]) for p in range(n))
 
 
 def newton_sum(h, nodes, n, x, precision_bits=None):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from mpmath import mpc, mpf, workprec
 
@@ -24,6 +25,9 @@ from .errors import ConfigError, ParseError
 from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
+    _dot,
+    _products,
+    _sum,
     check_precision,
     parse_decimal,
     render_decimal,
@@ -172,7 +176,8 @@ class GradedTerms:
     The series value is the sum of all rows and the tail of order n the sum
     from row n on; both accumulate term by term in graded order, so every
     partial sum is the one a direct evaluation of that range would give.
-    Sums are raw mpc at precision_bits.
+    Terms and sums are raw mpc at precision_bits, formed by the kernels
+    _products and _sum; a row leaves out exactly zero terms, as at z1 = 0.
     """
 
     __slots__ = ("rows", "precision_bits")
@@ -183,7 +188,7 @@ class GradedTerms:
             pow1 = _running_products([z1.to_mpc()] * f.max_order)
             pow2 = _running_products([z2.to_mpc()] * f.max_order)
             self.rows = [
-                [a * pow1[k] * pow2[m - k] for k, a in f.degree_row(m)]
+                _products((a, pow1[k], pow2[m - k]) for k, a in f.degree_row(m))
                 for m in range(f.max_order + 1)
             ]
         self.precision_bits = bits
@@ -193,11 +198,7 @@ class GradedTerms:
         if stop is None or stop >= len(self.rows):
             stop = len(self.rows) - 1
         with workprec(self.precision_bits):
-            total = mpc(0)
-            for m in range(start, stop + 1):
-                for term in self.rows[m]:
-                    total += term
-        return total
+            return _sum(chain.from_iterable(self.rows[m] for m in range(start, stop + 1)))
 
 
 def eval2(f, z1, z2):
@@ -213,13 +214,10 @@ def restrict_to_line(f, eta, precision_bits=None):
     bits = check_precision(precision_bits or max(f.precision_bits, eta.precision_bits))
     with workprec(bits):
         powers = _running_products([eta.to_mpc()] * f.max_order)
-        out = []
-        for m in range(f.max_order + 1):
-            total = mpc(0)
-            for k, a in f.degree_row(m):
-                total += a * powers[k]
-            out.append(total)
-    return LineRestriction(eta=eta, coeffs=tuple(out), precision_bits=bits)
+        out = tuple(
+            _dot((a, powers[k]) for k, a in f.degree_row(m)) for m in range(f.max_order + 1)
+        )
+    return LineRestriction(eta=eta, coeffs=out, precision_bits=bits)
 
 
 def _weight(ev):

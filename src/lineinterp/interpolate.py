@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import mpmath
-from mpmath import mpc, mpf, workprec
+from mpmath import mpf, workprec
 
 from .divdiff import (
     _near,
@@ -39,7 +39,7 @@ from .divdiff import (
 )
 from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
-from .precision import ApComplex, check_precision, parse_decimal
+from .precision import ApComplex, _dot, _horner, check_precision, parse_decimal
 
 
 def _require_order(seq, n):
@@ -217,7 +217,8 @@ class PointTables:
     and, on first use, the graded series terms, the Lagrange basis chains and
     the Newton products. The inner sums of E_N are H[q][N-p]; both remainder
     forms take the kernel values H[q][N] * w_q at the nodes. Every member
-    returns raw values; the public functions box them.
+    returns raw values; the public functions box them. The Horner table and
+    the sums of E_N and both remainders use the kernels _horner and _dot.
     """
 
     def __init__(self, plan, z1, z2):
@@ -226,7 +227,6 @@ class PointTables:
             raise ConfigError("point precision exceeds the plan's %d bits" % bits)
         self.plan = plan
         self.z1, self.z2 = z1, z2
-        top = plan.f.max_order
         with workprec(bits):
             z1v, z2v = z1.to_mpc(), z2.to_mpc()
             self.z2v = z2v
@@ -235,15 +235,10 @@ class PointTables:
                 _projection(eta, z1v, z2v, d) for eta, d in zip(plan.zs, plan.denoms)
             ]
             # only H[q][k] for k <= n_max is ever read
-            self.horner = []
-            for w, coeffs in zip(self.w, plan.restriction_coeffs):
-                row = [mpc(0)] * (plan.n_max + 1)
-                acc = mpc(0)
-                for m in range(top, -1, -1):
-                    acc = acc * w + coeffs[m]
-                    if m <= plan.n_max:
-                        row[m] = acc
-                self.horner.append(row)
+            self.horner = [
+                _horner(coeffs, w, plan.n_max + 1)
+                for w, coeffs in zip(self.w, plan.restriction_coeffs)
+            ]
 
     @cached_property
     def _series(self):
@@ -278,22 +273,17 @@ class PointTables:
         with workprec(self.plan.precision_bits):
             # suffix[n-1-p] = prod_{j=p+1}^{n-1} (z1 - eta_j z2), built from the top
             suffix = _running_products(reversed(self.line[1:n]))
-            total = mpc(0)
-            for p in range(n):
-                inner = mpc(0)
-                for q in range(p, n):
-                    inner += coeffs[p][q - p] * self.horner[q][n - 1 - p]
-                total += suffix[n - 1 - p] * inner
-        return total
+            inner = (
+                _dot(zip(coeffs[p], (row[n - 1 - p] for row in self.horner[p:n])))
+                for p in range(n)
+            )
+            return _dot(zip(reversed(suffix), inner))
 
     def rn_lagrange(self, n):
         """Remainder in Lagrange form: kernel values against the basis L_p."""
         self.plan._check(n)
         with workprec(self.plan.precision_bits):
-            total = mpc(0)
-            for p, value in enumerate(self._kernel_values(n)):
-                total += self._lagrange[p][n - 1] * value
-        return total
+            return _dot(zip((chain[n - 1] for chain in self._lagrange), self._kernel_values(n)))
 
     def rn_newton(self, n):
         """Remainder in Newton form: divided differences of the kernel values."""

@@ -11,6 +11,26 @@ rounds the decimal to the nearest representable value (ties to even) using
 integer arithmetic only. Consequently parse(render(x)) == x at equal
 precision, and files written at one precision load losslessly at any higher
 one.
+
+The accumulation kernels at the end (_sum, _dot, _products, _horner) run the
+series, Horner and E_N loops with mpmath.libmp, which no other module
+imports, on the (re, im) parts of raw mpc values. They take and return raw
+mpc, read the precision from mpmath.mp.prec at call time, and do the same
+roundings in the same order as the mpc operator loops they stand for, so every
+result equals that loop's bit for bit, by three facts:
+
+1. mpc + mpc is mpc_add, which is mpf_add on each part at (prec, rounding).
+2. mpf_add(acc, 0) is _normalize1(acc), which is acc itself when acc holds
+   at most prec bits, as every accumulator does; so a zero addend part is
+   skipped. Every other part still goes through mpf_add, so a part held at
+   more than prec bits is rounded as before.
+3. mpc_mul((a, 0), (x, y)) rounds the exact a*x - 0 and a*y + 0 once each:
+   that is mpf_mul(a, x) and mpf_mul(a, y) at (prec, rounding), and likewise
+   with the real factor second. Both mpmath backends round correctly, so
+   this holds on gmpy too.
+
+mpmath 1.3.0 has no public rounding setting and its context always rounds to
+nearest, so the kernels round with round_nearest.
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ import sys
 
 import mpmath
 from mpmath import mpf, mpc, workprec
+from mpmath.libmp import fzero, mpc_mul, mpf_add, mpf_mul, round_nearest
 
 from .errors import ConfigError, NumericError, ParseError
 
@@ -308,3 +329,67 @@ def ulps_apart(a, b, precision_bits=None, scale=None):
         if step == 0:
             return mpf("inf")
         return gap / step
+
+
+# -- accumulation kernels (facts 1-3 of the module docstring) ---------------
+
+_ZERO = (fzero, fzero)
+
+
+def _mul(z, w, prec):
+    """The parts of z * w for (re, im) pairs, rounded as mpc_mul rounds them (fact 3)."""
+    (a, b), (c, d) = z, w
+    if b == fzero:
+        return mpf_mul(a, c, prec, round_nearest), mpf_mul(a, d, prec, round_nearest)
+    if d == fzero:
+        return mpf_mul(a, c, prec, round_nearest), mpf_mul(b, c, prec, round_nearest)
+    return mpc_mul(z, w, prec, round_nearest)
+
+
+def _accumulate(parts, prec):
+    """Left-to-right sum of (re, im) pairs as an mpc, zero parts skipped (facts 1, 2)."""
+    re = im = fzero
+    for a, b in parts:
+        if a != fzero:
+            re = mpf_add(re, a, prec, round_nearest)
+        if b != fzero:
+            im = mpf_add(im, b, prec, round_nearest)
+    return mpmath.mp.make_mpc((re, im))
+
+
+def _sum(values):
+    """The loop `total = mpc(0); total += v` over raw mpc values."""
+    return _accumulate((v._mpc_ for v in values), mpmath.mp.prec)
+
+
+def _dot(pairs):
+    """The loop `total = mpc(0); total += x * y` over (x, y) pairs of raw mpc."""
+    prec = mpmath.mp.prec
+    return _accumulate((_mul(x._mpc_, y._mpc_, prec) for x, y in pairs), prec)
+
+
+def _products(triples):
+    """[x * y * z for (x, y, z) in triples] of raw mpc, exact zeros left out (fact 2)."""
+    prec = mpmath.mp.prec
+    out = []
+    for x, y, z in triples:
+        p = _mul(_mul(x._mpc_, y._mpc_, prec), z._mpc_, prec)
+        if p != _ZERO:
+            out.append(mpmath.mp.make_mpc(p))
+    return out
+
+
+def _horner(coeffs, w, count):
+    """[H_0, ..., H_{count-1}], H_k = sum_{m>=k} w^(m-k) coeffs[m], as raw mpc.
+
+    H_k is acc after `acc = acc * w + coeffs[k]`, run from mpc(0) and the top
+    coefficient down; it is zero past the last coefficient.
+    """
+    prec, wv = mpmath.mp.prec, w._mpc_
+    acc, out = _ZERO, []
+    for c in reversed(coeffs):
+        (re, im), (a, b) = _mul(acc, wv, prec), c._mpc_
+        acc = (mpf_add(re, a, prec, round_nearest), mpf_add(im, b, prec, round_nearest))
+        out.append(acc)
+    out = out[::-1] + [_ZERO] * (count - len(out))
+    return [mpmath.mp.make_mpc(v) for v in out[:count]]

@@ -13,6 +13,10 @@ by the package itself: tests alone do not keep a private helper alive.
 The package writes only the formats it reads back: no `to_csv_text`, and a
 class with `to_json_obj` also has `from_json_obj`. The layout of a printed
 table belongs to the CLI.
+
+Only `precision.py`, which holds the accumulation kernels, reaches into
+`mpmath.libmp`: every other module computes with the mpc operators, so the
+second arithmetic idiom stays in one place.
 """
 
 import ast
@@ -199,3 +203,35 @@ def test_package_writes_only_formats_it_reads_back():
         if one_way:
             found[path.name] = one_way
     assert found == {}
+
+
+def libmp_uses(source):
+    """Lines that import from mpmath.libmp or read it as mpmath.libmp."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [node.module + "." + a.name for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [node.value.id + "." + node.attr]
+        else:
+            continue
+        if any(n == "mpmath.libmp" or n.startswith("mpmath.libmp.") for n in names):
+            out.append(node.lineno)
+    return out
+
+
+def test_only_the_kernel_module_uses_libmp():
+    sample = (
+        "import mpmath\n"
+        "import mpmath.libmp\n"
+        "from mpmath import libmp, mpc\n"
+        "from mpmath.libmp import mpf_add\n"
+        "from mpmath.libmp.libmpf import fzero\n"
+        "x = mpmath.libmp.BACKEND\n"
+        "y = mpmath.mpc(0)\n"
+    )
+    assert libmp_uses(sample) == [2, 3, 4, 5, 6]  # the checker itself
+    found = sorted(path.name for path in PACKAGE if libmp_uses(path.read_text(encoding="utf-8")))
+    assert found == ["precision.py"]
