@@ -20,19 +20,13 @@ pairwise node gaps predict more cancellation than the precision absorbs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .criterion import conj_kernel
-from .divdiff import (
-    NodeSequence,
-    ScalarFunction,
-    _pair_gaps,
-    difference_rows,
-)
+from .divdiff import NodeConditioning, NodeSequence, ScalarFunction, difference_rows
 from .errors import (
     ConfigError,
     ConstructionFailureError,
@@ -304,48 +298,6 @@ class _NeedMoreBits(Exception):
     """Internal signal: retry the stage at doubled working precision."""
 
 
-def _cancellation_estimate(zs, bits):
-    """Sum of |log2 gap| over pairs of the raw nodes zs, a proxy for subtraction losses."""
-    with workprec(bits):
-        total = mpf(0)
-        for _, _, gap in _pair_gaps(zs):
-            total += abs(mpmath.log(gap, 2))
-    return total
-
-
-def _log2_float(x):
-    """log2 of a positive mpf as a float, exact in the integer part.
-
-    x = man * 2^exp is split as 2^(exp + width) * (man / 2^width) with the
-    second factor in [1/2, 1), so no float overflows or underflows at any
-    exponent, and the result is within (1 + |log2 x|) * 2^-51 of the truth.
-    """
-    man, exp = int(x.man), int(x.exp)
-    width = man.bit_length()
-    return (exp + width) + math.log2(man / (1 << width))
-
-
-def _cancellation_exceeds(zs, bits):
-    """Whether _cancellation_estimate(zs, bits) exceeds bits/2.
-
-    The gaps are formed at working precision as before, but their |log2|
-    are summed in floats. Each term is within (1 + term) * 2^-51 of its true
-    value and the float sum adds at most n_pairs * total * 2^-53, while the
-    full-precision sum is within n_pairs * (1 + total) * 2^-58 of the truth.
-    A float sum farther than n_pairs * (1 + total) * 2^-40 from bits/2
-    therefore sits on the same side as the full-precision one; inside that
-    band, or when two nodes coincide, the full-precision sum decides.
-    """
-    with workprec(bits):
-        gaps = [gap for _, _, gap in _pair_gaps(zs)]
-    if all(gaps):
-        total = sum(abs(_log2_float(gap)) for gap in gaps)
-        half = bits / 2
-        if abs(total - half) > len(gaps) * (1 + total) * 2.0**-40:
-            return total > half
-    return _cancellation_estimate(zs, bits) > mpf(bits) / 2
-
-
 def _power_of_two_below(value):
     """Largest power of two at most value/2; strict bounds stay strict."""
     _, exponent = mpmath.frexp(value)
@@ -403,7 +355,7 @@ def _run_stage(f, prev, stage, bits):
             else:
                 second, third = mpc(radius * cos_half, 0), mpc(0, radius * sin_half)
             candidate = active + [second, third]
-            if _cancellation_exceeds(candidate, bits):
+            if NodeConditioning(candidate, bits).cancellation_exceeds(bits / 2):
                 raise _NeedMoreBits
             # the order 3p+2 difference over all 3p+3 nodes, as delta_table forms it
             rows = difference_rows([mpc(f.raw(z)) for z in candidate], candidate)

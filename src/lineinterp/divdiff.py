@@ -13,6 +13,10 @@ interpolant, the Leibniz product rule, and the direct nested-sum evaluation
 for analytic series (equivalently, complete homogeneous symmetric polynomials
 in the shifted nodes). Confluent (repeated) nodes are rejected; behavior near
 confluence is exercised by shrinking clusters of distinct nodes.
+
+NodeConditioning forms the pairwise gaps |eta_i - eta_j| of a node prefix
+once; its near pairs, inverse gap product and cancellation gate all read
+those gaps, and nothing else in the package forms them.
 """
 
 from __future__ import annotations
@@ -142,16 +146,6 @@ class NodeSequence:
             raise ConfigError("not a permutation of node indices")
         return NodeSequence([self.nodes[i] for i in perm], self.precision_bits)
 
-    def min_gap(self):
-        with workprec(self.precision_bits):
-            gaps = _pair_gaps(self.zs)
-            return min((gap for _, _, gap in gaps), default=mpf("inf"))
-
-    def near_pairs(self):
-        """Pairs closer than the conditioning threshold 2^-(P/2)."""
-        with workprec(self.precision_bits):
-            return _near(_pair_gaps(self.zs), self.precision_bits)
-
     def to_json_obj(self):
         return {"nodes": [n.to_json_obj() for n in self.nodes]}
 
@@ -167,20 +161,68 @@ class NodeSequence:
         )
 
 
-def _pair_gaps(zs):
-    """(i, j, |zs[i] - zs[j]|) for every pair i < j, row by row.
+class NodeConditioning:
+    """The pairwise gaps of a node prefix and the measures read from them.
 
-    A generator: each gap is formed at the precision ambient when it is drawn.
+    gaps holds (i, j, |zs[i] - zs[j]|) for every pair i < j, row by row,
+    formed once at precision_bits; each measure is computed when it is read.
     """
-    for i, z in enumerate(zs):
-        for j in range(i + 1, len(zs)):
-            yield i, j, abs(z - zs[j])
+
+    __slots__ = ("gaps", "precision_bits")
+
+    def __init__(self, zs, precision_bits):
+        self.precision_bits = precision_bits
+        with workprec(precision_bits):
+            self.gaps = tuple(
+                (i, j, abs(z - zs[j])) for i, z in enumerate(zs) for j in range(i + 1, len(zs))
+            )
+
+    def near_pairs(self):
+        """The (i, j, gap) triples with gap below the threshold 2^-(P/2)."""
+        threshold = mpmath.ldexp(1, -(self.precision_bits // 2))
+        return tuple(pair for pair in self.gaps if pair[2] < threshold)
+
+    def inverse_gap_product(self):
+        """Product of 1/gap over all pairs."""
+        with workprec(self.precision_bits):
+            total = mpf(1)
+            for _, _, gap in self.gaps:
+                total /= gap
+        return total
+
+    def cancellation_exceeds(self, half):
+        """Whether the sum of |log2 gap| over all pairs exceeds half.
+
+        The |log2| are summed in floats. Each term is within (1 + term) *
+        2^-51 of its true value and the float sum adds at most n_pairs *
+        total * 2^-53, while the full-precision sum is within n_pairs * (1 +
+        total) * 2^-58 of the truth. A float sum farther than n_pairs * (1 +
+        total) * 2^-40 from half therefore sits on the same side as the
+        full-precision one; inside that band, or when two nodes coincide, the
+        full-precision sum of the same gaps decides.
+        """
+        gaps = [gap for _, _, gap in self.gaps]
+        if all(gaps):
+            total = sum(abs(_log2_float(gap)) for gap in gaps)
+            if abs(total - half) > len(gaps) * (1 + total) * 2.0**-40:
+                return total > half
+        with workprec(self.precision_bits):
+            total = mpf(0)
+            for gap in gaps:
+                total += abs(mpmath.log(gap, 2))
+        return total > half
 
 
-def _near(gaps, precision_bits):
-    """The (i, j, gap) triples with gap below the threshold 2^-(P/2)."""
-    threshold = mpmath.ldexp(1, -(precision_bits // 2))
-    return [pair for pair in gaps if pair[2] < threshold]
+def _log2_float(x):
+    """log2 of a positive mpf as a float, exact in the integer part.
+
+    x = man * 2^exp is split as 2^(exp + width) * (man / 2^width) with the
+    second factor in [1/2, 1), so no float overflows or underflows at any
+    exponent, and the result is within (1 + |log2 x|) * 2^-51 of the truth.
+    """
+    man, exp = int(x.man), int(x.exp)
+    width = man.bit_length()
+    return (exp + width) + math.log2(man / (1 << width))
 
 
 def as_node_sequence(nodes, precision_bits=None):

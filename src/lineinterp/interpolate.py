@@ -30,9 +30,8 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .divdiff import (
-    _near,
+    NodeConditioning,
     _newton_total,
-    _pair_gaps,
     _running_products,
     as_node_sequence,
     difference_rows,
@@ -76,22 +75,6 @@ def lagrange_monomial(nodes, n, q, z1, z2):
         z1v, z2v = z1.to_mpc(), z2.to_mpc()
         total = _lagrange_chain([z1v - eta * z2v for eta in zs], zs, q - 1, n)[-1]
     return ApComplex.from_mpc(total, bits)
-
-
-def _inverse_gap_product(gaps):
-    """Product of 1/gap over (i, j, gap) triples, at the ambient precision."""
-    total = mpf(1)
-    for _, _, gap in gaps:
-        total /= gap
-    return total
-
-
-def condition_estimate(nodes, n):
-    """Product of reciprocal node gaps over the first n nodes."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    with workprec(seq.precision_bits):
-        return _inverse_gap_product(_pair_gaps(seq.zs[:n]))
 
 
 @dataclass(frozen=True)
@@ -173,14 +156,6 @@ class LinePlan:
                 ]
         return self._coeff_cache[n]
 
-    def _conditioning(self, n):
-        """(condition_estimate, near pairs) of the first n nodes."""
-        self._check(n)
-        bits = self.nodes.precision_bits
-        with workprec(bits):
-            gaps = list(_pair_gaps(self.zs[:n]))
-            return _inverse_gap_product(gaps), tuple(_near(gaps, bits))
-
     def at(self, z1, z2):
         return PointTables(self, z1, z2)
 
@@ -216,9 +191,10 @@ class PointTables:
     H[q][k] = sum_{m>=k} w_q^(m-k) c_m(eta_q) (zero above the series order)
     and, on first use, the graded series terms, the Lagrange basis chains and
     the Newton products. The inner sums of E_N are H[q][N-p]; both remainder
-    forms take the kernel values H[q][N] * w_q at the nodes. Every member
-    returns raw values; the public functions box them. The Horner table and
-    the sums of E_N and both remainders use the kernels _horner and _dot.
+    forms take the kernel values H[q][N] * w_q at the nodes, formed once per
+    N. Every member returns raw values; the public functions box them. The
+    Horner table and the sums of E_N and both remainders use the kernels
+    _horner and _dot.
     """
 
     def __init__(self, plan, z1, z2):
@@ -227,6 +203,7 @@ class PointTables:
             raise ConfigError("point precision exceeds the plan's %d bits" % bits)
         self.plan = plan
         self.z1, self.z2 = z1, z2
+        self._kernel_cache = {}
         with workprec(bits):
             z1v, z2v = z1.to_mpc(), z2.to_mpc()
             self.z2v = z2v
@@ -265,7 +242,10 @@ class PointTables:
         return lead, z2pow
 
     def _kernel_values(self, n):
-        return [self.horner[q][n] * self.w[q] for q in range(n)]
+        # formed once per n, under the plan precision both remainder forms set
+        if n not in self._kernel_cache:
+            self._kernel_cache[n] = [self.horner[q][n] * self.w[q] for q in range(n)]
+        return self._kernel_cache[n]
 
     def en(self, n):
         """E_N(f) at this point from the first n lines."""
@@ -351,7 +331,7 @@ def identity_report(f, nodes, n, z1, z2):
     tables = _point_tables(f, nodes, n, z1, z2)
     en, rl, rn, tail, fz, residual, gap = tables.identity(n)
     bits, series_bits = tables.plan.precision_bits, tables._series.precision_bits
-    estimate, pairs = tables.plan._conditioning(n)
+    conditioning = NodeConditioning(tables.plan.zs, tables.plan.nodes.precision_bits)
     return InterpolantReport(
         n=n,
         node_count=len(tables.plan.nodes),
@@ -363,8 +343,8 @@ def identity_report(f, nodes, n, z1, z2):
         value_f=ApComplex.from_mpc(fz, series_bits),
         identity_residual=ApComplex.from_mpc(residual, bits),
         cross_form_gap=gap,
-        condition_estimate=estimate,
-        conditioning_pairs=pairs,
+        condition_estimate=conditioning.inverse_gap_product(),
+        conditioning_pairs=conditioning.near_pairs(),
     )
 
 

@@ -10,6 +10,7 @@ data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -330,6 +331,40 @@ def rand_distinct_nodes(rng, count, scale=2, denom_bits=5, min_gap=Fraction(1, 8
         if all((cand - n).abs2() >= min_gap * min_gap for n in nodes):
             nodes.append(cand)
     return nodes
+
+
+def rand_clustered_nodes(rng, count, exponent):
+    """Distinct dyadic nodes in clusters a few multiples of 2^-exponent wide.
+
+    Centers come from rand_distinct_nodes; every other node is a center moved
+    by a dyadic offset of modulus at most 2^(1/2 - exponent), so each cluster
+    is nearly confluent. All parts are multiples of 2^-(exponent + 3) below 4
+    in modulus, so the nodes and their differences are exact at exponent + 8
+    bits or more.
+    """
+    centers = rand_distinct_nodes(rng, max(1, count // 2))
+    nodes = list(centers)
+    step = Fraction(1, 2**exponent)
+    while len(nodes) < count:
+        offset = rand_qc(rng, 1, 3)
+        cand = rng.choice(centers) + QC(offset.re * step, offset.im * step)
+        if cand not in nodes:
+            nodes.append(cand)
+    rng.shuffle(nodes)
+    return nodes
+
+
+def log2_gap_sum_exceeds(zs, bits):
+    """Whether the sum of |log2 |zs[i] - zs[j]|| over pairs exceeds bits/2.
+
+    The reference of the cancellation gate: gaps and logarithms at the full
+    working precision, summed pair by pair.
+    """
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for a, b in itertools.combinations(zs, 2):
+            total += abs(mpmath.log(abs(a - b), 2))
+    return total > mpmath.mpf(bits) / 2
 
 
 def rand_poly_coeffs(rng, degree, scale=2, denom_bits=5):

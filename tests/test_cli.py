@@ -15,13 +15,18 @@ from lineinterp import (
     ApComplex,
     NodeSequence,
     build_sequence,
+    circle_family,
     conjugation,
     default_kernel,
     delta,
+    exp_sum_series,
+    generate_nodes,
+    identity_report,
     parse_decimal,
     verify_growth,
 )
 from lineinterp.cli import main
+from lineinterp.divdiff import NodeConditioning
 
 BITS = 256
 
@@ -641,6 +646,47 @@ def test_help_names_the_family_count_and_the_artifact(runner):
         "--out TEXT           Write the node-sequence artifact (JSON) here; "
         "the growth table still goes to stdout." in result.output
     )
+
+
+# -- node conditioning ---------------------------------------------------------------
+
+
+def test_node_gaps_formed_once_per_prefix(runner, node_file, monkeypatch):
+    built, gated = [], []
+    construct, gate = NodeConditioning.__init__, NodeConditioning.cancellation_exceeds
+
+    def counting_init(self, zs, precision_bits):
+        built.append(self)
+        construct(self, zs, precision_bits)
+
+    def counting_gate(self, half):
+        gated.append(self)
+        return gate(self, half)
+
+    monkeypatch.setattr(NodeConditioning, "__init__", counting_init)
+    monkeypatch.setattr(NodeConditioning, "cancellation_exceeds", counting_gate)
+    build_sequence(default_kernel(), 3)
+    # one record per gate call, each read by that call only
+    assert gated and built == gated
+    del built[:]
+    nodes = generate_nodes(circle_family(0, 1), 5, precision_bits=BITS)
+    f = exp_sum_series(6, BITS)
+    z1, z2 = ApComplex("0.25", 0, BITS), ApComplex(0, "0.125", BITS)
+    for n in (2, 4):
+        identity_report(f, nodes, n, z1, z2)
+        assert len(built) == 1
+        del built[:]
+    small = ["--nodes", "family:circle:0,0,1:6", "--function", POLY, "--grid", SMALL_GRID,
+             "--n-min", "1", "--n-max", "4"]
+    for argv in (
+        ["converge", *small],
+        ["identity", *small],
+        ["dd", "--nodes", node_file],
+        ["criterion", "--nodes", node_file, "--p-max", "4", "--q-max", "2"],
+        ["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1"],
+    ):
+        assert runner.invoke(main, argv).exit_code == 0
+    assert built == []
 
 
 # -- pinned outputs ------------------------------------------------------------------

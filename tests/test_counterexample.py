@@ -41,10 +41,12 @@ from lineinterp import (
 )
 from lineinterp import counterexample
 from lineinterp.cli import main
+from lineinterp.divdiff import NodeConditioning
 from support import (
     QC,
     QC_ONE,
     ap_to_qc,
+    log2_gap_sum_exceeds,
     mpf_to_fraction,
     qc_dd_table,
     qc_to_ap,
@@ -197,20 +199,29 @@ def random_axis_nodes(rng, count, bits, cluster_exp=None):
 
 @pytest.mark.parametrize("bits", [64, 256, 8192])
 def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypatch):
-    exact = counterexample._cancellation_estimate
+    # only the fallback takes logarithms at working precision
+    exact_log = mpmath.log
+    logged = []
+
+    def counting(x, base):
+        logged.append((x, mpmath.mp.prec))
+        return exact_log(x, base)
+
+    monkeypatch.setattr(mpmath, "log", counting)
     fallbacks = []
-
-    def counting(zs, precision):
-        fallbacks.append(precision)
-        return exact(zs, precision)
-
-    monkeypatch.setattr(counterexample, "_cancellation_estimate", counting)
     for shift, escalates in ((bits // 2, False), (bits // 2 + 1, True)):
         with workprec(bits):
             gap = mpmath.ldexp(1, -shift)
             pairs = ([mpc(gap, 0), mpc(2 * gap, 0)], [mpc(0, 1), mpc(0, 1 + gap)])
         for pair in pairs:
-            assert counterexample._cancellation_exceeds(pair, bits) is escalates
+            record = NodeConditioning(pair, bits)
+            del logged[:]
+            assert record.cancellation_exceeds(bits / 2) is escalates
+            if logged:
+                # the fallback reads the record's gaps and forms none again
+                assert len(logged) == len(record.gaps)
+                assert all(x is g for (x, _), (_, _, g) in zip(logged, record.gaps))
+                fallbacks.append(logged[0][1])
     # a sum equal to bits/2 sits inside the guard band; one bit more does not
     assert fallbacks == [bits] * 2
 
@@ -229,8 +240,8 @@ def test_cancellation_gate_matches_full_precision_sum(bits):
         else:
             nodes = random_axis_nodes(rng, count, bits)
         zs = [n.to_mpc() for n in nodes]
-        want = counterexample._cancellation_estimate(zs, bits) > mpf(bits) / 2
-        assert counterexample._cancellation_exceeds(zs, bits) is want
+        want = log2_gap_sum_exceeds(zs, bits)
+        assert NodeConditioning(zs, bits).cancellation_exceeds(bits / 2) is want
         decisions.add(want)
     assert decisions == {False, True}
 

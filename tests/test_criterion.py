@@ -29,6 +29,7 @@ from lineinterp import (
     line_family,
     ulps_apart,
 )
+from lineinterp.divdiff import NodeConditioning
 from support import QC, qc_dd_table, qc_to_ap, rand_distinct_nodes
 
 BITS = 256
@@ -245,7 +246,8 @@ def test_generated_nodes_distinct_at_scale():
     for family in (line_family(1, 2, 3), circle_family(0, 2)):
         seq = generate_nodes(family, 50, seed=0, precision_bits=BITS)
         assert len(seq) == 50  # NodeSequence enforces exact distinctness
-        assert seq.min_gap() > mpmath.ldexp(1, -60)
+        gaps = NodeConditioning(seq.zs, seq.precision_bits).gaps
+        assert min(gap for _, _, gap in gaps) > mpmath.ldexp(1, -60)
 
 
 def test_generate_seed_offsets_the_walk():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import workprec
 
 from lineinterp import (
@@ -28,16 +30,20 @@ from lineinterp import (
     product,
     ulps_apart,
 )
+from lineinterp.divdiff import NodeConditioning
 from support import (
     QC,
     QC_ZERO,
     ap_gap,
+    log2_gap_sum_exceeds,
     make_complex,
+    mpf_to_fraction,
     qc_dd_table,
     qc_lagrange_sum,
     qc_newton_sum,
     qc_poly_eval,
     qc_to_ap,
+    rand_clustered_nodes,
     rand_distinct_nodes,
     rand_poly_coeffs,
     rand_qc,
@@ -123,10 +129,47 @@ def test_near_duplicate_flagged_but_usable():
     nodes = NodeSequence(
         [make_complex("1", "0"), make_complex("1", eps), make_complex("0", "0")]
     )
-    flagged = nodes.near_pairs()
+    flagged = NodeConditioning(nodes.zs, nodes.precision_bits).near_pairs()
     assert [(i, j) for i, j, _ in flagged] == [(0, 1)]
     table = delta_table(conjugation(), nodes)
     assert len(table.rows) - 1 == 2
+
+
+@st.composite
+def clustered_prefixes(draw):
+    """(bits, dyadic nodes) with clusters near 2^-(bits/2) or anywhere below."""
+    bits = draw(st.sampled_from([64, 256, 8192]))
+    half = bits // 2
+    exponent = draw(st.one_of(st.integers(half - 3, half + 3), st.integers(4, bits - 8)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return bits, rand_clustered_nodes(rng, draw(st.integers(2, 7)), exponent)
+
+
+@given(clustered_prefixes())
+@settings(max_examples=40, deadline=None)
+def test_node_conditioning_matches_exact_gaps(prefix):
+    bits, qnodes = prefix
+    zs = [qc_to_ap(q, bits).to_mpc() for q in qnodes]
+    record = NodeConditioning(zs, bits)
+    exact = {
+        (i, j): (qnodes[i] - qnodes[j]).abs2()
+        for i, j in itertools.combinations(range(len(qnodes)), 2)
+    }
+    assert [(i, j) for i, j, _ in record.gaps] == list(exact)
+    # each gap and each division rounds once: at most 2^-bits apiece
+    budget = Fraction(3 * len(exact), 2**bits)
+    squared = mpf_to_fraction(record.inverse_gap_product()) ** 2
+    for abs2 in exact.values():
+        squared *= abs2
+    assert abs(squared - 1) <= 2 * budget + budget**2
+    # |gap|^2 < 2^-2(P//2), except where the gap is within an ulp of 2^-(P//2)
+    threshold = Fraction(1, 2 ** (bits // 2))
+    ulp = threshold / 2 ** (bits - 1)
+    near = {(i, j) for i, j, _ in record.near_pairs()}
+    for pair, abs2 in exact.items():
+        if not (threshold - ulp) ** 2 <= abs2 <= (threshold + ulp) ** 2:
+            assert (pair in near) is (abs2 < threshold**2)
+    assert record.cancellation_exceeds(bits / 2) is log2_gap_sum_exceeds(zs, bits)
 
 
 def test_newton_equals_lagrange_and_oracle():

@@ -17,7 +17,6 @@ from lineinterp import (
     LinePlan,
     NodeSequence,
     TaylorSeries2,
-    condition_estimate,
     default_zgrid,
     eval2,
     eval_EN,
@@ -28,6 +27,7 @@ from lineinterp import (
     interpolation_check,
     lagrange_monomial,
 )
+from lineinterp.divdiff import NodeConditioning
 from support import (
     QC,
     QC_ONE,
@@ -232,10 +232,10 @@ def test_plan_shares_tables_across_orders_bit_for_bit():
             single = identity_report(f, nodes, n, z1, z2)
             assert members == _boxed_members(single)
             assert gap == single.cross_form_gap
-            assert plan._conditioning(n) == (
-                single.condition_estimate,
-                single.conditioning_pairs,
-            )
+            # the report measures the first n nodes, not the whole sequence
+            record = NodeConditioning(nodes.zs[:n], nodes.precision_bits)
+            assert single.condition_estimate == record.inverse_gap_product()
+            assert single.conditioning_pairs == record.near_pairs()
         assert tables.f_value == eval2(f, z1, z2).to_mpc()
 
 
@@ -357,17 +357,18 @@ def test_lagrange_monomial_homogeneous():
 
 def test_condition_estimate_frozen_values():
     nodes = nodes_from_qc([QC.of(0), QC.of(2)])
-    assert condition_estimate(nodes, 2) == mpf("0.5")
+    assert NodeConditioning(nodes.zs, BITS).inverse_gap_product() == mpf("0.5")
     nodes3 = nodes_from_qc([QC.of(0), QC.of(1), QC.of(3)])
+    product = NodeConditioning(nodes3.zs, BITS).inverse_gap_product()
     with workprec(BITS):
-        assert abs(condition_estimate(nodes3, 3) - mpf(1) / 6) <= mpmath.ldexp(1, -250)
+        assert abs(product - mpf(1) / 6) <= mpmath.ldexp(1, -250)
 
 
 def test_condition_estimate_explodes_for_near_pair():
     nodes = NodeSequence([ap(1), ap(1 + Fraction(1, 2**200))], BITS)
-    assert condition_estimate(nodes, 2) > mpmath.ldexp(1, 100)
     f = series_from_qc({(1, 0): QC_ONE}, 1)
     rep = identity_report(f, nodes, 2, ap(Fraction(1, 4)), ap(Fraction(1, 8)))
+    assert rep.condition_estimate > mpmath.ldexp(1, 100)
     assert rep.conditioning_pairs
     assert rep.conditioning_pairs[0][0] == 0 and rep.conditioning_pairs[0][1] == 1
 
