@@ -48,13 +48,6 @@ def _require_order(seq, n):
         raise ArityError("order %d needs %d nodes, have %d" % (n, n, len(seq)))
 
 
-def _work_bits(f, seq, *points):
-    bits = max(f.precision_bits, seq.precision_bits)
-    for z in points:
-        bits = max(bits, z.precision_bits)
-    return check_precision(bits)
-
-
 def _lagrange_chain(line, zs, p, count):
     """Running products of line[j] / (eta_p - eta_j) over j < count, j != p.
 
@@ -103,7 +96,8 @@ class LinePlan:
     the double sum in E_N. The coefficients for one N are made on first use
     and kept. `at(z1, z2)` returns the tables of one point, which all N
     share. eval_EN, both remainder forms and identity_report are one-point,
-    one-N uses of a plan, so a plan gives their values bit for bit.
+    one-N uses of a plan, so a plan gives their values bit for bit. Given
+    restrictions must be those of the first n_max nodes, in node order.
     """
 
     def __init__(self, f, nodes, n_max, precision_bits=None, restrictions=None):
@@ -114,6 +108,12 @@ class LinePlan:
         )
         if restrictions is None:
             restrictions = [restrict_to_line(f, seq[q], bits) for q in range(n_max)]
+        elif len(restrictions) < n_max:
+            raise ArityError(
+                "order %d needs %d restrictions, have %d" % (n_max, n_max, len(restrictions))
+            )
+        elif any(r.eta != seq[q] for q, r in enumerate(restrictions[:n_max])):
+            raise ConfigError("restrictions must lie on the first %d lines, in order" % n_max)
         self.f = f
         self.nodes = seq
         self.n_max = n_max
@@ -291,8 +291,9 @@ class PointTables:
 
 
 def _point_tables(f, nodes, n, z1, z2, restrictions=None):
-    seq = as_node_sequence(nodes)
-    return LinePlan(f, seq, n, _work_bits(f, seq, z1, z2), restrictions).at(z1, z2)
+    # the plan works at the widest precision of f, the nodes and the point
+    bits = max(z1.precision_bits, z2.precision_bits)
+    return LinePlan(f, nodes, n, bits, restrictions).at(z1, z2)
 
 
 def _edge_value(member, f, nodes, n, z1, z2, restrictions=None):
@@ -313,14 +314,6 @@ def eval_RN_lagrange(f, nodes, n, z1, z2, restrictions=None):
 def eval_RN_newton(f, nodes, n, z1, z2):
     """Remainder in Newton form: divided differences of the tail kernel."""
     return _edge_value(PointTables.rn_newton, f, nodes, n, z1, z2)
-
-
-def eval_tail(f, n, z1, z2):
-    """Tail sum of the series itself: terms with total degree >= n."""
-    if n < 0:
-        raise DomainError("tail order must be nonnegative")
-    terms = GradedTerms(f, z1, z2)
-    return ApComplex.from_mpc(terms.total(n), terms.precision_bits)
 
 
 def identity_report(f, nodes, n, z1, z2):
@@ -346,21 +339,6 @@ def identity_report(f, nodes, n, z1, z2):
         condition_estimate=conditioning.inverse_gap_product(),
         conditioning_pairs=conditioning.near_pairs(),
     )
-
-
-def interpolation_check(f, nodes, n, p, v):
-    """E_N(f) - f at the point (eta_p v, v) on the p-th interpolation line."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    if not 1 <= p <= n:
-        raise DomainError("line index p must lie in 1..%d" % n)
-    bits = _work_bits(f, seq, v)
-    with workprec(bits):
-        z1 = ApComplex.from_mpc(seq.zs[p - 1] * v.to_mpc(), bits)
-    tables = _point_tables(f, seq, n, z1, v.at_precision(bits))
-    with workprec(bits):
-        gap = tables.en(n) - tables.f_value
-    return ApComplex.from_mpc(gap, bits)
 
 
 def default_zgrid(precision_bits=None, radius="0.5", side=5, extra=10, seed=0):

@@ -31,7 +31,7 @@ from mpmath import mpc, mpf, workprec
 from .divdiff import NodeSequence, _running_products, as_node_sequence
 from .errors import DomainError, SeparationError
 from .funcmodel import TaylorSeries2, _weight
-from .interpolate import eval_EN
+from .interpolate import LinePlan
 from .precision import ApComplex, check_precision, parse_decimal
 
 
@@ -124,8 +124,8 @@ class MobiusContext:
                 z1, z2 = (ApComplex.from_mpc(draw(), bits) for _ in range(2))
                 u1, u2 = self.apply_unitary(z1, z2)
                 gap = abs(
-                    eval_EN(f, self.nodes, n, z1, z2).to_mpc()
-                    - eval_EN(pushforward(f, self), thetas, n, u1, u2).to_mpc()
+                    LinePlan(f, self.nodes, n, bits).at(z1, z2).en(n)
+                    - LinePlan(pushforward(f, self), thetas, n, bits).at(u1, u2).en(n)
                 )
                 coherence = max(coherence, gap)
         return max_mod, round_trip, line_res, coherence

@@ -28,11 +28,9 @@ from lineinterp import (
     default_zgrid,
     delta,
     delta_analytic,
-    eval2,
     eval_EN,
     generate_nodes,
     identity_report,
-    interpolation_check,
     lagrange_sum,
     leibniz_delta,
     line_family,
@@ -203,14 +201,8 @@ def _run_ac3(bits):
             nodes = _nodes(rand_distinct_nodes(rng, n), bits)
             f = _series(rand_poly2_coeffs(rng, deg), deg, bits)
             rest = [restrict_to_line(f, nodes[q], bits) for q in range(n)]
-            with workprec(bits):
-                for z1, z2 in grid:
-                    gap = abs(
-                        eval_EN(f, nodes, n, z1, z2, rest).to_mpc()
-                        - eval2(f, z1, z2).to_mpc()
-                    )
-                    if gap > worst:
-                        worst = gap
+            sup = LinePlan(f, nodes, n, bits, rest).sup_errors(grid, [n])[n]
+            worst = max(worst, sup)
         _cache[key] = worst
     return _cache[key]
 
@@ -238,11 +230,15 @@ def _run_ac4(bits):
             nodes = _nodes(rand_distinct_nodes(rng, n), bits)
             f = _series(rand_poly2_coeffs(rng, m), m, bits)
             v = qc_to_ap(rand_qc(rng, 1), bits)
+            plan = LinePlan(f, nodes, n, bits)
             for p in range(1, n + 1):
-                gap = _mag(interpolation_check(f, nodes, n, p, v), bits)
+                # E_N - f at (eta_p v, v) on the p-th line, its modulus at bits + 16
                 with workprec(bits):
-                    if gap > worst:
-                        worst = gap
+                    z1 = ApComplex.from_mpc(nodes.zs[p - 1] * v.to_mpc(), bits)
+                    tables = plan.at(z1, v)
+                    diff = tables.en(n) - tables.f_value
+                with workprec(bits + 16):
+                    worst = max(worst, abs(diff))
         _cache[key] = worst
     return _cache[key]
 

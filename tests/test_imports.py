@@ -17,6 +17,11 @@ table belongs to the CLI.
 Only `precision.py`, which holds the accumulation kernels, reaches into
 `mpmath.libmp`: every other module computes with the mpc operators, so the
 second arithmetic idiom stays in one place.
+
+No package module calls a one-point edge of the interpolant (`eval_EN`,
+`eval_RN_lagrange`, `eval_RN_newton`, `identity_report`, `eval2`): each call
+builds a whole LinePlan for one point, so the library evaluates through plans
+and leaves the edges to outside callers. Binding such a name is not a call.
 """
 
 import ast
@@ -235,3 +240,38 @@ def test_only_the_kernel_module_uses_libmp():
     assert libmp_uses(sample) == [2, 3, 4, 5, 6]  # the checker itself
     found = sorted(path.name for path in PACKAGE if libmp_uses(path.read_text(encoding="utf-8")))
     assert found == ["precision.py"]
+
+
+ONE_POINT_EDGES = {"eval_EN", "eval_RN_lagrange", "eval_RN_newton", "identity_report", "eval2"}
+
+
+def one_point_edge_calls(source):
+    """(line, name) of each call of a one-point edge, bare or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ONE_POINT_EDGES:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_package_calls_no_one_point_edge():
+    sample = (
+        "from .funcmodel import eval2  # noqa: F401\n"
+        "from . import interpolate\n"
+        "x = interpolate.eval_EN(f, nodes, 2, z1, z2)\n"
+        "y = abs(identity_report(f, nodes, 2, z1, z2).identity_residual)\n"
+        "edge = eval_RN_newton\n"
+        "z = LinePlan(f, nodes, 2).at(z1, z2).en(2)\n"
+    )
+    # the checker itself
+    assert one_point_edge_calls(sample) == [(3, "eval_EN"), (4, "identity_report")]
+    found = {}
+    for path in PACKAGE:
+        calls = one_point_edge_calls(path.read_text(encoding="utf-8"))
+        if calls:
+            found[path.name] = calls
+    assert found == {}

@@ -22,12 +22,12 @@ from lineinterp import (
     eval_EN,
     eval_RN_lagrange,
     eval_RN_newton,
-    eval_tail,
     identity_report,
-    interpolation_check,
     lagrange_monomial,
+    restrict_to_line,
 )
 from lineinterp.divdiff import NodeConditioning
+from lineinterp.funcmodel import GradedTerms
 from support import (
     QC,
     QC_ONE,
@@ -88,7 +88,7 @@ def test_frozen_product_function_two_nodes():
     assert_close(eval_EN(f, nodes, 2, pt, pt), one, -240)
     assert_close(eval_RN_lagrange(f, nodes, 2, pt, pt), one, -240)
     assert_close(eval_RN_newton(f, nodes, 2, pt, pt), one, -240)
-    assert eval_tail(f, 2, pt, pt) == one
+    assert GradedTerms(f, pt, pt).total(2) == one.to_mpc()
     rep = identity_report(f, nodes, 2, pt, pt)
     with workprec(BITS):
         assert abs(rep.identity_residual.to_mpc()) <= mpmath.ldexp(1, -240)
@@ -114,7 +114,7 @@ def test_single_node_at_origin_kills_square():
     assert eval_EN(f, nodes, 1, z1, z2) == zero
     assert eval_RN_lagrange(f, nodes, 1, z1, z2) == zero
     assert eval_RN_newton(f, nodes, 1, z1, z2) == zero
-    assert eval_tail(f, 1, z1, z2) == ap(Fraction(1, 4))
+    assert GradedTerms(f, z1, z2).total(1) == ap(Fraction(1, 4)).to_mpc()
     rep = identity_report(f, nodes, 1, z1, z2)
     assert rep.identity_residual == zero
 
@@ -179,7 +179,8 @@ def test_tail_matches_rational_oracle():
         f = series_from_qc(qcoeffs, m)
         z1, z2 = qc_to_ap(qz1, BITS), qc_to_ap(qz2, BITS)
         want = qc_tail(qcoeffs, n, qz1, qz2)
-        assert_qc_close(eval_tail(f, n, z1, z2), want, -230)
+        got = ApComplex.from_mpc(GradedTerms(f, z1, z2).total(n), BITS)
+        assert_qc_close(got, want, -230)
 
 
 def test_identity_exact_in_rational_arithmetic():
@@ -268,7 +269,7 @@ def test_plan_capped_tail_matches_truncated_series():
             # only the tail depends on the cap
             uncapped = _boxed_members(identity_report(f, nodes, n, z1, z2))
             assert [en, rl, rn, fz] == uncapped[:3] + uncapped[4:5]
-            want = eval_tail(truncated, n, z1, z2).to_mpc()
+            want = GradedTerms(truncated, z1, z2).total(n)
             assert tail == want
             with workprec(BITS):
                 assert residual == en - rl + want - fz
@@ -288,6 +289,13 @@ def test_plan_rejects_orders_and_points_it_cannot_serve():
         LinePlan(f, nodes, 4)
     with pytest.raises(ConfigError):
         plan.at(z.at_precision(512), z)
+    # given restrictions must be those of the first n_max lines, in order
+    rest = [restrict_to_line(f, nodes[q]) for q in range(3)]
+    assert LinePlan(f, nodes, 2, restrictions=rest).restriction_coeffs == plan.restriction_coeffs
+    with pytest.raises(ArityError):
+        LinePlan(f, nodes, 2, restrictions=rest[:1])
+    with pytest.raises(ConfigError):
+        LinePlan(f, nodes, 3, restrictions=[rest[1], rest[0], rest[2]])
 
 
 def test_low_degree_reproduction():
@@ -304,7 +312,7 @@ def test_low_degree_reproduction():
         for _ in range(3):
             qz1, qz2 = rand_qc(rng, 1), rand_qc(rng, 1)
             z1, z2 = qc_to_ap(qz1, BITS), qc_to_ap(qz2, BITS)
-            assert eval_tail(f, n, z1, z2) == ap(0)
+            assert GradedTerms(f, z1, z2).total(n) == 0
             assert_close(eval_EN(f, nodes, n, z1, z2), eval2(f, z1, z2), -200)
 
 
@@ -315,10 +323,13 @@ def test_interpolation_check_vanishes_on_lines():
         f = series_from_qc(qcoeffs, m)
         nodes = nodes_from_qc(qnodes)
         v = qc_to_ap(rand_qc(rng, 1), BITS)
+        plan = LinePlan(f, nodes, n)
         for p in range(1, n + 1):
-            resid = interpolation_check(f, nodes, n, p, v)
+            # E_N - f at (eta_p v, v) on the p-th line
             with workprec(BITS):
-                assert abs(resid.to_mpc()) <= mpmath.ldexp(1, -200)
+                z1 = ApComplex.from_mpc(nodes.zs[p - 1] * v.to_mpc(), BITS)
+                tables = plan.at(z1, v)
+                assert abs(tables.en(n) - tables.f_value) <= mpmath.ldexp(1, -200)
 
 
 def test_lagrange_monomial_is_line_indicator():
@@ -420,7 +431,3 @@ def test_rejects_bad_orders_and_indices():
         lagrange_monomial(nodes, 2, 0, z, z)
     with pytest.raises(DomainError):
         lagrange_monomial(nodes, 2, 3, z, z)
-    with pytest.raises(DomainError):
-        interpolation_check(f, nodes, 2, 0, z)
-    with pytest.raises(DomainError):
-        eval_tail(f, -1, z, z)

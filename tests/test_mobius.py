@@ -18,8 +18,8 @@ from lineinterp import (
     eval2,
     eval_EN,
     eval_RN_lagrange,
-    eval_tail,
 )
+from lineinterp.funcmodel import GradedTerms
 from lineinterp.mobius import (
     inverse_homography,
     line_factor_check,
@@ -208,11 +208,11 @@ def test_reduction_coherence_small_orders():
         with workprec(BITS):
             lhs = (
                 eval_RN_lagrange(f, nodes, n, z1, z2).to_mpc()
-                - eval_tail(f, n, z1, z2).to_mpc()
+                - GradedTerms(f, z1, z2).total(n)
             )
             rhs = (
                 eval_RN_lagrange(g, thetas, n, uz1, uz2).to_mpc()
-                - eval_tail(g, n, uz1, uz2).to_mpc()
+                - GradedTerms(g, uz1, uz2).total(n)
             )
             residual = lhs - rhs
         with workprec(BITS + 16):
