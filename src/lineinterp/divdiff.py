@@ -127,6 +127,10 @@ class NodeSequence:
     def __setattr__(self, name, value):
         raise AttributeError("NodeSequence is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
+        return type(self), (self.nodes, self.precision_bits)
+
     def __len__(self):
         return len(self.nodes)
 

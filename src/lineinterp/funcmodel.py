@@ -72,6 +72,12 @@ class TaylorSeries2:
     def __setattr__(self, name, value):
         raise AttributeError("TaylorSeries2 is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked __setattr__;
+        # exact while every coefficient is held at precision_bits, since
+        # __init__ rounds raw values there
+        return type(self), (self._coeffs, self.max_order, self.precision_bits)
+
     def coefficient(self, k, l):
         """a_{k,l} as ApComplex (zero when absent)."""
         v = self._coeffs.get((k, l))

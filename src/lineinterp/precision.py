@@ -226,6 +226,10 @@ class ApComplex:
     def __setattr__(self, name, value):
         raise AttributeError("ApComplex is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
+        return type(self), (self.re, self.im, self.precision_bits)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod

@@ -1,5 +1,7 @@
 """Value-type tests: decimal codec, promotion, field laws, ulp distances."""
 
+import copy
+import pickle
 import random
 import time
 
@@ -13,8 +15,10 @@ from lineinterp import precision
 from lineinterp import (
     ApComplex,
     ConfigError,
+    NodeSequence,
     NumericError,
     ParseError,
+    exp_sum_series,
     parse_decimal,
     render_decimal,
     ulp,
@@ -272,6 +276,27 @@ def test_immutability():
     a = make_complex("1", "2")
     with pytest.raises(AttributeError):
         a.re = mpmath.mpf(3)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 8192])
+def test_immutable_values_copy_and_pickle_through_their_constructors(bits):
+    with workprec(bits):
+        third = mpmath.mpf(1) / 3
+        z = ApComplex(third, -7 * third, bits)
+    nodes = NodeSequence([z, ApComplex(1, 0, bits), ApComplex(0, third, bits)], bits)
+    series = exp_sum_series(5, bits)
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        got = clone(z)
+        assert got == z and got.precision_bits == bits
+        assert (got.re._mpf_, got.im._mpf_) == (z.re._mpf_, z.im._mpf_)
+        got = clone(nodes)
+        assert list(got) == list(nodes) and got.precision_bits == bits
+        assert [v._mpc_ for v in got.zs] == [v._mpc_ for v in nodes.zs]
+        got = clone(series)
+        assert (got.max_order, got.precision_bits) == (series.max_order, bits)
+        assert [(kl, v._mpc_) for kl, v in got.items()] == [
+            (kl, v._mpc_) for kl, v in series.items()
+        ]
 
 
 def test_hash_agrees_with_equal_numbers():
