@@ -5,8 +5,10 @@ optional function source (JSON file or builtin series spec), runs one
 experiment, and emits a CSV or JSON table. The layout of every table is
 decided here, and every CSV table goes through the one writer `_csv_text`.
 Magnitudes are rendered as exact decimal strings, never binary floats, so
-outputs written at different working precisions stay comparable. Identical
-flags and seed produce byte-identical output.
+outputs written at different working precisions stay comparable. The
+`criterion` and `dd` tables render their rows in forked workers through
+precision.fork_map. Identical flags and seed produce byte-identical output,
+whatever the CPU count.
 
 Exit codes: 0 success, 1 property-check failure, 2 configuration error,
 3 numeric or construction failure.
@@ -41,6 +43,7 @@ from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
     check_precision,
+    fork_map,
     parse_decimal,
     render_decimal,
 )
@@ -213,14 +216,27 @@ def _json_text(obj):
 def _csv_text(columns, rows):
     """A header line of the columns, then one line per row; a None cell is empty.
 
-    rows may be a generator that renders its cells as it is drawn: the whole
-    text is formed before anything is written, so a rendering failure leaves
-    the output empty, and the rendered cells are dropped once their line is.
+    With columns None there is no header line. rows may be a generator that
+    renders its cells as it is drawn: the whole text is formed before anything
+    is written, so a rendering failure leaves the output empty, and the
+    rendered cells are dropped once their line is.
     """
-    lines = itertools.chain([columns], rows)
+    lines = itertools.chain([] if columns is None else [columns], rows)
     return "".join(
         ",".join("" if v is None else str(v) for v in line) + "\n" for line in lines
     )
+
+
+def _forked_csv(columns, count, row_cells):
+    """_csv_text of the rows row_cells(0), ..., row_cells(count - 1), in that order.
+
+    Each row_cells(i) yields the CSV rows of table row i and is rendered in a
+    forked worker, which returns their text as one string rather than one
+    string per cell: that keeps the replies, and peak memory, small.
+    """
+    texts = fork_map(lambda i: _csv_text(None, row_cells(i)), range(count))
+    # one join, so the table is not copied again to put the header first
+    return "".join([_csv_text(columns, ())] + texts)
 
 
 def _emit_table(columns, rows, fmt, out_path, **meta):
@@ -345,14 +361,21 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     bits = check_precision(precision)
     nodes = _load_nodes(node_source, bits, seed)
     prof = criterion_profile(nodes, p_max, q_max, bits)
+
+    def rendered(p):
+        return [
+            (render_decimal(raw), render_decimal(norm))
+            for raw, norm in zip(prof.raw[p], prof.normalized[p])
+        ]
+
     if fmt == "csv":
-        cells = (
-            (p, q, render_decimal(prof.raw[p][q]), render_decimal(prof.normalized[p][q]))
-            for p in range(p_max + 1)
-            for q in range(q_max + 1)
+        text = _forked_csv(
+            ("p", "q", "raw", "normalized"),
+            p_max + 1,
+            lambda p: ((p, q, raw, norm) for q, (raw, norm) in enumerate(rendered(p))),
         )
-        text = _csv_text(("p", "q", "raw", "normalized"), cells)
     else:
+        rows = fork_map(rendered, range(p_max + 1))
         text = _json_text(
             {
                 "p_max": p_max,
@@ -360,10 +383,8 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
                 "precision_bits": prof.precision_bits,
                 "estimate_kind": "observed-finite-window",
                 "r_hat_observed": render_decimal(prof.r_hat_observed),
-                "raw": [[render_decimal(v) for v in row] for row in prof.raw],
-                "normalized": [
-                    [render_decimal(v) for v in row] for row in prof.normalized
-                ],
+                "raw": [[raw for raw, _ in row] for row in rows],
+                "normalized": [[norm for _, norm in row] for row in rows],
             }
         )
     _emit(text, out)
@@ -606,25 +627,26 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
         nodes = nodes.first(max_order + 1)
     h = _parse_kernel(kernel, bits)
     table = delta_table(h, nodes, bits)
+
+    def rendered(p):
+        return [(render_decimal(v.real), render_decimal(v.imag)) for v in table.rows[p]]
+
     if fmt == "csv":
-        cells = (
-            (p, k, render_decimal(v.real), render_decimal(v.imag))
-            for p, row in enumerate(table.rows)
-            for k, v in enumerate(row)
+        text = _forked_csv(
+            ("p", "k", "re", "im"),
+            len(table.rows),
+            lambda p: ((p, k, re, im) for k, (re, im) in enumerate(rendered(p))),
         )
-        text = _csv_text(("p", "k", "re", "im"), cells)
     else:
+        rows = fork_map(
+            lambda p: [{"re": re, "im": im} for re, im in rendered(p)],
+            range(len(table.rows)),
+        )
         text = _json_text(
             {
                 "precision_bits": bits,
                 "nodes": [z.to_json_obj() for z in nodes],
-                "rows": [
-                    [
-                        {"re": render_decimal(v.real), "im": render_decimal(v.imag)}
-                        for v in row
-                    ]
-                    for row in table.rows
-                ],
+                "rows": rows,
             }
         )
     _emit(text, out)

@@ -462,7 +462,8 @@ def verify_growth(seq, f):
     """Recheck every stage certificate and structural invariant from scratch.
 
     Each stage is recomputed with a fresh divided-difference table at the
-    logged precision plus 64 guard bits. Structural violations (missing
+    logged precision plus 64 guard bits, over the node prefix rounded to
+    those bits. Structural violations (missing
     nodes, off-axis members, broken modulus ordering) mark the stage failed
     with an explanatory note even when the magnitude clears the target.
     """
@@ -470,6 +471,17 @@ def verify_growth(seq, f):
         raise ConfigError("verify_growth needs an AdversarialSequence")
     rows = []
     available = len(seq.nodes)
+    # each verification precision rounds its longest stage prefix once, which
+    # rejects stage nodes that coincide at those bits; stages slice it
+    longest = {}
+    for rec in seq.stage_log:
+        if 3 * rec.stage <= available:
+            bits = rec.precision_bits + 64
+            longest[bits] = max(longest.get(bits, 0), 3 * rec.stage)
+    heads = {
+        bits: NodeSequence([n.at_precision(bits) for n in seq.nodes[:count]], bits).zs
+        for bits, count in longest.items()
+    }
     for rec in seq.stage_log:
         stage = rec.stage
         target = stage**stage
@@ -488,11 +500,8 @@ def verify_growth(seq, f):
                 node = seq.nodes[needed - 3 + offset]
                 if node.re * node.im != 0:
                     notes.append("node %d off-axis" % (needed - 2 + offset))
-            # rejects stage nodes that coincide once rounded to these bits
-            head = NodeSequence(
-                [n.at_precision(bits) for n in seq.nodes[:needed]], bits
-            )
-            moduli = [abs(z) for z in head.zs]
+            zs = heads[bits][:needed]
+            moduli = [abs(z) for z in zs]
             lead = moduli[needed - 3]
             if not (0 < moduli[needed - 2] < lead and 0 < moduli[needed - 1] < lead):
                 notes.append("pair moduli not inside the stage opening")
@@ -501,8 +510,8 @@ def verify_growth(seq, f):
                 notes.append("stage opening not below earlier moduli")
             if not lead < mpf(1) / (3 * stage - 2):
                 notes.append("stage opening at or above 1/(3s-2)")
-            values = [mpc(f.raw(z)) for z in head.zs]
-            achieved = abs(difference_rows(values, head.zs)[needed - 1][0])
+            values = [mpc(f.raw(z)) for z in zs]
+            achieved = abs(difference_rows(values, zs)[needed - 1][0])
         passed = not notes and achieved >= target
         rows.append(GrowthRow(stage, achieved, target, passed, "; ".join(notes), bits))
     return GrowthReport(tuple(rows))

@@ -7,15 +7,17 @@ The reconstruction theory asks whether the divided differences of the kernels
 stay below R^(p+q) for a single finite R over all orders p and powers q. A
 finite computation can only sample a (P, Q) window, so everything here is an
 observed estimate: the profile reports the largest normalized entry as
-r_hat_observed and never claims the bound holds beyond the window. Node
-generators for lines and circles, and the holomorphic germs that represent
-conj(zeta) on those sets, support the families for which boundedness is
-expected.
+r_hat_observed and never claims the bound holds beyond the window. Each
+kernel power q is one column of the profile, built in a forked worker
+through precision.fork_map. Node generators for lines and circles, and the
+holomorphic germs that represent conj(zeta) on those sets, support the
+families for which boundedness is expected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -28,6 +30,7 @@ from .precision import (
     MIN_PRECISION,
     ApComplex,
     check_precision,
+    fork_map,
     parse_decimal,
 )
 
@@ -87,6 +90,19 @@ class CriterionProfile:
     r_hat_observed: mpf
 
 
+def _profile_column(zs, bits, q):
+    """Column q of the profile: |Delta_p[g_q]| and its (p+q)-th root, p = 0..len(zs)-1.
+
+    The root is skipped at (0, 0), where the raw value is kept.
+    """
+    with workprec(bits):
+        kernel = conj_kernel(q)
+        rows = difference_rows([mpc(kernel.raw(z)) for z in zs], zs)
+        raw = [abs(row[0]) for row in rows]
+        normalized = [v if p + q == 0 else _root(v, p + q) for p, v in enumerate(raw)]
+    return raw, normalized
+
+
 def criterion_profile(nodes, p_max, q_max, precision_bits=None):
     """Magnitudes |Delta_p[g_q](eta_{p+1})| over the ordered node prefix."""
     seq = as_node_sequence(nodes)
@@ -98,35 +114,21 @@ def criterion_profile(nodes, p_max, q_max, precision_bits=None):
             % (p_max, p_max + 1, len(seq))
         )
     bits = check_precision(precision_bits or seq.precision_bits)
-    zs = seq.zs[: p_max + 1]
-    raw_cols = []
-    with workprec(bits):
-        for q in range(q_max + 1):
-            kernel = conj_kernel(q)
-            rows = difference_rows([mpc(kernel.raw(z)) for z in zs], zs)
-            raw_cols.append([abs(row[0]) for row in rows])
-        raw = tuple(
-            tuple(raw_cols[q][p] for q in range(q_max + 1))
-            for p in range(p_max + 1)
-        )
-        normalized = []
-        r_hat = mpf(0)
-        for p in range(p_max + 1):
-            row = []
-            for q in range(q_max + 1):
-                if p + q == 0:
-                    row.append(raw[p][q])
-                else:
-                    value = _root(raw[p][q], p + q)
-                    row.append(value)
-                    r_hat = max(r_hat, value)
-            normalized.append(tuple(row))
+    # one column per kernel power, each in a forked worker
+    columns = fork_map(partial(_profile_column, seq.zs[: p_max + 1], bits), range(q_max + 1))
+    raw_cols, normalized_cols = zip(*columns)
+    raw, normalized = tuple(zip(*raw_cols)), tuple(zip(*normalized_cols))
+    r_hat = mpf(0)
+    for p, row in enumerate(normalized):
+        for q, value in enumerate(row):
+            if p + q:
+                r_hat = max(r_hat, value)
     return CriterionProfile(
         p_max=p_max,
         q_max=q_max,
         precision_bits=bits,
         raw=raw,
-        normalized=tuple(normalized),
+        normalized=normalized,
         r_hat_observed=r_hat,
     )
 

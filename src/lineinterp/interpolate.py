@@ -19,14 +19,13 @@ All of these are evaluated through a LinePlan: line data built once for the
 first n_max lines, then one set of point tables per evaluation point that
 every N <= n_max shares. The single-point functions build a one-point plan.
 The grid sweeps of a plan deal their points to forked workers, one per usable
-CPU; each point's arithmetic is the same, so the result is the same bit for bit.
+CPU, through precision.fork_map; each point's arithmetic is the same, so the
+result is the same bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -42,7 +41,14 @@ from .divdiff import (
 )
 from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
-from .precision import ApComplex, _dot, _horner, check_precision, parse_decimal
+from .precision import (
+    ApComplex,
+    _dot,
+    _horner,
+    check_precision,
+    fork_map,
+    parse_decimal,
+)
 
 
 def _require_order(seq, n):
@@ -168,7 +174,7 @@ class LinePlan:
         for n in orders:
             self._coefficients(n)
         sups = {n: mpf(0) for n in orders}
-        for gaps in _fork_map(partial(self._point_errors, orders), points):
+        for gaps in fork_map(partial(self._point_errors, orders), points):
             for n, gap in zip(orders, gaps):
                 if gap > sups[n]:
                     sups[n] = gap
@@ -183,7 +189,7 @@ class LinePlan:
         """(N, point index, |identity residual|, cross_form_gap) rows, by N then point."""
         for n in orders:
             self._coefficients(n)
-        per_point = _fork_map(partial(self._point_residuals, orders, tail_max_order), points)
+        per_point = fork_map(partial(self._point_residuals, orders, tail_max_order), points)
         rows = [
             (n, idx, mag, gap)
             for idx, pairs in enumerate(per_point)
@@ -200,100 +206,6 @@ class LinePlan:
                 *_, residual, gap = tables.identity(n, tail_max_order)
                 out.append((abs(residual), gap))
             return out
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_chunk(fn, items, indices):
-    """(results, None) over items[i] for i in indices, or (None, (i, exc)) at the first failure."""
-    out = []
-    for i in indices:
-        try:
-            out.append(fn(items[i]))
-        except Exception as exc:
-            return None, (i, exc)
-    return out, None
-
-
-def _fork_chunk(fn, items, indices):
-    """Fork a child that pickles _run_chunk's reply to a pipe; returns (pid, read fd)."""
-    # imported on first fork, so runs that never fork do not load it
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # os._exit skips atexit handlers and never flushes the buffers the
-        # child inherited, such as the caller's pending stdout.
-        status = 1
-        try:
-            os.close(read_fd)
-            reply = pickle.dumps(_run_chunk(fn, items, indices), pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(reply)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect(pid, read_fd):
-    """(exit code, bytes written) of a forked child, read to the end and reaped."""
-    with open(read_fd, "rb") as pipe:
-        data = pipe.read()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data
-
-
-def _reply(code, data):
-    import pickle
-
-    if code != 0 or not data:
-        raise ChildProcessError("a forked worker ended with code %d and no reply" % code)
-    return pickle.loads(data)
-
-
-def _fork_map(fn, items):
-    """[fn(x) for x in items], the items dealt round-robin to forked workers.
-
-    k = min(usable CPUs, len(items)) chunks: the caller runs chunk 0 and a
-    forked child each other chunk, so fn and the items are inherited, never
-    pickled; only the results come back. Without fork, or with other threads
-    running (a forked child holds only the calling thread), k is 1. A failure
-    raises the exception of the lowest item index, as the plain loop would.
-    """
-    items = list(items)
-    k = min(_usable_cpus(), len(items))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        k = 1
-    if k <= 1:
-        return [fn(x) for x in items]
-    chunks = [range(c, len(items), k) for c in range(k)]
-    children = []
-    try:
-        for indices in chunks[1:]:
-            children.append(_fork_chunk(fn, items, indices))
-        own = _run_chunk(fn, items, chunks[0])
-    finally:
-        replies = [_collect(pid, read_fd) for pid, read_fd in children]
-    outcomes = [own] + [_reply(code, data) for code, data in replies]
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for indices, (values, _) in zip(chunks, outcomes):
-        results[indices.start :: k] = values
-    return results
 
 
 class PointTables:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 
 import pytest
@@ -632,6 +633,34 @@ def test_decimal_expansion_past_the_digit_cap_exits_3(runner, tmp_path):
         assert result.stderr.splitlines() == [
             "numeric failure: decimal expansion exceeds the limit of 500000 digits"
         ]
+
+
+def test_digit_cap_in_a_row_a_forked_worker_renders_exits_3(runner, tmp_path, monkeypatch):
+    # dd of 7e499999 z^2 over 0.9 and 0.91: row p = 0 renders (about 5.7e499999),
+    # row p = 1 (about 1.27e500000) passes the digit cap. With two CPUs the
+    # caller renders row 0 and one forked worker row 1.
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted_fork)
+    dd = ["dd", "--nodes", write_nodes(tmp_path, ("0.9", "0"), ("0.91", "0")),
+          "--kernel", "analytic:0,0,7e499999"]
+    for argv in (dd, dd + ["--format", "json"]):
+        forks.clear()
+        result = runner.invoke(main, argv)
+        assert forks == [1], argv
+        assert result.exit_code == 3, argv
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "numeric failure: decimal expansion exceeds the limit of 500000 digits"
+        ]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_help_names_the_family_count_and_the_artifact(runner):

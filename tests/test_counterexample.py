@@ -458,9 +458,27 @@ def test_verify_growth_flags_off_axis_node(seq3):
     assert "node 9 off-axis" in report.rows[2].note
 
 
+def test_verify_growth_rejects_nodes_that_coincide_at_the_verification_bits(seq3):
+    # Nodes 7 and 8 differ only past the 256 + 64 verification bits of every
+    # stage, so they coincide once rounded for stage 3.
+    wide = 1024
+    with workprec(wide):
+        nodes = [n.at_precision(wide) for n in seq3.nodes]
+        nodes[8] = ApComplex(0, nodes[7].im * (1 + mpf(2) ** -500), wide)
+    tampered = AdversarialSequence(
+        nodes=NodeSequence(nodes, wide),
+        stage_log=seq3.stage_log,
+        kernel_kind=seq3.kernel_kind,
+        precision_bits=seq3.precision_bits,
+    )
+    with pytest.raises(NodeDistinctnessError, match="nodes 7 and 8 coincide exactly"):
+        verify_growth(tampered, default_kernel())
+
+
 def test_prebuilt_sequences_are_not_unboxed_again(seq3, monkeypatch):
     # Computations read NodeSequence.zs. Only building a sequence unboxes its
-    # nodes: verify_growth builds one per stage, at the verification bits.
+    # nodes: verify_growth builds one per verification precision, of the
+    # longest stage prefix at those bits, and slices it for each stage.
     unboxing = {"all": 0, "outside construction": 0}
     building = []
     to_mpc, init = ApComplex.to_mpc, NodeSequence.__init__
@@ -485,7 +503,8 @@ def test_prebuilt_sequences_are_not_unboxed_again(seq3, monkeypatch):
     delta_table(default_kernel(), nodes)
     assert unboxing == {"all": 0, "outside construction": 0}
     verify_growth(seq3, default_kernel())
-    assert unboxing == {"all": 3 + 6 + 9, "outside construction": 0}
+    assert {rec.precision_bits for rec in seq3.stage_log} == {seq3.precision_bits}
+    assert unboxing == {"all": 9, "outside construction": 0}
 
 
 def test_verify_growth_validation(seq3):

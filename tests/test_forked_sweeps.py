@@ -1,10 +1,12 @@
-"""Grid sweeps of a LinePlan, evaluated in forked workers.
+"""Work dealt to forked workers through `precision.fork_map`.
 
-`LinePlan.sup_errors` and `LinePlan.identity_residuals` deal their points
-round-robin to one forked child per usable CPU. These tests pin that the
-result does not depend on the CPU count, that a failing point reaches the
-caller as the plain loop would raise it, that every child is reaped, and that
-a child never flushes the caller's buffered stdout.
+`LinePlan.sup_errors` and `LinePlan.identity_residuals` deal their points,
+`criterion_profile` its kernel-power columns, and the `criterion` and `dd`
+commands the rendering of their table rows round-robin to one forked child
+per usable CPU. These tests pin that the result does not depend on the CPU
+count, that a failure reaches the caller as the plain loop would raise it,
+that every child is reaped, and that a child never flushes the caller's
+buffered stdout.
 """
 
 from __future__ import annotations
@@ -16,17 +18,20 @@ import threading
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from lineinterp import (
     ApComplex,
     ConfigError,
     LinePlan,
     circle_family,
+    criterion_profile,
     default_zgrid,
     exp_sum_series,
     generate_nodes,
 )
-from lineinterp.interpolate import _fork_map
+from lineinterp.cli import main
+from lineinterp.precision import fork_map
 
 ROOT = Path(__file__).resolve().parents[1]
 BITS = 256
@@ -68,7 +73,7 @@ def test_sweeps_do_not_depend_on_the_cpu_count(monkeypatch):
         _assert_no_children()
     # the points really went to other processes
     _use_cpus(monkeypatch, 3)
-    pids = _fork_map(lambda _: os.getpid(), range(6))
+    pids = fork_map(lambda _: os.getpid(), range(6))
     assert pids[0::3] == [os.getpid()] * 2
     assert len(set(pids)) == 3
 
@@ -80,13 +85,13 @@ def test_fork_map_stays_in_the_caller_without_fork_or_beside_threads(monkeypatch
     waiter.start()
     try:
         # a forked child would hold only this thread
-        assert _fork_map(lambda _: os.getpid(), range(8)) == [os.getpid()] * 8
+        assert fork_map(lambda _: os.getpid(), range(8)) == [os.getpid()] * 8
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     monkeypatch.delattr(os, "fork")
-    assert _fork_map(lambda _: os.getpid(), range(8)) == [os.getpid()] * 8
+    assert fork_map(lambda _: os.getpid(), range(8)) == [os.getpid()] * 8
 
 
 def test_failing_point_reaches_the_caller_lowest_index_first(monkeypatch):
@@ -124,11 +129,91 @@ def test_fork_map_raises_the_failure_the_plain_loop_would(monkeypatch):
 
         return fn
 
-    assert _fork_map(square_unless(set()), range(9)) == [i * i for i in range(9)]
+    assert fork_map(square_unless(set()), range(9)) == [i * i for i in range(9)]
     for failing, first in (({4, 2}, 2), ({7, 3}, 3), ({6, 1}, 1), ({5, 8}, 5)):
         with pytest.raises(ValueError, match="item %d$" % first):
-            _fork_map(square_unless(failing), range(9))
+            fork_map(square_unless(failing), range(9))
         _assert_no_children()
+
+
+# -- forked tables -------------------------------------------------------------
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _forks_for(cpus, *lengths):
+    # one child per chunk after the caller's, for each mapped list
+    return sum(min(cpus, n) - 1 for n in lengths)
+
+
+@pytest.mark.parametrize("p_max, q_max", [(7, 4), (1, 1)], ids=["more-columns", "fewer-columns"])
+def test_criterion_profile_does_not_depend_on_the_cpu_count(monkeypatch, p_max, q_max):
+    nodes = generate_nodes(circle_family(ApComplex(0, 0, BITS), "1", 8), precision_bits=BITS)
+    forks = _count_forks(monkeypatch)
+
+    def raw_profile():
+        prof = criterion_profile(nodes, p_max, q_max, BITS)
+        return (
+            [[v._mpf_ for v in row] for row in prof.raw],
+            [[v._mpf_ for v in row] for row in prof.normalized],
+            prof.r_hat_observed._mpf_,
+        )
+
+    _use_cpus(monkeypatch, 1)
+    serial = raw_profile()
+    assert forks == []
+    for cpus in (2, 3):
+        _use_cpus(monkeypatch, cpus)
+        forks.clear()
+        assert raw_profile() == serial
+        assert len(forks) == _forks_for(cpus, q_max + 1)
+        _assert_no_children()
+
+
+_CIRCLE6 = ["--nodes", "family:circle:0,0,1:6"]
+# (argv, lengths of the lists mapped in forked workers): six table rows are
+# more than the CPUs, two are fewer than three CPUs
+_TABLES = {
+    "criterion-6-rows": (["criterion", *_CIRCLE6, "--p-max", "5", "--q-max", "2"], (3, 6)),
+    "criterion-2-rows": (["criterion", *_CIRCLE6, "--p-max", "1", "--q-max", "3"], (4, 2)),
+    "dd-6-rows": (["dd", *_CIRCLE6, "--kernel", "conj-kernel:2"], (6,)),
+    "dd-2-rows": (["dd", *_CIRCLE6, "--kernel", "conj-kernel:2", "--max-order", "1"], (2,)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, table, fmt):
+    argv, lengths = _TABLES[table]
+    runner = CliRunner()
+    forks = _count_forks(monkeypatch)
+
+    def stdout():
+        forks.clear()
+        result = runner.invoke(main, argv + ["--format", fmt])
+        assert result.exit_code == 0, result.output
+        _assert_no_children()
+        return result.stdout_bytes
+
+    _use_cpus(monkeypatch, 1)
+    serial = stdout()
+    assert forks == []
+    for cpus in (2, 3):
+        _use_cpus(monkeypatch, cpus)
+        assert stdout() == serial
+        assert len(forks) == _forks_for(cpus, *lengths)
+    monkeypatch.delattr(os, "fork")
+    assert stdout() == serial
 
 
 _UNFLUSHED_SCRIPT = """

@@ -18,6 +18,10 @@ Only `precision.py`, which holds the accumulation kernels, reaches into
 `mpmath.libmp`: every other module computes with the mpc operators, so the
 second arithmetic idiom stays in one place.
 
+Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
+module that deals work to forked workers goes through that one helper, with
+its reaping, failure order and thread check.
+
 No package module calls a one-point edge of the interpolant (`eval_EN`,
 `eval_RN_lagrange`, `eval_RN_newton`, `identity_report`, `eval2`): each call
 builds a whole LinePlan for one point, so the library evaluates through plans
@@ -239,6 +243,37 @@ def test_only_the_kernel_module_uses_libmp():
     )
     assert libmp_uses(sample) == [2, 3, 4, 5, 6]  # the checker itself
     found = sorted(path.name for path in PACKAGE if libmp_uses(path.read_text(encoding="utf-8")))
+    assert found == ["precision.py"]
+
+
+def fork_uses(source):
+    """Lines that read os.fork or import fork from os, in order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "os":
+            if any(a.name == "fork" for a in node.names):
+                out.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fork"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_the_fork_helper_module_forks():
+    sample = (
+        "import os\n"
+        "from os import fork, pipe\n"
+        "pid = os.fork()\n"
+        "spawn = os.fork\n"
+        "ok = hasattr(os, 'fork')\n"
+        "other = os.forkpty\n"
+    )
+    assert fork_uses(sample) == [2, 3, 4]  # the checker itself
+    found = sorted(path.name for path in PACKAGE if fork_uses(path.read_text(encoding="utf-8")))
     assert found == ["precision.py"]
 
 
