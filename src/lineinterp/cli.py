@@ -198,15 +198,24 @@ def _require_span(nodes, n_max):
 
 
 def _emit(text, out_path):
-    payload = text if text.endswith("\n") else text + "\n"
+    """Write text, or a list of text pieces in order, to out_path or stdout.
+
+    The only way primary output leaves the package. The pieces are written one
+    by one, so a table is never joined or encoded whole; a newline follows the
+    last non-empty piece unless it ends with one.
+    """
+    pieces = [piece for piece in ([text] if isinstance(text, str) else text) if piece]
+    if not pieces or not pieces[-1].endswith("\n"):
+        pieces.append("\n")
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
-        click.echo(payload, nl=False)
+        for piece in pieces:
+            click.echo(piece, nl=False)
 
 
 def _json_text(obj):
@@ -217,9 +226,9 @@ def _csv_text(columns, rows):
     """A header line of the columns, then one line per row; a None cell is empty.
 
     With columns None there is no header line. rows may be a generator that
-    renders its cells as it is drawn: the whole text is formed before anything
-    is written, so a rendering failure leaves the output empty, and the
-    rendered cells are dropped once their line is.
+    renders its cells as it is drawn: the text is formed before anything is
+    written, so a rendering failure leaves the output empty, and the rendered
+    cells are dropped once their line is.
     """
     lines = itertools.chain([] if columns is None else [columns], rows)
     return "".join(
@@ -228,15 +237,18 @@ def _csv_text(columns, rows):
 
 
 def _forked_csv(columns, count, row_cells):
-    """_csv_text of the rows row_cells(0), ..., row_cells(count - 1), in that order.
+    """_csv_text of the rows row_cells(0), ..., row_cells(count - 1), as pieces for _emit.
 
     Each row_cells(i) yields the CSV rows of table row i and is rendered in a
     forked worker, which returns their text as one string rather than one
-    string per cell: that keeps the replies, and peak memory, small.
+    string per cell: that keeps the replies, and peak memory, small. The
+    result is the header text, then one text per table row in order; every
+    piece is formed before _emit writes the first, and none is joined to
+    another, so the table is never held twice.
     """
-    texts = fork_map(lambda i: _csv_text(None, row_cells(i)), range(count))
-    # one join, so the table is not copied again to put the header first
-    return "".join([_csv_text(columns, ())] + texts)
+    return [_csv_text(columns, ())] + fork_map(
+        lambda i: _csv_text(None, row_cells(i)), range(count)
+    )
 
 
 def _emit_table(columns, rows, fmt, out_path, **meta):

@@ -38,7 +38,8 @@ class TaylorSeries2:
     """Coefficients a_{k,l}, k+l <= max_order, at a fixed working precision.
 
     Exact for polynomials: a polynomial of total degree <= max_order is
-    represented without truncation error.
+    represented without truncation error. Every coefficient is rounded to
+    precision_bits, whatever precision it comes at.
     """
 
     __slots__ = ("max_order", "precision_bits", "_coeffs", "_by_degree")
@@ -54,11 +55,9 @@ class TaylorSeries2:
                     "coefficient index (%d, %d) outside 0 <= k+l <= %d"
                     % (k, l, max_order)
                 )
-            if isinstance(value, ApComplex):
-                v = value.to_mpc()
-            else:
-                with workprec(bits):
-                    v = mpc(value)
+            with workprec(bits):
+                # unary plus rounds every kind, mpc and ApComplex too, to bits
+                v = +(value.to_mpc() if isinstance(value, ApComplex) else mpc(value))
             if v != 0:
                 frozen[(k, l)] = v
         by_degree = [[] for _ in range(max_order + 1)]
@@ -74,8 +73,7 @@ class TaylorSeries2:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked __setattr__;
-        # exact while every coefficient is held at precision_bits, since
-        # __init__ rounds raw values there
+        # exact, since __init__ holds every coefficient at precision_bits
         return type(self), (self._coeffs, self.max_order, self.precision_bits)
 
     def coefficient(self, k, l):

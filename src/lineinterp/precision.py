@@ -35,7 +35,9 @@ nearest, so the kernels round with round_nearest.
 fork_map, last, is the one place that calls os.fork: it maps a function over
 items in forked workers, one per usable CPU, and returns what the plain loop
 would. The grid sweeps of interpolate, the columns of criterion_profile and
-the row rendering of the cli tables run through it.
+the row rendering of the cli tables run through it. Each child's reply is
+unpickled as it comes off the pipe, so no whole copy of it is held, and a
+worker that dies or cannot send its reply back is a NumericError.
 """
 
 from __future__ import annotations
@@ -445,9 +447,10 @@ def _fork_chunk(fn, items, indices):
         status = 1
         try:
             os.close(read_fd)
-            reply = pickle.dumps(_run_chunk(fn, items, indices), pickle.HIGHEST_PROTOCOL)
+            outcome = _run_chunk(fn, items, indices)
+            # pickled as it is written, so the child holds no whole copy either
             with open(write_fd, "wb") as pipe:
-                pipe.write(reply)
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -456,18 +459,49 @@ def _fork_chunk(fn, items, indices):
 
 
 def _collect(pid, read_fd):
-    """(exit code, bytes written) of a forked child, read to the end and reaped."""
-    with open(read_fd, "rb") as pipe:
-        data = pipe.read()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data
+    """(exit code, reply) of a forked child, its pipe read to the end and the child reaped.
 
-
-def _reply(code, data):
+    The reply is unpickled as it is read, so the caller never holds the whole
+    pickle beside the values it decodes to. When it does not decode, as when
+    the child wrote nothing or was killed part way, the reply is the exception
+    that decoding raised.
+    """
     import pickle
 
-    if code != 0 or not data:
-        raise ChildProcessError("a forked worker ended with code %d and no reply" % code)
-    return pickle.loads(data)
+    with open(read_fd, "rb") as pipe:
+        try:
+            reply = pickle.load(pipe)
+        except Exception as exc:
+            reply = exc
+        # the rest of a reply that did not decode: closing the pipe early would
+        # fail the child's write, and its exit status would not say it sent all
+        while pipe.read(1 << 16):
+            pass
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply
+
+
+def _reply(indices, code, reply):
+    """The _run_chunk outcome a child sent, or a NumericError at its first item when it sent none.
+
+    A worker that dies, or cannot send back what its items gave, fails at its
+    first item, since which of its items were reached is unknown.
+    """
+    if code == 0 and isinstance(reply, tuple):
+        return reply
+    if code < 0:
+        import signal
+
+        try:
+            how = "was killed by %s" % signal.Signals(-code).name
+        except ValueError:
+            how = "was killed by signal %d" % -code
+    elif code > 0:
+        how = "exited with status %d" % code
+    else:
+        how = "sent a reply that does not decode (%s: %s)" % (type(reply).__name__, reply)
+    shown = list(indices) if len(indices) <= 4 else [indices[0], indices[1], "...", indices[-1]]
+    error = NumericError("the forked worker of items %s %s" % (", ".join(map(str, shown)), how))
+    return None, (indices[0], error)
 
 
 def fork_map(fn, items):
@@ -478,6 +512,10 @@ def fork_map(fn, items):
     pickled; only the results come back. Without fork, or with other threads
     running (a forked child holds only the calling thread), k is 1. A failure
     raises the exception of the lowest item index, as the plain loop would.
+    Every pipe is read to its end and every child reaped before that. A child
+    that is killed, exits without a reply or sends one that does not decode
+    fails at its first item with a NumericError naming its items and how it
+    ended.
     """
     items = list(items)
     k = min(_usable_cpus(), len(items))
@@ -493,7 +531,7 @@ def fork_map(fn, items):
         own = _run_chunk(fn, items, chunks[0])
     finally:
         replies = [_collect(pid, read_fd) for pid, read_fd in children]
-    outcomes = [own] + [_reply(code, data) for code, data in replies]
+    outcomes = [own] + [_reply(indices, *reply) for indices, reply in zip(chunks[1:], replies)]
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -26,7 +26,7 @@ from lineinterp import (
     parse_decimal,
     verify_growth,
 )
-from lineinterp.cli import main
+from lineinterp.cli import _emit, main
 from lineinterp.divdiff import NodeConditioning
 
 BITS = 256
@@ -568,13 +568,32 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(runner, node_file, tmp_path
     assert len(rows) == 15
 
 
+def test_emit_writes_pieces_in_order_ending_in_one_newline(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    for text, expected in (
+        ("a,b", "a,b\n"),
+        ("a,b\n", "a,b\n"),
+        ("", "\n"),
+        (["h\n", "r0\n", "r1"], "h\nr0\nr1\n"),
+        (["h\n", "r0", "", ""], "h\nr0\n"),
+        (["h\n", "", "r0\n", ""], "h\nr0\n"),
+        (["", ""], "\n"),
+        ([], "\n"),
+    ):
+        _emit(text, str(target))
+        assert target.read_text(encoding="utf-8") == expected, text
+        _emit(text, None)
+        assert capsys.readouterr().out == expected, text
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["converge", "--nodes", "family:circle:0,0,1:4", "--function", POLY, "--n-max", "3"],
         ["counterexample", "--stages", "1"],
+        ["dd", "--nodes", "family:circle:0,0,1:4"],
     ],
-    ids=["converge", "counterexample"],
+    ids=["converge", "counterexample", "dd"],
 )
 def test_unwritable_out_exits_2(runner, tmp_path, argv):
     target = tmp_path / "missing" / "out.txt"

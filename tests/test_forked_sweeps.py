@@ -5,25 +5,31 @@
 commands the rendering of their table rows round-robin to one forked child
 per usable CPU. These tests pin that the result does not depend on the CPU
 count, that a failure reaches the caller as the plain loop would raise it,
-that every child is reaped, and that a child never flushes the caller's
-buffered stdout.
+that every child is reaped, that a child never flushes the caller's
+buffered stdout, and that a worker that dies, or cannot send its reply back,
+ends the run with exit code 3 rather than a traceback.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import lineinterp.criterion
 from lineinterp import (
     ApComplex,
     ConfigError,
     LinePlan,
+    NumericError,
     circle_family,
     criterion_profile,
     default_zgrid,
@@ -136,6 +142,119 @@ def test_fork_map_raises_the_failure_the_plain_loop_would(monkeypatch):
         _assert_no_children()
 
 
+def test_fork_map_replies_of_megabyte_strings_arrive_whole_and_in_order(monkeypatch):
+    # each reply spans many pipe buffers and pickle frames
+    _use_cpus(monkeypatch, 3)
+
+    def text(i):
+        return [chr(ord("a") + i) * (1 << 20), str(i) * (1 << 20)]
+
+    assert fork_map(text, range(7)) == [text(i) for i in range(7)]
+    _assert_no_children()
+
+
+class _NeedsTwoArguments:
+    # pickles as cls(*args) with one argument, so unpickling it raises TypeError
+    def __init__(self, a, b):
+        self.args = (a + b,)
+
+    def __reduce__(self):
+        return type(self), self.args
+
+
+def test_fork_map_raises_numeric_error_when_a_worker_dies(monkeypatch):
+    # three chunks over range(9): {0, 3, 6} in the caller, {1, 4, 7}, {2, 5, 8}
+    _use_cpus(monkeypatch, 3)
+    caller = os.getpid()
+
+    def dies(how, failing=()):
+        def fn(i):
+            if i in failing:
+                raise ValueError("item %d" % i)
+            if os.getpid() != caller and i == 5:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if how == "exit":
+                    os._exit(7)
+                # megabytes of reply after the value that does not decode: the
+                # caller reads them all, so the child's write ends and it exits 0
+                return [_NeedsTwoArguments("x", "y"), "z" * (1 << 22)]
+            return i
+
+        return fn
+
+    for how, message in (
+        ("kill", "the forked worker of items 2, 5, 8 was killed by SIGKILL"),
+        ("exit", "the forked worker of items 2, 5, 8 exited with status 7"),
+        ("decode", "the forked worker of items 2, 5, 8 sent a reply that does not decode "
+                   r"\(TypeError: .*\)"),
+    ):
+        with pytest.raises(NumericError, match="^%s$" % message):
+            fork_map(dies(how), range(9))
+        _assert_no_children()
+        # the dead worker fails at its first item, 2: a lower failing item wins
+        with pytest.raises(ValueError, match="^item 1$"):
+            fork_map(dies(how, {1}), range(9))
+        _assert_no_children()
+        with pytest.raises(NumericError):
+            fork_map(dies(how, {3}), range(9))
+        _assert_no_children()
+    # a long chunk is named by its first two items and its last
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(NumericError, match="^the forked worker of items 1, 3, ..., 11 "):
+        fork_map(dies("kill"), range(12))
+    _assert_no_children()
+
+
+def test_fork_map_raises_numeric_error_on_a_truncated_reply(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    dumps = pickle.dumps
+    # only the children pickle; the caller unpickles
+    monkeypatch.setattr(
+        pickle, "dump", lambda obj, pipe, protocol: pipe.write(dumps(obj, protocol)[:-1])
+    )
+    with pytest.raises(
+        NumericError,
+        match="^the forked worker of items 1, 3 sent a reply that does not decode ",
+    ):
+        fork_map(str, range(4))
+    _assert_no_children()
+
+
+def _column_worker_that(fails):
+    """_profile_column that ends its forked worker as `fails` says, and runs in the caller."""
+    caller = os.getpid()
+    column = lineinterp.criterion._profile_column
+
+    class LocalError(Exception):
+        pass  # a local class cannot be pickled
+
+    def failing_column(zs, bits, q):
+        if os.getpid() != caller:
+            if fails == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise LocalError("column %d" % q)
+        return column(zs, bits, q)
+
+    return failing_column
+
+
+@pytest.mark.parametrize(
+    "fails, how",
+    [("sigkill", "was killed by SIGKILL"), ("unpicklable", "exited with status 1")],
+)
+def test_criterion_exits_3_when_a_column_worker_dies(monkeypatch, fails, how):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(lineinterp.criterion, "_profile_column", _column_worker_that(fails))
+    result = CliRunner().invoke(main, ["criterion", *_CIRCLE6, "--p-max", "3", "--q-max", "3"])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "numeric failure: the forked worker of items 1, 3 %s" % how
+    ]
+    _assert_no_children()
+
+
 # -- forked tables -------------------------------------------------------------
 
 
@@ -214,6 +333,31 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, table, fmt):
         assert len(forks) == _forks_for(cpus, *lengths)
     monkeypatch.delattr(os, "fork")
     assert stdout() == serial
+
+
+def test_a_written_table_is_held_about_once(monkeypatch, tmp_path):
+    # the header and the row texts go to the file piece by piece: no joined
+    # copy of the table, and no encoded copy of it, sits beside the pieces
+    runner = CliRunner()
+    art, table = str(tmp_path / "art.json"), tmp_path / "dd.csv"
+    assert runner.invoke(main, ["counterexample", "--stages", "5", "--out", art]).exit_code == 0
+    argv = ["dd", "--nodes", art, "--kernel", "conj-kernel:3", "--precision", "4096"]
+    written = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv + ["--out", str(table)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert result.stdout == ""
+        _assert_no_children()
+        written.append(table.read_bytes())
+        assert peak < 1.6 * len(written[-1]), (cpus, peak, len(written[-1]))
+    assert written[0] == written[1] == runner.invoke(main, argv).stdout_bytes
+    assert len(written[0]) > 500_000
 
 
 _UNFLUSHED_SCRIPT = """

@@ -1,6 +1,7 @@
 """Two-variable series, line restrictions, and projection tests."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -74,6 +75,21 @@ def test_series_rejects_out_of_range_indices():
         TaylorSeries2({(2, 3): make_complex("1")}, 4, 256)
     with pytest.raises(ConfigError):
         TaylorSeries2({(-1, 0): make_complex("1")}, 4, 256)
+
+
+def test_series_rounds_every_coefficient_to_its_precision():
+    with workprec(512):
+        third = mpmath.mpf(1) / 3
+        raw = mpmath.mpc(third, -third)
+    with workprec(256):
+        rounded = +raw
+    boxed = ApComplex.from_mpc(raw, 512)
+    for value in (boxed, raw):
+        series = TaylorSeries2({(1, 0): value}, 1, 256)
+        for got in (series, pickle.loads(pickle.dumps(series))):
+            assert got.precision_bits == 256
+            assert [v._mpc_ for _, v in got.items()] == [rounded._mpc_]
+            assert got.coefficient(1, 0) == ApComplex.from_mpc(rounded, 256)
 
 
 def test_restrict_vertical_axis_picks_second_index():

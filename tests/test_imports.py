@@ -22,6 +22,11 @@ Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
 module that deals work to forked workers goes through that one helper, with
 its reaping, failure order and thread check.
 
+Primary output leaves the package only through `cli._emit`, which writes a
+table piece by piece: no `print` call, no `sys.stdout.write`, and
+`click.echo` without `err=True` only inside `_emit`. Error messages go to
+stderr through `click.echo(..., err=True)`.
+
 No package module calls a one-point edge of the interpolant (`eval_EN`,
 `eval_RN_lagrange`, `eval_RN_newton`, `identity_report`, `eval2`): each call
 builds a whole LinePlan for one point, so the library evaluates through plans
@@ -307,6 +312,72 @@ def test_package_calls_no_one_point_edge():
     found = {}
     for path in PACKAGE:
         calls = one_point_edge_calls(path.read_text(encoding="utf-8"))
+        if calls:
+            found[path.name] = calls
+    assert found == {}
+
+
+def _dotted(node):
+    """a.b.c of an attribute chain over a bare name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def primary_output_calls(source):
+    """(line, call) of each write to stdout outside a function named _emit."""
+    out = []
+
+    def visit(node, in_emit):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_emit = in_emit or node.name == "_emit"
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            to_stderr = any(
+                kw.arg == "err" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in node.keywords
+            )
+            if name in ("print", "sys.stdout.write"):
+                out.append((node.lineno, name))
+            elif name in ("click.echo", "echo") and not to_stderr and not in_emit:
+                out.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_emit)
+
+    visit(ast.parse(source), False)
+    return sorted(out)
+
+
+def test_primary_output_leaves_only_through_emit():
+    sample = (
+        "import sys\n"
+        "import click\n"
+        "from click import echo\n"
+        "def _emit(pieces):\n"
+        "    for piece in pieces:\n"
+        "        click.echo(piece, nl=False)\n"
+        "def report(text):\n"
+        "    print(text)\n"
+        "    sys.stdout.write(text)\n"
+        "    click.echo(text)\n"
+        "    echo(text, err=False)\n"
+        "    click.echo('warning: ' + text, err=True)\n"
+        "    sys.stderr.write(text)\n"
+        "    print(text, file=sys.stderr)\n"
+    )
+    # the checker itself
+    assert primary_output_calls(sample) == [
+        (8, "print"),
+        (9, "sys.stdout.write"),
+        (10, "click.echo"),
+        (11, "echo"),
+        (14, "print"),
+    ]
+    found = {}
+    for path in PACKAGE:
+        calls = primary_output_calls(path.read_text(encoding="utf-8"))
         if calls:
             found[path.name] = calls
     assert found == {}
