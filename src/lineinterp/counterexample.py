@@ -30,7 +30,6 @@ from .divdiff import NodeConditioning, NodeSequence, ScalarFunction, difference_
 from .errors import (
     ConfigError,
     ConstructionFailureError,
-    DegenerateNodeError,
     DomainError,
     ParseError,
     UnsuitableKernelError,
@@ -56,65 +55,16 @@ def default_kernel():
     return conj_kernel(1)
 
 
-@dataclass(frozen=True)
-class WirtingerPair:
-    """Wirtinger derivatives at 0 of a one-node extension of Delta_n(f).
-
-    d_zbar comes from the closed product formula and is accurate to
-    rounding; d_z comes from Richardson-extrapolated central differences
-    and carries roughly two thirds of the working precision.
-    """
-
-    d_z: ApComplex
-    d_zbar: ApComplex
-    precision_bits: int
-
-
-def wirtinger_at_zero(f, prefix=(), precision_bits=None):
-    """Wirtinger derivatives at 0 of zeta -> Delta_n(f)(eta_1..eta_n, zeta).
-
-    n is the prefix length; an empty prefix differentiates f itself. The
-    anti-holomorphic derivative uses the product formula
-    (df/dconj)(0) / prod(0 - eta_i). The holomorphic derivative uses central
-    differences along both axes at a dyadic step, capped a factor of eight
-    below the smallest prefix modulus so the probes stay clear of the
-    nodes, with one Richardson step at ratio 2. The prefix's difference rows
-    are built once; each probe extends their last entries in O(n).
-    """
-    if not isinstance(f, ScalarFunction):
-        raise ConfigError("wirtinger_at_zero needs a ScalarFunction kernel")
-    if f.conj_derivative is None:
-        raise ConfigError("kernel lacks a closed-form conjugate derivative")
-    if isinstance(prefix, NodeSequence):
-        nodes, zs = prefix.nodes, prefix.zs
-    else:
-        nodes = tuple(prefix or ())
-        # rejects nodes that are not ApComplex values or coincide exactly
-        zs = NodeSequence(nodes).zs if nodes else ()
-    for i, z in enumerate(zs):
-        if z == 0:
-            raise DegenerateNodeError(
-                "prefix node %d sits at 0, the expansion point" % i
-            )
-    if precision_bits is None:
-        precision_bits = max(
-            (n.precision_bits for n in nodes), default=DEFAULT_PRECISION
-        )
-    bits = check_precision(precision_bits)
-    with workprec(bits):
-        d_z, d_zbar = _wirtinger(f, zs, bits)
-    return WirtingerPair(
-        d_z=ApComplex.from_mpc(d_z, bits),
-        d_zbar=ApComplex.from_mpc(d_zbar, bits),
-        precision_bits=bits,
-    )
-
-
 def _wirtinger(f, zs, bits):
-    """(d_z, d_zbar) of wirtinger_at_zero over the raw prefix nodes zs.
+    """Wirtinger derivatives (d_z, d_zbar) at 0 of zeta -> Delta_n(f)(zs, zeta).
 
-    Runs under the ambient working precision, which must be bits: the
-    difference step is derived from it.
+    zs holds the n raw prefix nodes, none at 0 (no node: f itself), at the
+    ambient precision, which must be bits. d_zbar comes from the product
+    formula (df/dconj)(0) / prod(0 - eta_i), accurate to rounding. d_z takes
+    central differences along both axes at a dyadic step capped a factor of
+    eight below the smallest prefix modulus, with one Richardson step at
+    ratio 2, and carries about two thirds of the precision. The prefix's
+    difference rows are built once; each probe extends them in O(n).
     """
     diag = _last_entries(f, zs)
     denom = mpc(1)

@@ -39,10 +39,6 @@ class NodeDistinctnessError(NumericError):
     """Exactly coincident nodes where pairwise distinct ones are required."""
 
 
-class DegenerateNodeError(NumericError):
-    """A node sits on a point the construction must avoid."""
-
-
 class UnsuitableKernelError(NumericError):
     """Kernel whose conjugate derivative vanishes at the origin."""
 

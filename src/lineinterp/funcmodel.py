@@ -230,26 +230,11 @@ def _weight(ev):
 
 
 def _projection(ev, z1v, z2v, weight):
-    """Raw w = (z2 + conj(eta) z1) / (1 + |eta|^2), given weight = _weight(eta)."""
-    return (z2v + ev.conjugate() * z1v) / weight
+    """Raw w = (z2 + conj(eta) z1) / (1 + |eta|^2), given weight = _weight(eta).
 
-
-def project_to_line(eta, z1, z2):
-    """Orthogonal projection onto the line {z1 = eta * z2}.
-
-    Returns (w, (eta*w, w)) where w = (z2 + conj(eta) z1) / (1 + |eta|^2).
+    The orthogonal projection of (z1, z2) onto the line {z1 = eta * z2} is (eta * w, w).
     """
-    if not isinstance(eta, ApComplex):
-        raise ConfigError("eta must be an ApComplex value")
-    bits = max(eta.precision_bits, z1.precision_bits, z2.precision_bits)
-    with workprec(bits):
-        ev = eta.to_mpc()
-        w = _projection(ev, z1.to_mpc(), z2.to_mpc(), _weight(ev))
-        p1 = ev * w
-    return (
-        ApComplex.from_mpc(w, bits),
-        (ApComplex.from_mpc(p1, bits), ApComplex.from_mpc(w, bits)),
-    )
+    return (z2v + ev.conjugate() * z1v) / weight
 
 
 # -- builtin generators -------------------------------------------------------

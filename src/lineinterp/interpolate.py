@@ -61,23 +61,10 @@ def _require_order(seq, n):
 def _lagrange_chain(line, zs, p, count):
     """Running products of line[j] / (eta_p - eta_j) over j < count, j != p.
 
-    line[j] = z1 - eta_j z2, so for p < n entry n-1 is L_p of the first n lines.
+    line[j] = z1 - eta_j z2, so for p < n entry n-1 is L_p of the first n
+    lines, homogeneous of degree n-1: z2^(n-1) on line p and 0 on the others.
     """
     return _running_products(line[j] / (zs[p] - zs[j]) for j in range(count) if j != p)
-
-
-def lagrange_monomial(nodes, n, q, z1, z2):
-    """L_q(z) = prod_{j != q} (z1 - eta_j z2) / (eta_q - eta_j), q one-based."""
-    seq = as_node_sequence(nodes)
-    _require_order(seq, n)
-    if not 1 <= q <= n:
-        raise DomainError("q must lie in 1..%d" % n)
-    bits = max(seq.precision_bits, z1.precision_bits, z2.precision_bits)
-    with workprec(bits):
-        zs = seq.zs[:n]
-        z1v, z2v = z1.to_mpc(), z2.to_mpc()
-        total = _lagrange_chain([z1v - eta * z2v for eta in zs], zs, q - 1, n)[-1]
-    return ApComplex.from_mpc(total, bits)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ degenerate reference slope at infinity corresponds to a pure rotation
 theta_j = -exp(-2*i*phi) * eta_j and is reachable through theta_infinity.
 
 MobiusContext.residuals is the one evaluator of the reduction's checks: the
-round trip through the inverse homography, the line-factor identity and the
-coherence of the interpolant under the frame change, all on raw mpc.
+round trip _inverse(_theta), the line-factor identity and the coherence of
+the interpolant under the frame change, all on raw mpc.
 """
 
 from __future__ import annotations
@@ -56,19 +56,15 @@ class MobiusContext:
                 ApComplex.from_mpc(c * w1 + d * w2, bits),
             )
 
-    def apply_adjoint(self, z1, z2):
-        """U* (conjugate transpose) applied to (z1, z2)."""
-        bits = self.precision_bits
-        with workprec(bits):
-            u1, u2 = self._adjoint(z1.to_mpc(), z2.to_mpc())
-            return ApComplex.from_mpc(u1, bits), ApComplex.from_mpc(u2, bits)
-
     def _adjoint(self, w1, w2):
+        """U* (conjugate transpose) applied to the raw (w1, w2)."""
         (a, b), (c, d) = self.unitary
         return a.conjugate() * w1 + c.conjugate() * w2, b.conjugate() * w1 + d.conjugate() * w2
 
     def _line_factor_defect(self, e, ej, theta, w1, w2):
-        """Raw defect of the line-factor identity (see line_factor_check)."""
+        """Raw defect at zeta = (w1, w2), e = eta_inf, ej = eta_j of the line-factor identity
+        (U* zeta)_1 - eta_j (U* zeta)_2 == (e - ej) / sqrt(1 + |e|^2) * (zeta_1 - theta zeta_2).
+        """
         u1, u2 = self._adjoint(w1, w2)
         factor = (e - ej) / mpmath.sqrt(_weight(e))
         return u1 - ej * u2 - factor * (w1 - theta * w2)
@@ -157,18 +153,11 @@ def make_context(nodes, eta_inf, precision_bits=None):
 
 
 def _theta(e, w):
-    """theta = (1 + conj(e) w) / (w - e) on raw mpc at the ambient precision."""
+    """theta = (1 + conj(e) w) / (w - e) on raw mpc, e = eta_inf; w = e raises SeparationError."""
     denom = w - e
     if denom == 0:
         raise SeparationError("homography undefined at eta_inf itself")
     return (1 + e.conjugate() * w) / denom
-
-
-def theta_of(ctx, eta):
-    """theta = (1 + conj(eta_inf) eta) / (eta - eta_inf) for a single slope."""
-    bits = ctx.precision_bits
-    with workprec(bits):
-        return ApComplex.from_mpc(_theta(ctx.eta_inf.to_mpc(), eta.to_mpc()), bits)
 
 
 def to_bounded(ctx):
@@ -194,32 +183,11 @@ def theta_bound(ctx):
 
 
 def _inverse(e, t):
-    """eta = (e * t + 1) / (t - conj(e)) on raw mpc at the ambient precision."""
+    """Slope (e * t + 1) / (t - conj(e)) of theta = t, raw mpc; t = conj(e) raises DomainError."""
     denom = t - e.conjugate()
     if denom == 0:
         raise DomainError("inverse homography undefined at conj(eta_inf)")
     return (e * t + 1) / denom
-
-
-def inverse_homography(ctx, w):
-    """Recover the slope: eta = (eta_inf * w + 1) / (w - conj(eta_inf))."""
-    bits = ctx.precision_bits
-    with workprec(bits):
-        return ApComplex.from_mpc(_inverse(ctx.eta_inf.to_mpc(), w.to_mpc()), bits)
-
-
-def line_factor_check(ctx, eta_j, zeta):
-    """Defect of the line-factor identity
-
-    (U* zeta)_1 - eta_j (U* zeta)_2
-        == (eta_inf - eta_j) / sqrt(1 + |eta_inf|^2) * (zeta_1 - theta_j zeta_2).
-    """
-    bits = ctx.precision_bits
-    with workprec(bits):
-        e, ej = ctx.eta_inf.to_mpc(), eta_j.to_mpc()
-        w1, w2 = (z.to_mpc() for z in zeta)
-        defect = ctx._line_factor_defect(e, ej, _theta(e, ej), w1, w2)
-        return ApComplex.from_mpc(defect, bits)
 
 
 def pushforward(f, ctx):

@@ -429,6 +429,18 @@ def _run_chunk(fn, items, indices):
     return out, None
 
 
+def _picklable(i, exc):
+    """(i, exc), or (i, a NumericError naming exc's type and message) if exc does not pickle."""
+    import pickle
+
+    try:
+        pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        text = "%s: %s (in a forked worker; the error does not pickle)"
+        return i, NumericError(text % (type(exc).__name__, exc))
+    return i, exc
+
+
 def _fork_chunk(fn, items, indices):
     """Fork a child that pickles _run_chunk's reply to a pipe; returns (pid, read fd)."""
     # imported on first fork, so runs that never fork do not load it
@@ -448,6 +460,8 @@ def _fork_chunk(fn, items, indices):
         try:
             os.close(read_fd)
             outcome = _run_chunk(fn, items, indices)
+            if outcome[1] is not None:
+                outcome = None, _picklable(*outcome[1])
             # pickled as it is written, so the child holds no whole copy either
             with open(write_fd, "wb") as pipe:
                 pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
@@ -515,7 +529,7 @@ def fork_map(fn, items):
     Every pipe is read to its end and every child reaped before that. A child
     that is killed, exits without a reply or sends one that does not decode
     fails at its first item with a NumericError naming its items and how it
-    ended.
+    ended; a child's exception that does not pickle arrives as a NumericError.
     """
     items = list(items)
     k = min(_usable_cpus(), len(items))

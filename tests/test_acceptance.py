@@ -12,7 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
-from mpmath import ldexp, mpf, workprec
+from mpmath import ldexp, mpc, mpf, workprec
 
 from lineinterp import (
     ApComplex,
@@ -43,8 +43,8 @@ from lineinterp import (
     verify_growth,
 )
 from lineinterp.mobius import (
-    inverse_homography,
-    line_factor_check,
+    _inverse,
+    _theta,
     make_context,
     pushforward,
     theta_bound,
@@ -81,15 +81,20 @@ def _tol(text, bits=BITS):
         return parse_decimal(text, bits)
 
 
+def _raw(a):
+    """The mpc of a, which is an ApComplex or already raw."""
+    return a.to_mpc() if isinstance(a, ApComplex) else a
+
+
 def _mag(a, bits=BITS):
     with workprec(bits + 16):
-        return abs(a.to_mpc())
+        return abs(_raw(a))
 
 
 def _mag_diff(a, b, bits=BITS):
     """|a - b|: the difference formed at bits, its modulus at bits + 16."""
     with workprec(bits):
-        diff = a.to_mpc() - b.to_mpc()
+        diff = _raw(a) - _raw(b)
     with workprec(bits + 16):
         return abs(diff)
 
@@ -403,20 +408,16 @@ def test_ac9_mobius_reduction():
     tol = _tol("1e-60")
     rng = random.Random(9)
     with workprec(BITS):
-        in_bound = all(abs(t.to_mpc()) <= bound for t in thetas)
-        round_trip = max(
-            _mag_diff(inverse_homography(ctx, t), nd) for nd, t in zip(nodes, thetas)
-        )
+        e = ctx.eta_inf.to_mpc()
+        in_bound = all(abs(t) <= bound for t in thetas.zs)
+        round_trip = max(_mag_diff(_inverse(e, t), z) for z, t in zip(nodes.zs, thetas.zs))
         unitarity = +ctx.unitarity_defect()
         line_res = mpf(0)
-    for nd, theta in zip(nodes, thetas):
-        probes = [
-            (theta, ApComplex(1, 0, BITS)),
-            (qc_to_ap(rand_qc(rng, 1), BITS), qc_to_ap(rand_qc(rng, 1), BITS)),
-        ]
-        for zeta in probes:
-            gap = _mag(line_factor_check(ctx, nd, zeta))
-            with workprec(BITS):
+        for z, theta in zip(nodes.zs, thetas.zs):
+            drawn = [qc_to_ap(rand_qc(rng, 1), BITS).to_mpc() for _ in range(2)]
+            probes = [(theta, mpc(1)), tuple(drawn)]
+            for w1, w2 in probes:
+                gap = _mag(ctx._line_factor_defect(e, z, _theta(e, z), w1, w2))
                 if gap > line_res:
                     line_res = gap
     coherence = mpf(0)

@@ -21,7 +21,6 @@ from lineinterp import (
     ApComplex,
     ConfigError,
     ConstructionFailureError,
-    DegenerateNodeError,
     DomainError,
     EscalationPolicy,
     NodeDistinctnessError,
@@ -37,7 +36,6 @@ from lineinterp import (
     delta_table,
     parse_decimal,
     verify_growth,
-    wirtinger_at_zero,
 )
 from lineinterp import counterexample
 from lineinterp.cli import main
@@ -45,7 +43,6 @@ from lineinterp.divdiff import NodeConditioning
 from support import (
     QC,
     QC_ONE,
-    ap_to_qc,
     log2_gap_sum_exceeds,
     mpf_to_fraction,
     qc_dd_table,
@@ -64,8 +61,8 @@ def qc_conj_kernel(z):
     return z.conj() / denom
 
 
-def assert_qc_close(got_ap, want_qc, log2_tol):
-    diff = ap_to_qc(got_ap) - want_qc
+def assert_qc_close(got, want_qc, log2_tol):
+    diff = QC(mpf_to_fraction(got.real), mpf_to_fraction(got.imag)) - want_qc
     assert diff.abs2() <= Fraction(1, 2 ** (-2 * log2_tol))
 
 
@@ -111,34 +108,35 @@ def test_default_kernel_frozen_values():
         assert f.conj_derivative(mpc(1)) == mpf("0.25")
 
 
+def wirtinger(*prefix):
+    """(d_z, d_zbar) of the default kernel over a raw prefix at 256 bits, as stages run it."""
+    with workprec(256):
+        return counterexample._wirtinger(default_kernel(), [mpc(z) for z in prefix], 256)
+
+
 def test_wirtinger_product_formula_frozen():
-    f = default_kernel()
-    one = wirtinger_at_zero(f, [ap(1)])
-    assert one.d_zbar.re == -1 and one.d_zbar.im == 0
-    pair = wirtinger_at_zero(f, [ap(1), ap(-1)])
-    assert pair.d_zbar.re == -1 and pair.d_zbar.im == 0
-    half = wirtinger_at_zero(f, [ap("0.5")])
-    assert half.d_zbar.re == -2 and half.d_zbar.im == 0
+    assert wirtinger(1)[1] == -1
+    assert wirtinger(1, -1)[1] == -1
+    assert wirtinger(0.5)[1] == -2
 
 
 def test_wirtinger_dz_finite_differences():
-    f = default_kernel()
     tol = mpmath.ldexp(1, -140)
     # no prefix: d/dz of the kernel itself vanishes at 0
-    plain = wirtinger_at_zero(f, ())
-    assert plain.d_zbar.re == 1 and plain.d_zbar.im == 0
-    assert plain.d_z.magnitude() <= tol
+    d_z, d_zbar = wirtinger()
+    assert d_zbar == 1
+    with workprec(256):
+        assert abs(d_z) <= tol
     # one node a: hand derivative is f(a)/a^2
-    one = wirtinger_at_zero(f, [ap(1)])
+    d_z, _ = wirtinger(1)
     with workprec(256):
-        assert abs(one.d_z.to_mpc() - mpf("0.5")) <= tol
-    half = wirtinger_at_zero(f, [ap("0.5")])
+        assert abs(d_z - mpf("0.5")) <= tol
+    d_z, _ = wirtinger(0.5)
     with workprec(256):
-        assert abs(half.d_z.to_mpc() - mpf(8) / 5) <= tol
+        assert abs(d_z - mpf(8) / 5) <= tol
 
 
 def test_wirtinger_dzbar_matches_exact_product_over_random_prefixes():
-    f = default_kernel()
     rng = random.Random(1207)
     for _ in range(12):
         count = rng.randint(1, 6)
@@ -146,29 +144,11 @@ def test_wirtinger_dzbar_matches_exact_product_over_random_prefixes():
         # keep the prefix away from the expansion point at 0
         if any(q.abs2() < Fraction(1, 1024) for q in qnodes):
             continue
-        nodes = [qc_to_ap(q) for q in qnodes]
-        got = wirtinger_at_zero(f, nodes)
+        _, d_zbar = wirtinger(*(qc_to_ap(q).to_mpc() for q in qnodes))
         want = QC_ONE
         for q in qnodes:
             want = want / (QC(Fraction(0), Fraction(0)) - q)
-        assert_qc_close(got.d_zbar, want, -200)
-
-
-def test_wirtinger_validation():
-    f = default_kernel()
-    with pytest.raises(DegenerateNodeError):
-        wirtinger_at_zero(f, [ap(1), ap(0)])
-    with pytest.raises(ConfigError):
-        wirtinger_at_zero(ScalarFunction(fn=lambda w: w.conjugate()), [ap(1)])
-    with pytest.raises(ConfigError):
-        wirtinger_at_zero("not a kernel", [ap(1)])
-    with pytest.raises(ConfigError):
-        wirtinger_at_zero(f, [0.5])
-
-
-def test_wirtinger_rejects_coincident_prefix_nodes():
-    with pytest.raises(NodeDistinctnessError):
-        wirtinger_at_zero(default_kernel(), [ap("0.5"), ap(0, 1), ap("0.5")])
+        assert_qc_close(d_zbar, want, -200)
 
 
 def random_axis_nodes(rng, count, bits, cluster_exp=None):

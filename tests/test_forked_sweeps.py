@@ -221,6 +221,38 @@ def test_fork_map_raises_numeric_error_on_a_truncated_reply(monkeypatch):
     _assert_no_children()
 
 
+def test_fork_map_sends_an_error_that_does_not_pickle_by_its_type_and_message(monkeypatch):
+    # three chunks over range(9): {0, 3, 6} in the caller, {1, 4, 7}, {2, 5, 8}
+    _use_cpus(monkeypatch, 3)
+
+    class LocalError(Exception):
+        pass  # a local class cannot be pickled
+
+    def fails_at(failing):
+        def fn(i):
+            if i in failing:
+                raise LocalError("item %d" % i)
+            return i
+
+        return fn
+
+    message = r"^LocalError: item 4 \(in a forked worker; the error does not pickle\)$"
+    with pytest.raises(NumericError, match=message):
+        fork_map(fails_at({4, 7}), range(9))
+    _assert_no_children()
+    # it keeps its item: a lower failing item still wins, a higher one does not
+    with pytest.raises(LocalError, match="^item 3$"):
+        fork_map(fails_at({3, 4}), range(9))
+    _assert_no_children()
+    with pytest.raises(NumericError, match=message):
+        fork_map(fails_at({4, 6}), range(9))
+    _assert_no_children()
+    # an error that pickles still arrives as itself
+    with pytest.raises(ValueError, match="'item 5'$"):
+        fork_map(lambda i: int("item %d" % i) if i == 5 else i, range(9))
+    _assert_no_children()
+
+
 def _column_worker_that(fails):
     """_profile_column that ends its forked worker as `fails` says, and runs in the caller."""
     caller = os.getpid()
@@ -240,18 +272,20 @@ def _column_worker_that(fails):
 
 
 @pytest.mark.parametrize(
-    "fails, how",
-    [("sigkill", "was killed by SIGKILL"), ("unpicklable", "exited with status 1")],
+    "fails, message",
+    [
+        ("sigkill", "the forked worker of items 1, 3 was killed by SIGKILL"),
+        ("unpicklable", "LocalError: column 1 (in a forked worker; the error does not pickle)"),
+    ],
+    ids=["sigkill-was killed by SIGKILL", "unpicklable"],
 )
-def test_criterion_exits_3_when_a_column_worker_dies(monkeypatch, fails, how):
+def test_criterion_exits_3_when_a_column_worker_dies(monkeypatch, fails, message):
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(lineinterp.criterion, "_profile_column", _column_worker_that(fails))
     result = CliRunner().invoke(main, ["criterion", *_CIRCLE6, "--p-max", "3", "--q-max", "3"])
     assert result.exit_code == 3, result.output
     assert result.stdout == ""
-    assert result.stderr.splitlines() == [
-        "numeric failure: the forked worker of items 1, 3 %s" % how
-    ]
+    assert result.stderr.splitlines() == ["numeric failure: " + message]
     _assert_no_children()
 
 

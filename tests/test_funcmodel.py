@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import workprec
+from mpmath import mpc, workprec
 
 from lineinterp import (
     ApComplex,
@@ -18,11 +18,11 @@ from lineinterp import (
     eval2,
     exp_sum_series,
     expcos_series,
-    project_to_line,
     restrict_to_line,
     series_from_spec,
     ulps_apart,
 )
+from lineinterp.funcmodel import _projection, _weight
 from support import (
     QC,
     ap_gap,
@@ -167,36 +167,43 @@ def test_restriction_linearity():
         assert gap <= mpmath.ldexp(1, -200)
 
 
-def test_project_examples():
-    w, point = project_to_line(make_complex("1"), make_complex("1"), make_complex("0"))
-    assert w == make_complex("0.5")
-    assert point == (make_complex("0.5"), make_complex("0.5"))
+def _drawn(rng):
+    """(eta, z1, z2) as raw 256-bit mpc, drawn in that order."""
+    return tuple(qc_to_ap(rand_qc(rng)).to_mpc() for _ in range(3))
 
-    w, point = project_to_line(
-        make_complex("0", "1"), make_complex("0"), make_complex("1")
-    )
-    assert w == make_complex("0.5")
-    assert point == (make_complex("0", "0.5"), make_complex("0.5"))
+
+def test_project_examples():
+    with workprec(256):
+        eta = mpc(1)
+        w = _projection(eta, mpc(1), mpc(0), _weight(eta))
+        assert w == mpc("0.5")
+        assert (eta * w, w) == (mpc("0.5"), mpc("0.5"))
+
+        eta = mpc(0, 1)
+        w = _projection(eta, mpc(0), mpc(1), _weight(eta))
+        assert w == mpc("0.5")
+        assert (eta * w, w) == (mpc(0, "0.5"), mpc("0.5"))
 
 
 def test_projection_point_lies_on_line():
     rng = random.Random(141)
     for _ in range(30):
-        eta = qc_to_ap(rand_qc(rng))
-        z1, z2 = qc_to_ap(rand_qc(rng)), qc_to_ap(rand_qc(rng))
-        _, (p1, p2) = project_to_line(eta, z1, z2)
+        eta, z1, z2 = _drawn(rng)
         with workprec(256):
-            gap = abs(p1.to_mpc() - eta.to_mpc() * p2.to_mpc())
+            w = _projection(eta, z1, z2, _weight(eta))
+            p1, p2 = eta * w, w
+            gap = abs(p1 - eta * p2)
         assert gap <= mpmath.ldexp(1, -240)
 
 
 def test_projection_is_idempotent():
     rng = random.Random(151)
     for _ in range(30):
-        eta = qc_to_ap(rand_qc(rng))
-        z1, z2 = qc_to_ap(rand_qc(rng)), qc_to_ap(rand_qc(rng))
-        w, (p1, p2) = project_to_line(eta, z1, z2)
-        w2, _ = project_to_line(eta, p1, p2)
+        eta, z1, z2 = _drawn(rng)
+        with workprec(256):
+            w = _projection(eta, z1, z2, _weight(eta))
+            w2 = _projection(eta, eta * w, w, _weight(eta))
+        w, w2 = ApComplex.from_mpc(w, 256), ApComplex.from_mpc(w2, 256)
         assert float(ulps_apart(w, w2)) <= 8.0 or ap_gap(w, w2) <= mpmath.ldexp(1, -240)
 
 
@@ -204,12 +211,10 @@ def test_projection_residual_is_orthogonal():
     # <z - P(z), (eta, 1)> = 0 in the Hermitian inner product.
     rng = random.Random(161)
     for _ in range(30):
-        eta = qc_to_ap(rand_qc(rng))
-        z1, z2 = qc_to_ap(rand_qc(rng)), qc_to_ap(rand_qc(rng))
-        _, (p1, p2) = project_to_line(eta, z1, z2)
+        eta, z1, z2 = _drawn(rng)
         with workprec(256):
-            w1, w2 = z1.to_mpc(), z2.to_mpc()
-            inner = (w1 - p1.to_mpc()) * eta.to_mpc().conjugate() + (w2 - p2.to_mpc())
+            w = _projection(eta, z1, z2, _weight(eta))
+            inner = (z1 - eta * w) * eta.conjugate() + (z2 - w)
             assert abs(inner) <= mpmath.ldexp(1, -240)
 
 

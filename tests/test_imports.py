@@ -8,7 +8,9 @@ The CLI imports no underscore-prefixed name from the package, so it stays a
 client of the public API and the mathematics stays in the library.
 
 Every underscore-prefixed top-level function or class of the package is read
-by the package itself: tests alone do not keep a private helper alive.
+by the package itself: tests alone do not keep a private helper alive. In the
+same way every class of `errors.py` is raised by the package, or is the base
+of another class there: an error type nothing raises is dead API.
 
 The package writes only the formats it reads back: no `to_csv_text`, and a
 class with `to_json_obj` also has `from_json_obj`. The layout of a printed
@@ -168,6 +170,51 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sample) == [("a", "_recursive"), ("a", "_Orphan")]
     sources = [(path.name, path.read_text(encoding="utf-8")) for path in PACKAGE]
     assert dead_private_helpers(sources) == []
+
+
+def unraised_errors(errors_source, sources):
+    """Classes of errors_source that no raise of sources names and no class there derives from.
+
+    A raise counts when it names the class, bare or as an attribute, with or
+    without a call: `raise X`, `raise X(...)`, `raise errors.X(...)`.
+    """
+    classes = [n for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    bases = {name for c in classes for b in c.bases for name in _read_names(b)}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return [c.name for c in classes if c.name not in raised | bases]
+
+
+def test_every_error_class_is_raised_or_derived_from():
+    sample_errors = (
+        "class Base(Exception):\n"
+        "    pass\n"
+        "class Derived(Base):\n"
+        "    pass\n"
+        "class Bare(Exception):\n"
+        "    pass\n"
+        "class Built(Exception):\n"
+        "    pass\n"
+        "class Dead(Exception):\n"
+        "    pass\n"
+    )
+    sample = (
+        "from . import errors\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise errors.Derived('x')\n"
+        "    error = Built('kept, not raised')\n"
+        "    raise Bare\n"
+    )
+    # the checker itself
+    assert unraised_errors(sample_errors, [sample]) == ["Built", "Dead"]
+    errors = ROOT / "src" / "lineinterp" / "errors.py"
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert unraised_errors(errors.read_text(encoding="utf-8"), sources) == []
 
 
 def one_way_formats(source):

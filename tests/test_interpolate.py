@@ -23,11 +23,11 @@ from lineinterp import (
     eval_RN_lagrange,
     eval_RN_newton,
     identity_report,
-    lagrange_monomial,
     restrict_to_line,
 )
 from lineinterp.divdiff import NodeConditioning
 from lineinterp.funcmodel import GradedTerms
+from lineinterp.interpolate import _lagrange_chain
 from support import (
     QC,
     QC_ONE,
@@ -332,35 +332,37 @@ def test_interpolation_check_vanishes_on_lines():
                 assert abs(tables.en(n) - tables.f_value) <= mpmath.ldexp(1, -200)
 
 
+def _lagrange_value(zs, q, z1, z2):
+    """L_q(z) over the raw nodes zs, q one-based, by the chain the plan runs."""
+    line = [z1 - eta * z2 for eta in zs]
+    return _lagrange_chain(line, zs, q - 1, len(zs))[-1]
+
+
 def test_lagrange_monomial_is_line_indicator():
-    nodes = nodes_from_qc([QC.of(1), QC.of(2), QC.of(0, 1)])
-    v = ap(Fraction(3, 4))
-    v2 = ap(Fraction(9, 16))
+    zs = nodes_from_qc([QC.of(1), QC.of(2), QC.of(0, 1)]).zs
+    v = ap(Fraction(3, 4)).to_mpc()
+    v2 = ap(Fraction(9, 16)).to_mpc()
     for p in range(1, 4):
-        eta = nodes[p - 1]
         with workprec(BITS):
-            z1 = ApComplex.from_mpc(eta.to_mpc() * v.to_mpc(), BITS)
-        for q in range(1, 4):
-            got = lagrange_monomial(nodes, 3, q, z1, v)
-            want = v2 if q == p else ap(0)
-            assert_close(got, want, -240)
+            z1 = zs[p - 1] * v
+            for q in range(1, 4):
+                got = _lagrange_value(zs, q, z1, v)
+                want = v2 if q == p else 0
+                with workprec(BITS + 16):
+                    assert abs(got - want) <= mpmath.ldexp(1, -240)
 
 
 def test_lagrange_monomial_homogeneous():
-    nodes = nodes_from_qc([QC.of(1), QC.of(-1), QC.of(2, 1)])
-    z1, z2 = ap(Fraction(1, 2), Fraction(1, 4)), ap(Fraction(-3, 8))
-    lam = ap(Fraction(5, 4))
+    zs = nodes_from_qc([QC.of(1), QC.of(-1), QC.of(2, 1)]).zs
+    z1, z2 = ap(Fraction(1, 2), Fraction(1, 4)).to_mpc(), ap(Fraction(-3, 8)).to_mpc()
+    lam = ap(Fraction(5, 4)).to_mpc()
     with workprec(BITS):
-        lz1 = ApComplex.from_mpc(lam.to_mpc() * z1.to_mpc(), BITS)
-        lz2 = ApComplex.from_mpc(lam.to_mpc() * z2.to_mpc(), BITS)
-    for q in (1, 2, 3):
-        base = lagrange_monomial(nodes, 3, q, z1, z2)
-        scaled = lagrange_monomial(nodes, 3, q, lz1, lz2)
-        with workprec(BITS):
-            want = ApComplex.from_mpc(
-                base.to_mpc() * lam.to_mpc() ** 2, BITS
-            )
-        assert_close(scaled, want, -240)
+        for q in (1, 2, 3):
+            base = _lagrange_value(zs, q, z1, z2)
+            scaled = _lagrange_value(zs, q, lam * z1, lam * z2)
+            want = base * lam**2
+            with workprec(BITS + 16):
+                assert abs(scaled - want) <= mpmath.ldexp(1, -240)
 
 
 # -- conditioning -------------------------------------------------------------------
@@ -427,7 +429,3 @@ def test_rejects_bad_orders_and_indices():
         eval_EN(f, nodes, 0, z, z)
     with pytest.raises(ArityError):
         eval_EN(f, nodes, 3, z, z)
-    with pytest.raises(DomainError):
-        lagrange_monomial(nodes, 2, 0, z, z)
-    with pytest.raises(DomainError):
-        lagrange_monomial(nodes, 2, 3, z, z)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mpf, workprec
+from mpmath import mpc, mpf, workprec
 
 from lineinterp import (
     ApComplex,
@@ -21,13 +21,12 @@ from lineinterp import (
 )
 from lineinterp.funcmodel import GradedTerms
 from lineinterp.mobius import (
-    inverse_homography,
-    line_factor_check,
+    _inverse,
+    _theta,
     make_context,
     pushforward,
     theta_bound,
     theta_infinity,
-    theta_of,
     to_bounded,
 )
 from support import (
@@ -56,15 +55,20 @@ def series_from_qc(coeffs, max_order):
     )
 
 
+def raw(a):
+    """The mpc of a, which is an ApComplex or already raw."""
+    return a.to_mpc() if isinstance(a, ApComplex) else a
+
+
 def mag(a):
     with workprec(BITS + 16):
-        return abs(a.to_mpc())
+        return abs(raw(a))
 
 
 def mag_diff(a, b):
     """|a - b|: the difference formed at BITS, its modulus at BITS + 16."""
     with workprec(BITS):
-        diff = a.to_mpc() - b.to_mpc()
+        diff = raw(a) - raw(b)
     with workprec(BITS + 16):
         return abs(diff)
 
@@ -93,7 +97,8 @@ def test_unitary_is_unitary():
                 before = mpmath.sqrt(abs(z1.to_mpc()) ** 2 + abs(z2.to_mpc()) ** 2)
                 after = mpmath.sqrt(abs(u1.to_mpc()) ** 2 + abs(u2.to_mpc()) ** 2)
                 assert abs(before - after) <= mpmath.ldexp(1, -240)
-            b1, b2 = ctx.apply_adjoint(u1, u2)
+            with workprec(BITS):
+                b1, b2 = ctx._adjoint(u1.to_mpc(), u2.to_mpc())
             assert mag_diff(b1, z1) <= mpmath.ldexp(1, -240)
             assert mag_diff(b2, z2) <= mpmath.ldexp(1, -240)
 
@@ -103,7 +108,8 @@ def test_unitary_is_unitary():
 
 def test_theta_frozen_values():
     ctx = make_context(nodes_of((0,),), ap(0, 1), BITS)
-    assert theta_of(ctx, ap(0)) == ap(0, 1)  # 1 / (-i) = i
+    with workprec(BITS):
+        assert _theta(ctx.eta_inf.to_mpc(), mpc(0)) == mpc(0, 1)  # 1 / (-i) = i
     ctx0 = make_context(nodes_of((1,), (2,), (4,)), ap(0), BITS)
     thetas = to_bounded(ctx0)
     assert thetas.nodes == nodes_of((1,), (Fraction(1, 2),), (Fraction(1, 4),)).nodes
@@ -135,27 +141,31 @@ def test_inverse_homography_recovers_nodes():
     qnodes = rand_distinct_nodes(rng, 8)
     nodes = NodeSequence([qc_to_ap(q, BITS) for q in qnodes], BITS)
     ctx = make_context(nodes, ap(Fraction(3, 8), Fraction(7, 4)), BITS)
-    for node in nodes:
-        back = inverse_homography(ctx, theta_of(ctx, node))
-        assert mag_diff(back, node) <= mpmath.ldexp(1, -240)
-    with pytest.raises(DomainError):
-        inverse_homography(ctx, ctx.eta_inf.conjugate())
-    with pytest.raises(SeparationError):
-        theta_of(ctx, ctx.eta_inf)
+    with workprec(BITS):
+        e = ctx.eta_inf.to_mpc()
+        for z in nodes.zs:
+            assert mag_diff(_inverse(e, _theta(e, z)), z) <= mpmath.ldexp(1, -240)
+        with pytest.raises(DomainError):
+            _inverse(e, e.conjugate())
+        with pytest.raises(SeparationError):
+            _theta(e, e)
 
 
 def test_line_factor_identity():
     ctx = make_context(nodes_of((1,), (-2, 1), (0, -1)), ap(Fraction(1, 2), 3), BITS)
     rng = random.Random(77)
-    for node in ctx.nodes:
-        theta = theta_of(ctx, node)
-        on_line = line_factor_check(ctx, node, (theta, ap(1)))
-        assert mag(on_line) <= mpmath.ldexp(1, -240)
-        at_zero = line_factor_check(ctx, node, (ap(0), ap(0)))
-        assert at_zero == ap(0)
-        for _ in range(3):
-            zeta = (qc_to_ap(rand_qc(rng), BITS), qc_to_ap(rand_qc(rng), BITS))
-            assert mag(line_factor_check(ctx, node, zeta)) <= mpmath.ldexp(1, -240)
+    with workprec(BITS):
+        e = ctx.eta_inf.to_mpc()
+        for ej in ctx.nodes.zs:
+            theta = _theta(e, ej)
+            on_line = ctx._line_factor_defect(e, ej, theta, theta, mpc(1))
+            assert mag(on_line) <= mpmath.ldexp(1, -240)
+            assert ctx._line_factor_defect(e, ej, theta, mpc(0), mpc(0)) == 0
+            for _ in range(3):
+                w1 = qc_to_ap(rand_qc(rng), BITS).to_mpc()
+                w2 = qc_to_ap(rand_qc(rng), BITS).to_mpc()
+                gap = mag(ctx._line_factor_defect(e, ej, theta, w1, w2))
+                assert gap <= mpmath.ldexp(1, -240)
 
 
 # -- pushforward ----------------------------------------------------------------------
@@ -181,7 +191,8 @@ def test_pushforward_eval_consistency():
         f = series_from_qc(rand_poly2_coeffs(rng, m), m)
         g = pushforward(f, ctx)
         z1, z2 = qc_to_ap(rand_qc(rng, 1), BITS), qc_to_ap(rand_qc(rng, 1), BITS)
-        u1, u2 = ctx.apply_adjoint(z1, z2)
+        with workprec(BITS):
+            u1, u2 = (ApComplex.from_mpc(u, BITS) for u in ctx._adjoint(z1.to_mpc(), z2.to_mpc()))
         assert mag_diff(eval2(g, z1, z2), eval2(f, u1, u2)) <= mpmath.ldexp(1, -230)
         assert g.max_order == f.max_order
 
