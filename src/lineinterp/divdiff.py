@@ -34,7 +34,7 @@ from .errors import (
     NodeDistinctnessError,
     ParseError,
 )
-from .precision import DEFAULT_PRECISION, ApComplex, _dot, check_precision
+from .precision import DEFAULT_PRECISION, ApComplex, _dot, _running_products, check_precision
 
 SCALAR_KINDS = ("analytic-series", "conjugate-kernel", "composite")
 
@@ -292,14 +292,6 @@ def delta(h, nodes, p, precision_bits=None):
     matching the two-point recursion on the leading column of the table.
     """
     return delta_table(h, _order_prefix(nodes, p), precision_bits).entry(p)
-
-
-def _running_products(factors):
-    """[1, x0, x0*x1, ...]: products of the leading factors, in order."""
-    out = [mpc(1)]
-    for x in factors:
-        out.append(out[-1] * x)
-    return out
 
 
 def _newton_total(scale, lead, rows):

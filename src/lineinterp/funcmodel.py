@@ -20,13 +20,14 @@ from itertools import chain
 
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import _running_products
 from .errors import ConfigError, ParseError
 from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
+    _cores,
     _dot,
     _products,
+    _running_products,
     _sum,
     check_precision,
     parse_decimal,
@@ -88,12 +89,6 @@ class TaylorSeries2:
         for m, row in enumerate(self._by_degree):
             for k, v in row:
                 yield (k, m - k), v
-
-    def degree_row(self, m):
-        """List of (k, a_{k, m-k}) for total degree m."""
-        if m < 0 or m > self.max_order:
-            return []
-        return list(self._by_degree[m])
 
     def total_degree(self):
         """Largest m with a nonzero coefficient, -1 for the zero series."""
@@ -180,8 +175,9 @@ class GradedTerms:
     The series value is the sum of all rows and the tail of order n the sum
     from row n on; both accumulate term by term in graded order, so every
     partial sum is the one a direct evaluation of that range would give.
-    Terms and sums are raw mpc at precision_bits, formed by the kernels
-    _products and _sum; a row leaves out exactly zero terms, as at z1 = 0.
+    The terms are formed by the kernel _products and held in the kernels'
+    core form, and the sums are raw mpc from _sum, all at precision_bits; a
+    row leaves out exactly zero terms, as at z1 = 0.
     """
 
     __slots__ = ("rows", "precision_bits")
@@ -189,11 +185,11 @@ class GradedTerms:
     def __init__(self, f, z1, z2):
         bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
         with workprec(bits):
-            pow1 = _running_products([z1.to_mpc()] * f.max_order)
-            pow2 = _running_products([z2.to_mpc()] * f.max_order)
+            pow1 = _cores(_running_products([z1.to_mpc()] * f.max_order))
+            pow2 = _cores(_running_products([z2.to_mpc()] * f.max_order))
             self.rows = [
-                _products((a, pow1[k], pow2[m - k]) for k, a in f.degree_row(m))
-                for m in range(f.max_order + 1)
+                _products((a, pow1[k], pow2[m - k]) for k, a in row)
+                for m, row in enumerate(f._by_degree)
             ]
         self.precision_bits = bits
 
@@ -217,10 +213,8 @@ def restrict_to_line(f, eta, precision_bits=None):
         raise ConfigError("eta must be an ApComplex value")
     bits = check_precision(precision_bits or max(f.precision_bits, eta.precision_bits))
     with workprec(bits):
-        powers = _running_products([eta.to_mpc()] * f.max_order)
-        out = tuple(
-            _dot((a, powers[k]) for k, a in f.degree_row(m)) for m in range(f.max_order + 1)
-        )
+        powers = _cores(_running_products([eta.to_mpc()] * f.max_order))
+        out = tuple(_dot((a, powers[k]) for k, a in row) for row in f._by_degree)
     return LineRestriction(eta=eta, coeffs=out, precision_bits=bits)
 
 

@@ -35,7 +35,6 @@ from mpmath import mpf, workprec
 from .divdiff import (
     NodeConditioning,
     _newton_total,
-    _running_products,
     as_node_sequence,
     difference_rows,
 )
@@ -43,8 +42,10 @@ from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
 from .precision import (
     ApComplex,
+    _cores,
     _dot,
     _horner,
+    _running_products,
     check_precision,
     fork_map,
     parse_decimal,
@@ -115,7 +116,8 @@ class LinePlan:
         self.nodes = seq
         self.n_max = n_max
         self.precision_bits = bits
-        self.restriction_coeffs = [r.coeffs for r in restrictions[:n_max]]
+        # in the kernels' core form, made once for every point's Horner table
+        self.restriction_coeffs = [_cores(r.coeffs) for r in restrictions[:n_max]]
         self.zs = zs = seq.zs[:n_max]
         with workprec(bits):
             self.denoms = [_weight(z) for z in zs]
@@ -143,12 +145,12 @@ class LinePlan:
             raise ArityError("order %d exceeds the plan's %d lines" % (n, self.n_max))
 
     def _coefficients(self, n):
-        """K[p][q-p] = numer[p][q-p] / prod_{j<n, j != q} (eta_q - eta_j)."""
+        """K[p][q-p] = numer[p][q-p] / prod_{j<n, j != q} (eta_q - eta_j), as core forms."""
         self._check(n)
         if n not in self._coeff_cache:
             with workprec(self.precision_bits):
                 self._coeff_cache[n] = [
-                    [num / self._gaps[q][n - 1] for q, num in enumerate(row[: n - p], p)]
+                    _cores(num / self._gaps[q][n - 1] for q, num in enumerate(row[: n - p], p))
                     for p, row in enumerate(self._numer[:n])
                 ]
         return self._coeff_cache[n]

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import NodeSequence, _running_products, as_node_sequence
+from .divdiff import NodeSequence, as_node_sequence
 from .errors import DomainError, SeparationError
 from .funcmodel import TaylorSeries2, _weight
 from .interpolate import LinePlan
-from .precision import ApComplex, check_precision, parse_decimal
+from .precision import ApComplex, _running_products, check_precision, parse_decimal
 
 
 @dataclass(frozen=True)

@@ -12,25 +12,36 @@ integer arithmetic only. Consequently parse(render(x)) == x at equal
 precision, and files written at one precision load losslessly at any higher
 one.
 
-The accumulation kernels at the end (_sum, _dot, _products, _horner) run the
-series, Horner and E_N loops with mpmath.libmp, which no other module
-imports, on the (re, im) parts of raw mpc values. They take and return raw
-mpc, read the precision from mpmath.mp.prec at call time, and do the same
-roundings in the same order as the mpc operator loops they stand for, so every
-result equals that loop's bit for bit, by three facts:
+The accumulation kernels at the end (_sum, _dot, _products, _horner and
+_running_products) run the series, restriction, Horner, E_N and product
+loops on a small rounding core over signed int mantissas: a part m*2^e of a
+raw mpc is held as (m, e), m odd or 0 as in mpmath's own tuples, and the
+value as the core form (m, e, n, f). The kernels take raw mpc, or core forms
+that _cores makes once for operands many calls share, read the precision
+from mpmath.mp.prec at call time, and return raw mpc, except that _products
+returns core forms for _sum to take. They do the same roundings in the same
+order as the mpc operator loops they stand for, so every result equals that
+loop's bit for bit, by the core's contract:
 
-1. mpc + mpc is mpc_add, which is mpf_add on each part at (prec, rounding).
-2. mpf_add(acc, 0) is _normalize1(acc), which is acc itself when acc holds
-   at most prec bits, as every accumulator does; so a zero addend part is
-   skipped. Every other part still goes through mpf_add, so a part held at
-   more than prec bits is rounded as before.
-3. mpc_mul((a, 0), (x, y)) rounds the exact a*x - 0 and a*y + 0 once each:
-   that is mpf_mul(a, x) and mpf_mul(a, y) at (prec, rounding), and likewise
-   with the real factor second. Both mpmath backends round correctly, so
-   this holds on gmpy too.
+1. _add(m, e, n, f, prec) is mpf_add at (prec, round_nearest), which mpc +
+   mpc applies to each part: the exact sum rounded to nearest, ties to even,
+   except in mpf_add's perturbation branch. When the exponents differ by
+   more than 100 and the top bits by more than prec + 4, the smaller operand
+   only nudges the larger one by a unit prec + 4 bits below its last bit.
+   That is correct rounding when the larger operand holds at most prec bits,
+   but not when it holds more, as the exact products inside mpc_mul can; the
+   core takes the same branch, so it rounds as mpf_add does, not correctly.
+2. With n = 0, _add rounds m*2^e alone. That is mpf_add(acc, 0), which
+   leaves an accumulator of at most prec bits unchanged, so the kernels skip
+   zero addend parts; and it is mpf_mul, which rounds the exact product once.
+3. mpc_mul forms its four products exactly and rounds a*c - b*d and a*d + b*c
+   once each through mpf_sub and mpf_add; _cmul does the same through _add.
 
-mpmath 1.3.0 has no public rounding setting and its context always rounds to
-nearest, so the kernels round with round_nearest.
+The core was checked against mpmath 1.3.0 on its python backend, where a
+mantissa is an int. mpmath has no public rounding setting and its context
+always rounds to nearest, so the core knows no other mode. It holds finite
+values only: a kernel that meets an inf or nan part hands the whole call to
+the mpc operator loop it stands for, and returns what that loop returns.
 
 fork_map, last, is the one place that calls os.fork: it maps a function over
 items in forked workers, one per usable CPU, and returns what the plain loop
@@ -52,7 +63,7 @@ import threading
 
 import mpmath
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import fzero, mpc_mul, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import fzero
 
 from .errors import ConfigError, NumericError, ParseError
 
@@ -344,51 +355,174 @@ def ulps_apart(a, b, precision_bits=None, scale=None):
         return gap / step
 
 
-# -- accumulation kernels (facts 1-3 of the module docstring) ---------------
-
-_ZERO = (fzero, fzero)
+# -- rounding core and accumulation kernels (facts 1-3 of the module docstring) --
 
 
-def _mul(z, w, prec):
-    """The parts of z * w for (re, im) pairs, rounded as mpc_mul rounds them (fact 3)."""
-    (a, b), (c, d) = z, w
-    if b == fzero:
-        return mpf_mul(a, c, prec, round_nearest), mpf_mul(a, d, prec, round_nearest)
-    if d == fzero:
-        return mpf_mul(a, c, prec, round_nearest), mpf_mul(b, c, prec, round_nearest)
-    return mpc_mul(z, w, prec, round_nearest)
+class _NonFinite(Exception):
+    """An inf or nan part met by _split: the kernel then runs its mpc loop."""
 
 
-def _accumulate(parts, prec):
-    """Left-to-right sum of (re, im) pairs as an mpc, zero parts skipped (facts 1, 2)."""
-    re = im = fzero
-    for a, b in parts:
-        if a != fzero:
-            re = mpf_add(re, a, prec, round_nearest)
-        if b != fzero:
-            im = mpf_add(im, b, prec, round_nearest)
-    return mpmath.mp.make_mpc((re, im))
+_ZERO = (0, 0, 0, 0)
+_ONE = (1, 0, 0, 0)
+_make_mpc = mpmath.mp.make_mpc
+
+
+def _add(m, e, n, f, prec):
+    """m*2^e + n*2^f rounded as mpf_add rounds it at (prec, round_nearest) (fact 1).
+
+    The mantissas are signed ints, odd unless zero, as in every mpf, and may
+    hold any number of bits; the result (mantissa, exponent) has that form
+    too, with mantissa 0 for zero. With n = 0 this rounds m*2^e alone.
+    """
+    if not n:
+        pass
+    elif not m:
+        m, e = n, f
+    else:
+        d = e - f
+        # mpf_add's perturbation branch: the far smaller operand becomes a
+        # one-unit nudge prec + 4 bits below the larger operand's last bit
+        if d > 100 and m.bit_length() - n.bit_length() + d > prec + 4:
+            m = (m << prec + 4) + (1 if n > 0 else -1)
+            e -= prec + 4
+        elif d < -100 and n.bit_length() - m.bit_length() - d > prec + 4:
+            m = (n << prec + 4) + (1 if m > 0 else -1)
+            e = f - prec - 4
+        elif d >= 0:
+            m = (m << d) + n
+            e = f
+        else:
+            m += n << -d
+    a = -m if m < 0 else m
+    k = a.bit_length() - prec
+    if k > 0:
+        # to nearest, ties to even
+        t = a >> (k - 1)
+        if t & 1 and (t & 2 or a & ((1 << (k - 1)) - 1)):
+            a = (t >> 1) + 1
+        else:
+            a = t >> 1
+        e += k
+    if a and not a & 1:
+        # strip trailing zero bits, so that a nonzero mantissa is odd
+        k = (a & -a).bit_length() - 1
+        a >>= k
+        e += k
+    return (-a if m < 0 else a), e
+
+
+def _split(z):
+    """The core form (m, e, n, f) of a raw mpc, whose parts are m*2^e and n*2^f.
+
+    A core form is returned as it is.
+    """
+    if z.__class__ is tuple:
+        return z
+    (s, m, e, _), (t, n, f, _) = z._mpc_
+    if not m and e or not n and f:
+        raise _NonFinite
+    return (-m if s else m), e, (-n if t else n), f
+
+
+def _cores(values):
+    """The values with each finite raw mpc in its core form, for kernels to reuse."""
+    out = []
+    for v in values:
+        try:
+            out.append(_split(v))
+        except _NonFinite:
+            out.append(v)
+    return out
+
+
+def _part(m, e):
+    """The raw mpf of m*2^e: a zero is fzero, which has no sign bit."""
+    if not m:
+        return fzero
+    if m < 0:
+        return 1, -m, e, (-m).bit_length()
+    return 0, m, e, m.bit_length()
+
+
+def _box(m, e, n, f):
+    """The raw mpc of a core form."""
+    return _make_mpc((_part(m, e), _part(n, f)))
+
+
+def _raw(z):
+    """z as a raw mpc, for the mpc loops a kernel falls back to."""
+    return _box(*z) if z.__class__ is tuple else z
+
+
+def _cmul(x, y, prec):
+    """x * y for core forms x and y, rounded as mpc_mul rounds it (fact 3)."""
+    a, ae, b, be = x
+    c, ce, d, de = y
+    real = _add(a * c, ae + ce, -(b * d), be + de, prec)
+    return real + _add(a * d, ae + de, b * c, be + ce, prec)
 
 
 def _sum(values):
-    """The loop `total = mpc(0); total += v` over raw mpc values."""
-    return _accumulate((v._mpc_ for v in values), mpmath.mp.prec)
+    """The loop `total = mpc(0); total += v` over values, zero parts skipped (fact 2)."""
+    values = list(values)
+    prec = mpmath.mp.prec
+    m = e = n = f = 0
+    try:
+        for v in values:
+            a, ae, b, be = _split(v)
+            if a:
+                m, e = _add(m, e, a, ae, prec)
+            if b:
+                n, f = _add(n, f, b, be, prec)
+    except _NonFinite:
+        total = mpc(0)
+        for v in values:
+            total += _raw(v)
+        return total
+    return _box(m, e, n, f)
 
 
 def _dot(pairs):
-    """The loop `total = mpc(0); total += x * y` over (x, y) pairs of raw mpc."""
+    """The loop `total = mpc(0); total += x * y` over (x, y) pairs, zero parts skipped."""
+    pairs = list(pairs)
     prec = mpmath.mp.prec
-    return _accumulate((_mul(x._mpc_, y._mpc_, prec) for x, y in pairs), prec)
+    m = e = n = f = 0
+    try:
+        for x, y in pairs:
+            a, ae, b, be = _split(x)
+            c, ce, d, de = _split(y)
+            # x * y as _cmul forms it, written out: this is the hottest loop
+            r, re_exp = _add(a * c, ae + ce, -(b * d), be + de, prec)
+            i, im_exp = _add(a * d, ae + de, b * c, be + ce, prec)
+            if r:
+                m, e = _add(m, e, r, re_exp, prec)
+            if i:
+                n, f = _add(n, f, i, im_exp, prec)
+    except _NonFinite:
+        total = mpc(0)
+        for x, y in pairs:
+            total += _raw(x) * _raw(y)
+        return total
+    return _box(m, e, n, f)
 
 
 def _products(triples):
-    """[x * y * z for (x, y, z) in triples] of raw mpc, exact zeros left out (fact 2)."""
+    """[x * y * z for (x, y, z) in triples], exact zeros left out (fact 2).
+
+    The products stay in core form, for _sum to take; only where a part is
+    inf or nan are they the raw mpc of the mpc loop.
+    """
+    triples = list(triples)
     prec = mpmath.mp.prec
     out = []
-    for x, y, z in triples:
-        p = _mul(_mul(x._mpc_, y._mpc_, prec), z._mpc_, prec)
-        if p != _ZERO:
-            out.append(mpmath.mp.make_mpc(p))
+    try:
+        for x, y, z in triples:
+            p = _cmul(_cmul(_split(x), _split(y), prec), _split(z), prec)
+            if p[0] or p[2]:
+                out.append(p)
+    except _NonFinite:
+        out = [_raw(x) * _raw(y) * _raw(z) for x, y, z in triples]
+        return [p for p in out if p != 0]
     return out
 
 
@@ -398,14 +532,39 @@ def _horner(coeffs, w, count):
     H_k is acc after `acc = acc * w + coeffs[k]`, run from mpc(0) and the top
     coefficient down; it is zero past the last coefficient.
     """
-    prec, wv = mpmath.mp.prec, w._mpc_
-    acc, out = _ZERO, []
-    for c in reversed(coeffs):
-        (re, im), (a, b) = _mul(acc, wv, prec), c._mpc_
-        acc = (mpf_add(re, a, prec, round_nearest), mpf_add(im, b, prec, round_nearest))
-        out.append(acc)
-    out = out[::-1] + [_ZERO] * (count - len(out))
-    return [mpmath.mp.make_mpc(v) for v in out[:count]]
+    prec = mpmath.mp.prec
+    out = []
+    try:
+        wv, acc = _split(w), _ZERO
+        for c in reversed(coeffs):
+            m, e, n, f = _cmul(acc, wv, prec)
+            a, ae, b, be = _split(c)
+            acc = _add(m, e, a, ae, prec) + _add(n, f, b, be, prec)
+            out.append(acc)
+        out = [_box(*v) for v in out[::-1][:count]]
+    except _NonFinite:
+        acc, out = mpc(0), []
+        for c in reversed(coeffs):
+            acc = acc * _raw(w) + _raw(c)
+            out.append(acc)
+        out = out[::-1][:count]
+    return out + [_box(*_ZERO)] * (count - len(out))
+
+
+def _running_products(factors):
+    """[1, x0, x0*x1, ...]: products of the leading factors, in order, as raw mpc."""
+    factors = list(factors)
+    prec = mpmath.mp.prec
+    acc, out = _ONE, [_box(*_ONE)]
+    try:
+        for x in factors:
+            acc = _cmul(acc, _split(x), prec)
+            out.append(_box(*acc))
+    except _NonFinite:
+        out = [mpc(1)]
+        for x in factors:
+            out.append(out[-1] * _raw(x))
+    return out
 
 
 # -- forked map -------------------------------------------------------------

@@ -20,6 +20,11 @@ Only `precision.py`, which holds the accumulation kernels, reaches into
 `mpmath.libmp`: every other module computes with the mpc operators, so the
 second arithmetic idiom stays in one place.
 
+Inside `precision.py` the kernels round through the integer-mantissa core
+alone: a libmp arithmetic function (`mpf_add`, `mpf_sub`, `mpf_mul`,
+`mpc_add`, `mpc_sub`, `mpc_mul`) may be read only in the non-finite
+fallback, an `except _NonFinite` handler, so there is one rounding path.
+
 Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
 module that deals work to forked workers goes through that one helper, with
 its reaping, failure order and thread check.
@@ -296,6 +301,52 @@ def test_only_the_kernel_module_uses_libmp():
     assert libmp_uses(sample) == [2, 3, 4, 5, 6]  # the checker itself
     found = sorted(path.name for path in PACKAGE if libmp_uses(path.read_text(encoding="utf-8")))
     assert found == ["precision.py"]
+
+
+LIBMP_ARITHMETIC = {"mpf_add", "mpf_sub", "mpf_mul", "mpc_add", "mpc_sub", "mpc_mul"}
+
+
+def libmp_arithmetic_outside_fallback(source):
+    """Lines that read a libmp arithmetic function outside an `except _NonFinite` handler."""
+    tree = ast.parse(source)
+    fallback = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ExceptHandler)
+            and isinstance(node.type, ast.Name)
+            and node.type.id == "_NonFinite"
+        ):
+            fallback.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in LIBMP_ARITHMETIC and id(node) not in fallback:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_kernels_round_through_the_core_alone():
+    sample = (
+        "from mpmath import libmp\n"
+        "from mpmath.libmp import mpc_mul, mpf_add\n"
+        "def kernel(x, y):\n"
+        "    try:\n"
+        "        return core(x, y)\n"
+        "    except _NonFinite:\n"
+        "        return mpf_add(x, y, 64), mpc_mul(x, y, 64)\n"
+        "    except ValueError:\n"
+        "        return mpf_add(x, y, 64)\n"
+        "def other(x):\n"
+        "    return libmp.mpf_mul(x, x, 64)\n"
+    )
+    assert libmp_arithmetic_outside_fallback(sample) == [9, 11]  # the checker itself
+    precision = ROOT / "src" / "lineinterp" / "precision.py"
+    assert libmp_arithmetic_outside_fallback(precision.read_text(encoding="utf-8")) == []
 
 
 def fork_uses(source):

@@ -2,8 +2,11 @@
 
 Each reference below is the mpc operator loop a kernel stands for, as the
 library wrote it without kernels: each kernel must give the same value to
-the bit, compared as raw (re, im) parts. The draws cover exact zeros, values
-that are only real or only imaginary, binary orders over +-1000, and
+the bit, compared as raw (re, im) parts. The references use mpc operators
+only, never a kernel, so they stay independent of the rounding core. The
+draws cover exact zeros, values that are only real or only imaginary,
+binary orders out to about three times the precision either way, so that
+some sums take mpf_add's perturbation branch at every precision, and
 mantissas of up to 64 bits above the ambient precision.
 """
 
@@ -16,9 +19,8 @@ from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
 
 from lineinterp import ApComplex, TaylorSeries2, restrict_to_line
-from lineinterp.divdiff import _running_products
 from lineinterp.funcmodel import GradedTerms
-from lineinterp.precision import _dot, _horner, _products, _sum
+from lineinterp.precision import _cores, _dot, _horner, _products, _raw, _running_products, _sum
 
 PRECISIONS = (64, 256, 8192)
 
@@ -47,27 +49,31 @@ def reference_horner(coeffs, w, count):
     return row
 
 
+def reference_running_products(factors):
+    out = [mpc(1)]
+    for x in factors:
+        out.append(out[-1] * x)
+    return out
+
+
 def reference_graded_total(f, z1, z2, start):
     """The term-by-term series loop, zero powers included."""
     with workprec(max(f.precision_bits, z1.precision_bits, z2.precision_bits)):
-        pow1 = _running_products([z1.to_mpc()] * f.max_order)
-        pow2 = _running_products([z2.to_mpc()] * f.max_order)
+        pow1 = reference_running_products([z1.to_mpc()] * f.max_order)
+        pow2 = reference_running_products([z2.to_mpc()] * f.max_order)
         total = mpc(0)
-        for m in range(start, f.max_order + 1):
-            for k, a in f.degree_row(m):
-                total += a * pow1[k] * pow2[m - k]
+        for (k, l), a in f.items():
+            if k + l >= start:
+                total += a * pow1[k] * pow2[l]
     return total
 
 
 def reference_restriction(f, eta):
     with workprec(max(f.precision_bits, eta.precision_bits)):
-        powers = _running_products([eta.to_mpc()] * f.max_order)
-        out = []
-        for m in range(f.max_order + 1):
-            total = mpc(0)
-            for k, a in f.degree_row(m):
-                total += a * powers[k]
-            out.append(total)
+        powers = reference_running_products([eta.to_mpc()] * f.max_order)
+        out = [mpc(0)] * (f.max_order + 1)
+        for (k, l), a in f.items():
+            out[k + l] += a * powers[k]
     return out
 
 
@@ -77,18 +83,24 @@ def raw(values):
 
 @st.composite
 def parts(draw, bits):
-    """An mpf: zero, or of binary order within +-1000 with up to bits + 64 mantissa bits.
+    """An mpf: zero, or of binary order within +-(3 bits + 16) with up to bits + 64 mantissa bits.
 
     A mantissa is odd with its top bit set, so it keeps its width, and its
     other bits are seeded pseudo-random: Hypothesis's own big integers sit
     near their bounds, which are powers of two. The widest mantissas and
     nearby orders are the draws Hypothesis makes most often, so that sums and
-    products round in most draws.
+    products round in most draws. Orders over +-1000 make nearby sums at every
+    precision, and orders out to +-(3 bits + 16) put two operands more than
+    bits + 4 orders apart, which is mpf_add's perturbation branch, even at
+    8192 bits.
     """
     if draw(st.integers(0, 4)) == 4:
         return mpf(0)
     width = draw(st.one_of(st.integers(0, 72).map(lambda k: bits + 64 - k), st.integers(1, 8)))
-    order = draw(st.one_of(st.integers(-4, 4), st.integers(-1000, 1000)))
+    far = 3 * bits + 16
+    order = draw(
+        st.one_of(st.integers(-4, 4), st.integers(-1000, 1000), st.integers(-far, far))
+    )
     noise = random.Random(draw(st.integers(0, 2**64 - 1))).getrandbits(width - 1)
     man = ((1 << (width - 1)) | noise | 1) * draw(st.sampled_from((1, -1)))
     with workprec(width):
@@ -118,7 +130,9 @@ KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
 def test_sum_is_the_mpc_loop_bit_for_bit(bits, data):
     vals = data.draw(st.lists(values(bits), max_size=10))
     with workprec(bits):
-        assert _sum(vals)._mpc_ == reference_sum(vals)._mpc_
+        want = reference_sum(vals)._mpc_
+        assert _sum(vals)._mpc_ == want
+        assert _sum(_cores(vals))._mpc_ == want
 
 
 @pytest.mark.parametrize("bits", PRECISIONS)
@@ -127,7 +141,9 @@ def test_sum_is_the_mpc_loop_bit_for_bit(bits, data):
 def test_dot_is_the_mpc_loop_bit_for_bit(bits, data):
     pairs = data.draw(tuples(bits, 2))
     with workprec(bits):
-        assert _dot(pairs)._mpc_ == reference_dot(pairs)._mpc_
+        want = reference_dot(pairs)._mpc_
+        assert _dot(pairs)._mpc_ == want
+        assert _dot(zip(_cores(x for x, _ in pairs), (y for _, y in pairs)))._mpc_ == want
 
 
 @pytest.mark.parametrize("bits", PRECISIONS)
@@ -137,7 +153,11 @@ def test_products_are_the_nonzero_term_products_bit_for_bit(bits, data):
     triples = data.draw(tuples(bits, 3))
     with workprec(bits):
         terms = [a * x * y for a, x, y in triples]
-        assert raw(_products(triples)) == raw(t for t in terms if t != 0)
+        want = raw(t for t in terms if t != 0)
+        assert raw(map(_raw, _products(triples))) == want
+        cores = _cores(a for a, _, _ in triples)
+        assert raw(map(_raw, _products((c, x, y) for c, (_, x, y) in zip(cores, triples)))) == want
+        assert _sum(_products(triples))._mpc_ == reference_sum(t for t in terms if t != 0)._mpc_
 
 
 @pytest.mark.parametrize("bits", PRECISIONS)
@@ -148,7 +168,50 @@ def test_horner_is_the_mpc_step_bit_for_bit(bits, data):
     w = data.draw(values(bits))
     count = data.draw(st.integers(1, len(coeffs) + 3))
     with workprec(bits):
-        assert raw(_horner(coeffs, w, count)) == raw(reference_horner(coeffs, w, count))
+        want = raw(reference_horner(coeffs, w, count))
+        assert raw(_horner(coeffs, w, count)) == want
+        assert raw(_horner(_cores(coeffs), w, count)) == want
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_running_products_is_the_mpc_loop_bit_for_bit(bits, data):
+    factors = data.draw(st.lists(values(bits), max_size=8))
+    with workprec(bits):
+        want = raw(reference_running_products(factors))
+        assert raw(_running_products(factors)) == want
+        assert raw(_running_products(_cores(factors))) == want
+
+
+NON_FINITE = [mpf("inf"), -mpf("inf"), mpf("nan")]
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["inf", "-inf", "nan"])
+def test_inf_and_nan_parts_give_what_the_mpc_loop_gives(bits, bad):
+    """The core holds finite values only: a kernel hands such a call to its mpc loop.
+
+    Each non-finite part meets a finite value, a zero and an infinity, in the
+    real and in the imaginary part, as a raw value and beside core forms.
+    """
+    with workprec(bits):
+        finite = [mpc(3, -5) / 7, mpc(0, 1) / 3, mpc(2), mpc(0), mpc(mpf("inf"), 1)]
+        odd = [mpc(bad, 1), mpc(1, bad), mpc(bad, bad)]
+        for v in odd:
+            vals = finite[:2] + [v] + finite[2:]
+            for given in (vals, _cores(vals)):
+                assert _sum(given)._mpc_ == reference_sum(vals)._mpc_
+                pairs = list(zip(vals, reversed(vals)))
+                given_pairs = list(zip(given, reversed(given)))
+                assert _dot(given_pairs)._mpc_ == reference_dot(pairs)._mpc_
+                for w in (v, finite[0], finite[3]):
+                    want = raw(reference_horner(vals, w, 7))
+                    assert raw(_horner(given, w, 7)) == want
+                terms = [a * x * y for a, x, y in zip(vals, vals[1:], vals[2:])]
+                got = _products(zip(given, given[1:], given[2:]))
+                assert raw(map(_raw, got)) == raw(t for t in terms if t != 0)
+                assert raw(_running_products(given)) == raw(reference_running_products(vals))
 
 
 @pytest.mark.parametrize("bits", PRECISIONS)
