@@ -6,9 +6,12 @@ experiment, and emits a CSV or JSON table. The layout of every table is
 decided here, and every CSV table goes through the one writer `_csv_text`.
 Magnitudes are rendered as exact decimal strings, never binary floats, so
 outputs written at different working precisions stay comparable. The
-`criterion` and `dd` tables render their rows in forked workers through
-precision.fork_map. Identical flags and seed produce byte-identical output,
-whatever the CPU count.
+`criterion` and `dd` CSV tables render their rows in forked workers through
+precision.fork_map, and each row is appended to an unlinked temporary file,
+the spool. Once every row is there, the rows are copied out in order, one at
+a time: no table is ever held whole, and a failing row still writes nothing.
+Every table leaves through the one streaming writer `_emit`. Identical flags
+and seed produce byte-identical output, whatever the CPU count.
 
 Exit codes: 0 success, 1 property-check failure, 2 configuration error,
 3 numeric or construction failure.
@@ -19,8 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import re
+import struct
 import sys
+import tempfile
 
 import click
 from mpmath import workprec
@@ -197,25 +203,34 @@ def _require_span(nodes, n_max):
         )
 
 
-def _emit(text, out_path):
-    """Write text, or a list of text pieces in order, to out_path or stdout.
+def _emit(pieces, out_path):
+    """Write text, or an iterable of text pieces in order, to out_path or stdout.
 
-    The only way primary output leaves the package. The pieces are written one
-    by one, so a table is never joined or encoded whole; a newline follows the
-    last non-empty piece unless it ends with one.
+    The only way primary output leaves the package. Each piece is written as
+    it is drawn, so a table is never joined, encoded or held whole here; a
+    newline follows the last non-empty piece unless it ends with one.
     """
-    pieces = [piece for piece in ([text] if isinstance(text, str) else text) if piece]
-    if not pieces or not pieces[-1].endswith("\n"):
-        pieces.append("\n")
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
+                _write_pieces(pieces, fh.write)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
-        for piece in pieces:
-            click.echo(piece, nl=False)
+        _write_pieces(pieces, lambda piece: click.echo(piece, nl=False))
+
+
+def _write_pieces(pieces, write):
+    """Write each non-empty piece, then a newline unless the last one ends with one."""
+    last = ""
+    for piece in pieces:
+        if piece:
+            write(piece)
+            last = piece
+    if not last.endswith("\n"):
+        write("\n")
 
 
 def _json_text(obj):
@@ -236,19 +251,73 @@ def _csv_text(columns, rows):
     )
 
 
-def _forked_csv(columns, count, row_cells):
-    """_csv_text of the rows row_cells(0), ..., row_cells(count - 1), as pieces for _emit.
+# a spooled row: its index and byte length, then its UTF-8 text
+_RECORD = struct.Struct("<QQ")
 
-    Each row_cells(i) yields the CSV rows of table row i and is rendered in a
-    forked worker, which returns their text as one string rather than one
-    string per cell: that keeps the replies, and peak memory, small. The
-    result is the header text, then one text per table row in order; every
-    piece is formed before _emit writes the first, and none is joined to
-    another, so the table is never held twice.
+
+def _open_spool():
+    """An unlinked temporary file open for reading and appending; returns its fd."""
+    try:
+        fd, path = tempfile.mkstemp(prefix="lineinterp-", suffix=".spool")
+        try:
+            return os.open(path, os.O_RDWR | os.O_APPEND)
+        finally:
+            os.close(fd)
+            os.unlink(path)
+    except OSError as exc:
+        raise ConfigError("cannot make a spool file: %s" % (exc,)) from exc
+
+
+def _spool_row(fd, i, text):
+    """Append row i's text to the spool fd as one record in one write; returns its byte length.
+
+    With O_APPEND each write lands whole at the end of the file, so forked
+    workers sharing fd never interleave their records.
     """
-    return [_csv_text(columns, ())] + fork_map(
-        lambda i: _csv_text(None, row_cells(i)), range(count)
-    )
+    data = text.encode("utf-8")
+    size = _RECORD.size + len(data)
+    try:
+        written = os.writev(fd, [_RECORD.pack(i, len(data)), data])
+    except OSError as exc:
+        raise ConfigError("cannot write the spool file: %s" % (exc,)) from exc
+    if written != size:
+        raise ConfigError("cannot write the spool file: %d of %d bytes written" % (written, size))
+    return len(data)
+
+
+def _spooled_rows(fd, lengths):
+    """The texts of rows 0, 1, ... of the spool fd in order, read one at a time.
+
+    lengths[i] is the byte length of row i. The records lie in the order the
+    workers wrote them, and each names its row, so one pass over their
+    headers finds every row.
+    """
+    starts = [None] * len(lengths)
+    pos = 0
+    for _ in lengths:
+        i, size = _RECORD.unpack(os.pread(fd, _RECORD.size, pos))
+        starts[i] = pos + _RECORD.size
+        pos = starts[i] + size
+    for start, size in zip(starts, lengths):
+        yield os.pread(fd, size, start).decode("utf-8")
+
+
+def _emit_forked_csv(columns, count, row_cells, out_path):
+    """_emit of _csv_text of the rows row_cells(0), ..., row_cells(count - 1).
+
+    Each row_cells(i) yields the CSV rows of table row i. It is rendered in a
+    forked worker, or in the caller, and appended to a spool, so only its byte
+    length comes back through fork_map. Nothing is written until every row is
+    spooled, so a failing row leaves the output empty; then the header and
+    the rows are copied out in order, one row held at a time. One try/finally
+    owns the spool from its creation to the last byte copied.
+    """
+    fd = _open_spool()
+    try:
+        lengths = fork_map(lambda i: _spool_row(fd, i, _csv_text(None, row_cells(i))), range(count))
+        _emit(itertools.chain([_csv_text(columns, ())], _spooled_rows(fd, lengths)), out_path)
+    finally:
+        os.close(fd)
 
 
 def _emit_table(columns, rows, fmt, out_path, **meta):
@@ -381,10 +450,11 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
         ]
 
     if fmt == "csv":
-        text = _forked_csv(
+        _emit_forked_csv(
             ("p", "q", "raw", "normalized"),
             p_max + 1,
             lambda p: ((p, q, raw, norm) for q, (raw, norm) in enumerate(rendered(p))),
+            out,
         )
     else:
         rows = fork_map(rendered, range(p_max + 1))
@@ -399,7 +469,7 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
                 "normalized": [[norm for _, norm in row] for row in rows],
             }
         )
-    _emit(text, out)
+        _emit(text, out)
     return 0
 
 
@@ -644,10 +714,11 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
         return [(render_decimal(v.real), render_decimal(v.imag)) for v in table.rows[p]]
 
     if fmt == "csv":
-        text = _forked_csv(
+        _emit_forked_csv(
             ("p", "k", "re", "im"),
             len(table.rows),
             lambda p: ((p, k, re, im) for k, (re, im) in enumerate(rendered(p))),
+            out,
         )
     else:
         rows = fork_map(
@@ -661,7 +732,7 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
                 "rows": rows,
             }
         )
-    _emit(text, out)
+        _emit(text, out)
     return 0
 
 

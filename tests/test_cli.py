@@ -585,6 +585,16 @@ def test_emit_writes_pieces_in_order_ending_in_one_newline(tmp_path, capsys):
         _emit(text, None)
         assert capsys.readouterr().out == expected, text
 
+    # each piece is written before the next is drawn
+    def pieces():
+        yield "h\n"
+        assert capsys.readouterr().out == "h\n"
+        yield ""
+        yield "r0"
+
+    _emit(pieces(), None)
+    assert capsys.readouterr().out == "r0\n"
+
 
 @pytest.mark.parametrize(
     "argv",

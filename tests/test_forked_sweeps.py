@@ -7,16 +7,23 @@ per usable CPU. These tests pin that the result does not depend on the CPU
 count, that a failure reaches the caller as the plain loop would raise it,
 that every child is reaped, that a child never flushes the caller's
 buffered stdout, and that a worker that dies, or cannot send its reply back,
-ends the run with exit code 3 rather than a traceback.
+ends the run with exit code 3 rather than a traceback. The CSV rows of
+`criterion` and `dd` pass through an unlinked temporary file, the spool:
+its descriptor is closed and its file gone on every exit path, and no
+table is ever held whole.
 """
 
 from __future__ import annotations
 
+import errno
+import json
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -24,6 +31,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import lineinterp.cli
 import lineinterp.criterion
 from lineinterp import (
     ApComplex,
@@ -369,9 +377,9 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, table, fmt):
     assert stdout() == serial
 
 
-def test_a_written_table_is_held_about_once(monkeypatch, tmp_path):
-    # the header and the row texts go to the file piece by piece: no joined
-    # copy of the table, and no encoded copy of it, sits beside the pieces
+def test_a_written_table_is_never_held_whole(monkeypatch, tmp_path):
+    # the rows go through the spool and then to the file one at a time, so the
+    # traced peak is what the computation holds plus a row, not the table
     runner = CliRunner()
     art, table = str(tmp_path / "art.json"), tmp_path / "dd.csv"
     assert runner.invoke(main, ["counterexample", "--stages", "5", "--out", art]).exit_code == 0
@@ -389,9 +397,142 @@ def test_a_written_table_is_held_about_once(monkeypatch, tmp_path):
         assert result.stdout == ""
         _assert_no_children()
         written.append(table.read_bytes())
-        assert peak < 1.6 * len(written[-1]), (cpus, peak, len(written[-1]))
+        assert peak < 0.75 * len(written[-1]), (cpus, peak, len(written[-1]))
     assert written[0] == written[1] == runner.invoke(main, argv).stdout_bytes
     assert len(written[0]) > 500_000
+
+
+# -- the spool -----------------------------------------------------------------
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _node_file(tmp_path, *reals):
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"nodes": [{"re": re, "im": "0"} for re in reals]}))
+    return str(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_spool_is_closed_on_every_exit_path(monkeypatch, tmp_path):
+    _use_cpus(monkeypatch, 2)
+    runner = CliRunner()
+    dd = ["dd", "--nodes", "family:line:0,1,0:8"]
+    # dd of 7e499999 z^2 over 0.9 and 0.91: the forked worker's row p = 1
+    # passes the digit cap
+    capped = ["dd", "--nodes", _node_file(tmp_path, "0.9", "0.91"),
+              "--kernel", "analytic:0,0,7e499999"]
+    unwritable = dd + ["--out", str(tmp_path / "missing" / "t.csv")]
+    for argv, code in ((dd, 0), (capped, 3), (unwritable, 2)):
+        before = _open_fds()
+        assert runner.invoke(main, argv).exit_code == code, argv
+        assert _open_fds() == before, argv
+        _assert_no_children()
+
+
+class _NeedsTwoArgumentsError(Exception):
+    # pickles as cls(*args) with one argument, so unpickling it raises TypeError
+    def __init__(self, a, b):
+        super().__init__(a + b)
+
+
+def _row_worker_that(fails):
+    """cli.render_decimal that ends its forked worker as `fails` says, and runs in the caller."""
+    caller = os.getpid()
+    render = lineinterp.cli.render_decimal
+
+    class LocalError(Exception):
+        pass  # a local class cannot be pickled
+
+    def failing_render(value):
+        if os.getpid() != caller:
+            if fails == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if fails == "unpicklable":
+                raise LocalError("row")
+            raise _NeedsTwoArgumentsError("r", "ow")
+        return render(value)
+
+    return failing_render
+
+
+@pytest.mark.parametrize(
+    "fails, message",
+    [
+        ("sigkill", "the forked worker of items 1, 3, 5 was killed by SIGKILL"),
+        ("unpicklable", "LocalError: row (in a forked worker; the error does not pickle)"),
+        ("undecodable", "the forked worker of items 1, 3, 5 sent a reply that does not "
+                        "decode (TypeError: "),
+    ],
+    ids=["sigkill", "unpicklable", "undecodable"],
+)
+def test_dd_exits_3_when_a_row_worker_dies(monkeypatch, tmp_path, fails, message):
+    # six rows over two CPUs: the caller renders rows 0, 2, 4 and a worker 1, 3, 5
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(lineinterp.cli, "render_decimal", _row_worker_that(fails))
+    table = tmp_path / "dd.csv"
+    for out in ([], ["--out", str(table)]):
+        result = CliRunner().invoke(main, ["dd", *_CIRCLE6, "--kernel", "conj-kernel:2", *out])
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("numeric failure: " + message), line
+        assert not table.exists()
+        _assert_no_children()
+
+
+_SPOOLED = {
+    "criterion": ["criterion", *_CIRCLE6, "--p-max", "3", "--q-max", "2"],
+    "dd": ["dd", *_CIRCLE6, "--kernel", "conj-kernel:2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPOOLED))
+def test_a_spool_that_cannot_be_made_exits_2(monkeypatch, tmp_path, command):
+    # tempfile reads TMPDIR once per process; its tempdir is read on each call
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    result = CliRunner().invoke(main, _SPOOLED[command])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("config error: cannot make a spool file: "), line
+
+
+@pytest.mark.parametrize("command", sorted(_SPOOLED))
+def test_the_spool_leaves_no_file_behind(monkeypatch, tmp_path, command):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runner = CliRunner()
+    assert runner.invoke(main, _SPOOLED[command]).exit_code == 0
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(lineinterp.cli, "render_decimal", _row_worker_that("sigkill"))
+    assert runner.invoke(main, _SPOOLED[command]).exit_code == 3
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_children()
+
+
+def test_a_spool_that_cannot_be_written_exits_2(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    runner = CliRunner()
+    argv = _SPOOLED["dd"]
+
+    def full(fd, buffers):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for writev, reason in (
+        (full, r"\[Errno %d\] " % errno.ENOSPC),
+        (lambda fd, buffers: 10, r"10 of \d+ bytes written"),
+    ):
+        monkeypatch.setattr(os, "writev", writev)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert re.match("config error: cannot write the spool file: " + reason, line), line
+        _assert_no_children()
 
 
 _UNFLUSHED_SCRIPT = """
