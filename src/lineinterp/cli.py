@@ -3,15 +3,18 @@
 Each subcommand reads a node source (JSON file or generated family), an
 optional function source (JSON file or builtin series spec), runs one
 experiment, and emits a CSV or JSON table. The layout of every table is
-decided here, and every CSV table goes through the one writer `_csv_text`.
-Magnitudes are rendered as exact decimal strings, never binary floats, so
-outputs written at different working precisions stay comparable. The
-`criterion` and `dd` CSV tables render their rows in forked workers through
-precision.fork_map, and each row is appended to an unlinked temporary file,
-the spool. Once every row is there, the rows are copied out in order, one at
-a time: no table is ever held whole, and a failing row still writes nothing.
-Every table leaves through the one streaming writer `_emit`. Identical flags
-and seed produce byte-identical output, whatever the CPU count.
+decided here, and every table, CSV or JSON, goes through the one writer
+`_emit_table`. Magnitudes are rendered as exact decimal strings, never binary
+floats, so outputs written at different working precisions stay comparable.
+The writer renders the rows in forked workers through precision.fork_map,
+and each row is appended to an unlinked temporary file, the spool. Once every
+row is there, the rows are copied out in order, one at a time: no table is
+ever held whole, and a failing row still writes nothing. A JSON table is the
+text of json.dumps of its document, with each array of rows streamed in its
+place. The mobius report and the counterexample artifact are not tables and
+are written whole. All primary output leaves through the one streaming
+writer `_emit`. Identical flags and seed produce byte-identical output,
+whatever the CPU count.
 
 Exit codes: 0 success, 1 property-check failure, 2 configuration error,
 3 numeric or construction failure.
@@ -237,22 +240,17 @@ def _json_text(obj):
     return json.dumps(obj, indent=2)
 
 
-def _csv_text(columns, rows):
-    """A header line of the columns, then one line per row; a None cell is empty.
-
-    With columns None there is no header line. rows may be a generator that
-    renders its cells as it is drawn: the text is formed before anything is
-    written, so a rendering failure leaves the output empty, and the rendered
-    cells are dropped once their line is.
-    """
-    lines = itertools.chain([] if columns is None else [columns], rows)
-    return "".join(
-        ",".join("" if v is None else str(v) for v in line) + "\n" for line in lines
-    )
+def _csv_text(lines):
+    """One line of comma-separated cells per line of lines; a None cell is empty."""
+    return "".join(",".join("" if v is None else str(v) for v in line) + "\n" for line in lines)
 
 
 # a spooled row: its index and byte length, then its UTF-8 text
 _RECORD = struct.Struct("<QQ")
+
+# Stands in a table's JSON document for each array of rows, and joins a row's
+# items in its spool record; json.dumps writes it only escaped.
+_ARRAY = "\0"
 
 
 def _open_spool():
@@ -302,34 +300,58 @@ def _spooled_rows(fd, lengths):
         yield os.pread(fd, size, start).decode("utf-8")
 
 
-def _emit_forked_csv(columns, count, row_cells, out_path):
-    """_emit of _csv_text of the rows row_cells(0), ..., row_cells(count - 1).
+def _emit_table(columns, count, row, fmt, out_path, doc):
+    """_emit of the rows row(0), ..., row(count - 1): CSV under the columns, or the JSON doc.
 
-    Each row_cells(i) yields the CSV rows of table row i. It is rendered in a
-    forked worker, or in the caller, and appended to a spool, so only its byte
-    length comes back through fork_map. Nothing is written until every row is
-    spooled, so a failing row leaves the output empty; then the header and
-    the rows are copied out in order, one row held at a time. One try/finally
-    owns the spool from its creation to the last byte copied.
+    row(i) returns table row i as its CSV lines and its tuple of items, one
+    for each array of doc; each array stands in doc as _ARRAY, in document
+    order. Each row is rendered in a forked worker, or in the caller, and
+    appended to a spool, so only its byte length comes back through fork_map.
+    Nothing is written until every row is spooled, so a failing row leaves the
+    output empty; then the rows are copied out in order, one row held at a
+    time. One try/finally owns the spool from its creation to the last byte
+    copied.
     """
+    csv = fmt == "csv"
+
+    def spool(i):
+        lines, items = row(i)
+        return _spool_row(fd, i, _csv_text(lines) if csv else _ARRAY.join(map(_json_text, items)))
+
     fd = _open_spool()
     try:
-        lengths = fork_map(lambda i: _spool_row(fd, i, _csv_text(None, row_cells(i))), range(count))
-        _emit(itertools.chain([_csv_text(columns, ())], _spooled_rows(fd, lengths)), out_path)
+        lengths = fork_map(spool, range(count))
+        if csv:
+            pieces = itertools.chain([_csv_text([columns])], _spooled_rows(fd, lengths))
+        else:
+            pieces = _json_pieces(_json_text(doc), fd, lengths)
+        _emit(pieces, out_path)
     finally:
         os.close(fd)
 
 
-def _emit_table(columns, rows, fmt, out_path, **meta):
-    """Rows as CSV under a header, or as JSON objects after the meta fields.
+def _json_pieces(text, fd, lengths):
+    """The JSON text of a doc with its j-th _ARRAY replaced by the j-th items of the spooled rows.
 
-    A None cell is empty in CSV and null in JSON.
+    With indent set, json.dumps writes a value the same way at a given depth,
+    so each item, dumped on its own, is re-indented at its array's depth: the
+    pieces join to json.dumps of the doc with its arrays in place. There is
+    one pass over the spool for each array.
     """
-    if fmt == "csv":
-        _emit(_csv_text(columns, rows), out_path)
-    else:
-        table = {**meta, "rows": [dict(zip(columns, row)) for row in rows]}
-        _emit(_json_text(table), out_path)
+    parts = text.split(_json_text(_ARRAY))
+    yield parts[0]
+    for j, after in enumerate(parts[1:]):
+        line = parts[j].rpartition("\n")[2]
+        outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        inner = outer + "  "
+        for i, record in enumerate(_spooled_rows(fd, lengths)):
+            yield ("," if i else "[") + inner + record.split(_ARRAY)[j].replace("\n", inner)
+        yield outer + "]" + after
+
+
+def _one_line(columns, line):
+    """A table row of one CSV line, whose JSON item maps the columns to its cells."""
+    return [line], (dict(zip(columns, line)),)
 
 
 def _guarded(fn):
@@ -413,15 +435,18 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
     f = _load_function(function_source, bits)
     points = default_zgrid(bits, *grid_args, seed=seed)
     orders = range(n_min, n_max + 1)
-    sups = LinePlan(f, nodes, n_max, bits).sup_errors(points, orders)
-    rows = []
-    prev = None
-    for n, sup in sups.items():
+    sups = list(LinePlan(f, nodes, n_max, bits).sup_errors(points, orders).items())
+    columns = ("n", "sup_error", "ratio")
+
+    def row(i):
+        n, sup = sups[i]
+        prev = sups[i - 1][1] if i else None
         with workprec(bits):
             ratio = sup / prev if prev is not None and prev > 0 else None
-        rows.append((n, render_decimal(sup), None if ratio is None else render_decimal(ratio)))
-        prev = sup
-    _emit_table(("n", "sup_error", "ratio"), rows, fmt, out, precision_bits=bits)
+        ratio = None if ratio is None else render_decimal(ratio)
+        return _one_line(columns, (n, render_decimal(sup), ratio))
+
+    _emit_table(columns, len(sups), row, fmt, out, {"precision_bits": bits, "rows": _ARRAY})
     return 0
 
 
@@ -443,33 +468,21 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     nodes = _load_nodes(node_source, bits, seed)
     prof = criterion_profile(nodes, p_max, q_max, bits)
 
-    def rendered(p):
-        return [
-            (render_decimal(raw), render_decimal(norm))
-            for raw, norm in zip(prof.raw[p], prof.normalized[p])
-        ]
+    def row(p):
+        raw = [render_decimal(v) for v in prof.raw[p]]
+        norm = [render_decimal(v) for v in prof.normalized[p]]
+        return [(p, q, *cells) for q, cells in enumerate(zip(raw, norm))], (raw, norm)
 
-    if fmt == "csv":
-        _emit_forked_csv(
-            ("p", "q", "raw", "normalized"),
-            p_max + 1,
-            lambda p: ((p, q, raw, norm) for q, (raw, norm) in enumerate(rendered(p))),
-            out,
-        )
-    else:
-        rows = fork_map(rendered, range(p_max + 1))
-        text = _json_text(
-            {
-                "p_max": p_max,
-                "q_max": q_max,
-                "precision_bits": prof.precision_bits,
-                "estimate_kind": "observed-finite-window",
-                "r_hat_observed": render_decimal(prof.r_hat_observed),
-                "raw": [[raw for raw, _ in row] for row in rows],
-                "normalized": [[norm for _, norm in row] for row in rows],
-            }
-        )
-        _emit(text, out)
+    doc = {
+        "p_max": p_max,
+        "q_max": q_max,
+        "precision_bits": prof.precision_bits,
+        "estimate_kind": "observed-finite-window",
+        "r_hat_observed": render_decimal(prof.r_hat_observed),
+        "raw": _ARRAY,
+        "normalized": _ARRAY,
+    }
+    _emit_table(("p", "q", "raw", "normalized"), p_max + 1, row, fmt, out, doc)
     return 0
 
 
@@ -510,35 +523,26 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
     policy = EscalationPolicy(start_bits=bits, max_bits=max_bits)
     seq = build_sequence(f, stages, policy)
     report = verify_growth(seq, f)
+    sequence = seq.to_json_obj()
     if out:
-        _emit(_json_text(seq.to_json_obj()), out)
-    if fmt == "csv":
-        text = _csv_text(
-            ("p", "achieved", "target", "precision_bits"),
-            (
-                (row.stage, render_decimal(row.achieved), row.target, row.precision_bits)
-                for row in report.rows
-            ),
-        )
-    else:
-        growth = [
-            {
-                "stage": row.stage,
-                "achieved": render_decimal(row.achieved),
-                "target": row.target,
-                "passed": row.passed,
-                "note": row.note,
-                "precision_bits": row.precision_bits,
-            }
-            for row in report.rows
-        ]
-        text = _json_text(
-            {
-                "sequence": seq.to_json_obj(),
-                "growth": {"rows": growth, "all_passed": report.all_passed},
-            }
-        )
-    _emit(text, None)
+        _emit(_json_text(sequence), out)
+
+    def row(i):
+        cert = report.rows[i]
+        achieved = render_decimal(cert.achieved)
+        item = {
+            "stage": cert.stage,
+            "achieved": achieved,
+            "target": cert.target,
+            "passed": cert.passed,
+            "note": cert.note,
+            "precision_bits": cert.precision_bits,
+        }
+        return [(cert.stage, achieved, cert.target, cert.precision_bits)], (item,)
+
+    columns = ("p", "achieved", "target", "precision_bits")
+    doc = {"sequence": sequence, "growth": {"rows": _ARRAY, "all_passed": report.all_passed}}
+    _emit_table(columns, len(report.rows), row, fmt, None, doc)
     return 0 if report.all_passed else 1
 
 
@@ -583,16 +587,20 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
     rows = LinePlan(f, nodes, n_max, bits).identity_residuals(points, orders, max_order)
     worst = max(mag for _, _, mag, _ in rows)
     passed = worst <= tol
-    _emit_table(
-        ("n", "point", "residual", "cross_form_gap"),
-        [(n, idx, render_decimal(mag), render_decimal(gap)) for n, idx, mag, gap in rows],
-        fmt,
-        out,
-        precision_bits=bits,
-        tolerance=tolerance,
-        max_residual=render_decimal(worst),
-        passed=passed,
-    )
+    columns = ("n", "point", "residual", "cross_form_gap")
+
+    def row(i):
+        n, idx, mag, gap = rows[i]
+        return _one_line(columns, (n, idx, render_decimal(mag), render_decimal(gap)))
+
+    doc = {
+        "precision_bits": bits,
+        "tolerance": tolerance,
+        "max_residual": render_decimal(worst),
+        "passed": passed,
+        "rows": _ARRAY,
+    }
+    _emit_table(columns, len(rows), row, fmt, out, doc)
     return 0 if passed else 1
 
 
@@ -710,29 +718,13 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
     h = _parse_kernel(kernel, bits)
     table = delta_table(h, nodes, bits)
 
-    def rendered(p):
-        return [(render_decimal(v.real), render_decimal(v.imag)) for v in table.rows[p]]
+    def row(p):
+        cells = [(render_decimal(v.real), render_decimal(v.imag)) for v in table.rows[p]]
+        lines = [(p, k, re, im) for k, (re, im) in enumerate(cells)]
+        return lines, ([{"re": re, "im": im} for re, im in cells],)
 
-    if fmt == "csv":
-        _emit_forked_csv(
-            ("p", "k", "re", "im"),
-            len(table.rows),
-            lambda p: ((p, k, re, im) for k, (re, im) in enumerate(rendered(p))),
-            out,
-        )
-    else:
-        rows = fork_map(
-            lambda p: [{"re": re, "im": im} for re, im in rendered(p)],
-            range(len(table.rows)),
-        )
-        text = _json_text(
-            {
-                "precision_bits": bits,
-                "nodes": [z.to_json_obj() for z in nodes],
-                "rows": rows,
-            }
-        )
-        _emit(text, out)
+    doc = {"precision_bits": bits, "nodes": [z.to_json_obj() for z in nodes], "rows": _ARRAY}
+    _emit_table(("p", "k", "re", "im"), len(table.rows), row, fmt, out, doc)
     return 0
 
 

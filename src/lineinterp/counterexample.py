@@ -215,9 +215,6 @@ class AdversarialSequence:
     def stages(self):
         return len(self.stage_log)
 
-    def axis_tags(self):
-        return tuple(_axis_of(n) for n in self.nodes)
-
     def to_json_obj(self):
         entries = []
         for node in self.nodes:

@@ -145,11 +145,6 @@ class NodeSequence:
             raise ArityError("requested %d nodes, have %d" % (n, len(self.nodes)))
         return NodeSequence(self.nodes[:n], self.precision_bits)
 
-    def permuted(self, perm):
-        if sorted(perm) != list(range(len(self.nodes))):
-            raise ConfigError("not a permutation of node indices")
-        return NodeSequence([self.nodes[i] for i in perm], self.precision_bits)
-
     def to_json_obj(self):
         return {"nodes": [n.to_json_obj() for n in self.nodes]}
 

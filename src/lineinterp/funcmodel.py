@@ -90,27 +90,6 @@ class TaylorSeries2:
             for k, v in row:
                 yield (k, m - k), v
 
-    def total_degree(self):
-        """Largest m with a nonzero coefficient, -1 for the zero series."""
-        for m in range(self.max_order, -1, -1):
-            if self._by_degree[m]:
-                return m
-        return -1
-
-    def truncated(self, new_max_order):
-        """Drop all terms of total degree above new_max_order."""
-        if new_max_order >= self.max_order:
-            return TaylorSeries2(
-                dict(self.items()), new_max_order, self.precision_bits
-            )
-        kept = {
-            (k, l): v for (k, l), v in self.items() if k + l <= new_max_order
-        }
-        return TaylorSeries2(kept, new_max_order, self.precision_bits)
-
-    def at_precision(self, bits):
-        return TaylorSeries2(dict(self.items()), self.max_order, bits)
-
     def to_json_obj(self):
         out = []
         for (k, l), v in self.items():

@@ -281,8 +281,8 @@ def test_single_stage_certificate_matches_exact_rational_table():
 
 def test_three_stage_structural_invariants(seq3):
     assert len(seq3.nodes) == 9 and seq3.stages == 3
-    for tag in seq3.axis_tags():
-        assert tag in ("real", "imaginary")
+    for entry in seq3.to_json_obj()["nodes"]:
+        assert entry["axis"] in ("real", "imaginary")
     for node in seq3.nodes:
         assert node.re * node.im == 0
     with workprec(seq3.precision_bits):

@@ -1,16 +1,16 @@
 """Work dealt to forked workers through `precision.fork_map`.
 
 `LinePlan.sup_errors` and `LinePlan.identity_residuals` deal their points,
-`criterion_profile` its kernel-power columns, and the `criterion` and `dd`
-commands the rendering of their table rows round-robin to one forked child
-per usable CPU. These tests pin that the result does not depend on the CPU
-count, that a failure reaches the caller as the plain loop would raise it,
-that every child is reaped, that a child never flushes the caller's
-buffered stdout, and that a worker that dies, or cannot send its reply back,
-ends the run with exit code 3 rather than a traceback. The CSV rows of
-`criterion` and `dd` pass through an unlinked temporary file, the spool:
-its descriptor is closed and its file gone on every exit path, and no
-table is ever held whole.
+`criterion_profile` its kernel-power columns, and every table command the
+rendering of its table rows round-robin to one forked child per usable CPU.
+These tests pin that the result does not depend on the CPU count, that a
+failure reaches the caller as the plain loop would raise it, that every
+child is reaped, that a child never flushes the caller's buffered stdout,
+and that a worker that dies, or cannot send its reply back, ends the run
+with exit code 3 rather than a traceback. The rows of every table, CSV or
+JSON, pass through an unlinked temporary file, the spool: its descriptor is
+closed and its file gone on every exit path, and no table is ever held
+whole.
 """
 
 from __future__ import annotations
@@ -342,9 +342,17 @@ def test_criterion_profile_does_not_depend_on_the_cpu_count(monkeypatch, p_max, 
 
 
 _CIRCLE6 = ["--nodes", "family:circle:0,0,1:6"]
-# (argv, lengths of the lists mapped in forked workers): six table rows are
-# more than the CPUs, two are fewer than three CPUs
+_EXP6 = [*_CIRCLE6, "--function", "builtin:exp_sum:6"]
+# (argv, lengths of the lists mapped in forked workers, the table rows last):
+# six table rows are more than the CPUs, two are fewer than three CPUs
 _TABLES = {
+    "converge-3-rows": (
+        ["converge", *_EXP6, "--n-min", "2", "--n-max", "4", "--grid", "2x2@0.25+1"], (5, 3)
+    ),
+    "identity-4-rows": (
+        ["identity", *_EXP6, "--n-min", "1", "--n-max", "2", "--grid", "1x1@0.25+1"], (2, 4)
+    ),
+    "counterexample-2-rows": (["counterexample", "--stages", "2"], (2,)),
     "criterion-6-rows": (["criterion", *_CIRCLE6, "--p-max", "5", "--q-max", "2"], (3, 6)),
     "criterion-2-rows": (["criterion", *_CIRCLE6, "--p-max", "1", "--q-max", "3"], (4, 2)),
     "dd-6-rows": (["dd", *_CIRCLE6, "--kernel", "conj-kernel:2"], (6,)),
@@ -375,15 +383,33 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, table, fmt):
         assert len(forks) == _forks_for(cpus, *lengths)
     monkeypatch.delattr(os, "fork")
     assert stdout() == serial
+    if fmt == "json":
+        # the streamed document is what the encoder writes for it
+        text = serial.decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def test_a_written_table_is_never_held_whole(monkeypatch, tmp_path):
+@pytest.fixture(scope="module")
+def stage5_artifact(tmp_path_factory):
+    art = str(tmp_path_factory.mktemp("art") / "art.json")
+    assert CliRunner().invoke(main, ["counterexample", "--stages", "5", "--out", art]).exit_code == 0
+    return art
+
+
+_WIDE_TABLES = {
+    "dd": ["dd", "--kernel", "conj-kernel:3"],
+    "criterion": ["criterion", "--p-max", "14", "--q-max", "6"],
+}
+
+
+@pytest.mark.parametrize("command, fmt", [("dd", "csv"), ("dd", "json"), ("criterion", "json")])
+def test_a_written_table_is_never_held_whole(monkeypatch, tmp_path, stage5_artifact, command, fmt):
     # the rows go through the spool and then to the file one at a time, so the
     # traced peak is what the computation holds plus a row, not the table
     runner = CliRunner()
-    art, table = str(tmp_path / "art.json"), tmp_path / "dd.csv"
-    assert runner.invoke(main, ["counterexample", "--stages", "5", "--out", art]).exit_code == 0
-    argv = ["dd", "--nodes", art, "--kernel", "conj-kernel:3", "--precision", "4096"]
+    table = tmp_path / "table"
+    argv = _WIDE_TABLES[command] + ["--nodes", stage5_artifact, "--precision", "4096",
+                                    "--format", fmt]
     written = []
     for cpus in (1, 2):
         _use_cpus(monkeypatch, cpus)
@@ -472,8 +498,8 @@ def test_dd_exits_3_when_a_row_worker_dies(monkeypatch, tmp_path, fails, message
     # six rows over two CPUs: the caller renders rows 0, 2, 4 and a worker 1, 3, 5
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(lineinterp.cli, "render_decimal", _row_worker_that(fails))
-    table = tmp_path / "dd.csv"
-    for out in ([], ["--out", str(table)]):
+    table = tmp_path / "dd.out"
+    for out in ([], ["--out", str(table)], ["--out", str(table), "--format", "json"]):
         result = CliRunner().invoke(main, ["dd", *_CIRCLE6, "--kernel", "conj-kernel:2", *out])
         assert result.exit_code == 3, result.output
         assert result.stdout == ""
@@ -489,27 +515,30 @@ _SPOOLED = {
 }
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", sorted(_SPOOLED))
-def test_a_spool_that_cannot_be_made_exits_2(monkeypatch, tmp_path, command):
+def test_a_spool_that_cannot_be_made_exits_2(monkeypatch, tmp_path, command, fmt):
     # tempfile reads TMPDIR once per process; its tempdir is read on each call
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    result = CliRunner().invoke(main, _SPOOLED[command])
+    result = CliRunner().invoke(main, _SPOOLED[command] + ["--format", fmt])
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith("config error: cannot make a spool file: "), line
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", sorted(_SPOOLED))
-def test_the_spool_leaves_no_file_behind(monkeypatch, tmp_path, command):
+def test_the_spool_leaves_no_file_behind(monkeypatch, tmp_path, command, fmt):
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runner = CliRunner()
-    assert runner.invoke(main, _SPOOLED[command]).exit_code == 0
+    argv = _SPOOLED[command] + ["--format", fmt]
+    assert runner.invoke(main, argv).exit_code == 0
     assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(lineinterp.cli, "render_decimal", _row_worker_that("sigkill"))
-    assert runner.invoke(main, _SPOOLED[command]).exit_code == 3
+    assert runner.invoke(main, argv).exit_code == 3
     assert list(tmp_path.iterdir()) == []
     _assert_no_children()
 

@@ -34,6 +34,10 @@ table piece by piece: no `print` call, no `sys.stdout.write`, and
 `click.echo` without `err=True` only inside `_emit`. Error messages go to
 stderr through `click.echo(..., err=True)`.
 
+In `cli.py` every table takes one path: `fork_map` and `_open_spool` are
+called only inside `_emit_table`, and `json.dumps` only inside `_json_text`,
+so no subcommand renders its rows or builds a JSON document of its own.
+
 No package module calls a one-point edge of the interpolant (`eval_EN`,
 `eval_RN_lagrange`, `eval_RN_newton`, `identity_report`, `eval2`): each call
 builds a whole LinePlan for one point, so the library evaluates through plans
@@ -479,3 +483,53 @@ def test_primary_output_leaves_only_through_emit():
         if calls:
             found[path.name] = calls
     assert found == {}
+
+
+# in cli.py each of these calls stays inside the function named beside it
+TABLE_PATH = {"fork_map": "_emit_table", "_open_spool": "_emit_table", "json.dumps": "_json_text"}
+
+
+def table_path_calls(source):
+    """(line, call) of each call of a TABLE_PATH name outside the function it belongs to."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            if name in TABLE_PATH and TABLE_PATH[name] not in inside:
+                out.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return sorted(out)
+
+
+def test_every_table_takes_the_one_writer():
+    sample = (
+        "import json\n"
+        "def _json_text(obj):\n"
+        "    return json.dumps(obj, indent=2)\n"
+        "def _emit_table(count, row):\n"
+        "    fd = _open_spool()\n"
+        "    def spool(i):\n"
+        "        return fork_map(row, [i])\n"
+        "    return fork_map(spool, range(count))\n"
+        "def cmd_dd(rows):\n"
+        "    lengths = fork_map(len, rows)\n"
+        "    fd = _open_spool()\n"
+        "    return json.dumps(rows)\n"
+        "text = json.dumps({})\n"
+        "mapper = fork_map\n"
+    )
+    # the checker itself
+    assert table_path_calls(sample) == [
+        (10, "fork_map"),
+        (11, "_open_spool"),
+        (12, "json.dumps"),
+        (13, "json.dumps"),
+    ]
+    cli = ROOT / "src" / "lineinterp" / "cli.py"
+    assert table_path_calls(cli.read_text(encoding="utf-8")) == []
