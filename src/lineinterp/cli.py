@@ -59,6 +59,9 @@ from .precision import (
 
 DEFAULT_GRID = "5x5@0.5+10"
 
+# Largest node count of a family source, checked before any node is made.
+MAX_FAMILY_NODES = 4096
+
 _GRID_RE = re.compile(r"^(\d+)x(\d+)@([^+]+)(?:\+(\d+))?$")
 
 
@@ -154,6 +157,10 @@ def _load_nodes(source, bits, seed):
             fam_count = int(parts[3])
         except ValueError as exc:
             raise ConfigError("bad family count %r" % (parts[3],)) from exc
+        if fam_count > MAX_FAMILY_NODES:
+            raise ConfigError(
+                "family count %d exceeds the limit of %d nodes" % (fam_count, MAX_FAMILY_NODES)
+            )
         if kind == "line":
             family = line_family(coords[0], coords[1], coords[2], fam_count)
         else:
@@ -207,33 +214,36 @@ def _require_span(nodes, n_max):
 
 
 def _emit(pieces, out_path):
-    """Write text, or an iterable of text pieces in order, to out_path or stdout.
+    """Write text, or an iterable of pieces in order, to out_path or stdout.
 
-    The only way primary output leaves the package. Each piece is written as
-    it is drawn, so a table is never joined, encoded or held whole here; a
-    newline follows the last non-empty piece unless it ends with one.
+    The only way primary output leaves the package. A piece is text, or
+    UTF-8 bytes such as a spooled row, which are written as they are; each
+    piece is written as it is drawn, so a table is never joined or held whole
+    here. A newline follows the last non-empty piece unless it ends with one.
     """
     if isinstance(pieces, str):
         pieces = (pieces,)
+    pieces = (p.encode("utf-8") if isinstance(p, str) else p for p in pieces)
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(out_path, "wb") as fh:
                 _write_pieces(pieces, fh.write)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
+        # click.echo writes bytes to stdout's buffer, after flushing its text layer
         _write_pieces(pieces, lambda piece: click.echo(piece, nl=False))
 
 
 def _write_pieces(pieces, write):
-    """Write each non-empty piece, then a newline unless the last one ends with one."""
-    last = ""
+    """Write each non-empty bytes piece, then a newline unless the last one ends with one."""
+    last = b""
     for piece in pieces:
         if piece:
             write(piece)
             last = piece
-    if not last.endswith("\n"):
-        write("\n")
+    if not last.endswith(b"\n"):
+        write(b"\n")
 
 
 def _json_text(obj):
@@ -284,7 +294,7 @@ def _spool_row(fd, i, text):
 
 
 def _spooled_rows(fd, lengths):
-    """The texts of rows 0, 1, ... of the spool fd in order, read one at a time.
+    """The UTF-8 bytes of rows 0, 1, ... of the spool fd in order, read one at a time.
 
     lengths[i] is the byte length of row i. The records lie in the order the
     workers wrote them, and each names its row, so one pass over their
@@ -297,7 +307,7 @@ def _spooled_rows(fd, lengths):
         starts[i] = pos + _RECORD.size
         pos = starts[i] + size
     for start, size in zip(starts, lengths):
-        yield os.pread(fd, size, start).decode("utf-8")
+        yield os.pread(fd, size, start)
 
 
 def _emit_table(columns, count, row, fmt, out_path, doc):
@@ -335,17 +345,20 @@ def _json_pieces(text, fd, lengths):
 
     With indent set, json.dumps writes a value the same way at a given depth,
     so each item, dumped on its own, is re-indented at its array's depth: the
-    pieces join to json.dumps of the doc with its arrays in place. There is
-    one pass over the spool for each array.
+    pieces join to json.dumps of the doc with its arrays in place. The items
+    are split and re-indented as bytes, since neither NUL nor a newline occurs
+    inside a UTF-8 multibyte sequence. There is one pass over the spool for
+    each array.
     """
     parts = text.split(_json_text(_ARRAY))
     yield parts[0]
     for j, after in enumerate(parts[1:]):
         line = parts[j].rpartition("\n")[2]
         outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        inner = outer + "  "
+        inner = (outer + "  ").encode("utf-8")
         for i, record in enumerate(_spooled_rows(fd, lengths)):
-            yield ("," if i else "[") + inner + record.split(_ARRAY)[j].replace("\n", inner)
+            item = record.split(_ARRAY.encode("utf-8"))[j]
+            yield (b"," if i else b"[") + inner + item.replace(b"\n", inner)
         yield outer + "]" + after
 
 

@@ -26,7 +26,7 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .criterion import conj_kernel
-from .divdiff import NodeConditioning, NodeSequence, ScalarFunction, difference_rows
+from .divdiff import NodeConditioning, NodeSequence, ScalarFunction, _leading_column
 from .errors import (
     ConfigError,
     ConstructionFailureError,
@@ -37,6 +37,9 @@ from .errors import (
 from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
+    _append,
+    _gap_row,
+    _raw,
     check_precision,
     parse_decimal,
     render_decimal,
@@ -55,18 +58,19 @@ def default_kernel():
     return conj_kernel(1)
 
 
-def _wirtinger(f, zs, bits):
+def _wirtinger(f, conditioning, diag, bits):
     """Wirtinger derivatives (d_z, d_zbar) at 0 of zeta -> Delta_n(f)(zs, zeta).
 
-    zs holds the n raw prefix nodes, none at 0 (no node: f itself), at the
-    ambient precision, which must be bits. d_zbar comes from the product
-    formula (df/dconj)(0) / prod(0 - eta_i), accurate to rounding. d_z takes
-    central differences along both axes at a dyadic step capped a factor of
-    eight below the smallest prefix modulus, with one Richardson step at
-    ratio 2, and carries about two thirds of the precision. The prefix's
-    difference rows are built once; each probe extends them in O(n).
+    zs, the conditioning's nodes, are the n raw prefix nodes, none at 0 (no
+    node: f itself), at the ambient precision, which must be bits and the
+    conditioning's; diag is the last diagonal of f's table over zs. d_zbar
+    comes from the product formula (df/dconj)(0) / prod(0 - eta_i), accurate
+    to rounding. d_z takes central differences along both axes at a dyadic
+    step capped a factor of eight below the smallest prefix modulus, with one
+    Richardson step at ratio 2, and carries about two thirds of the
+    precision. Each probe appends itself to diag in O(n).
     """
-    diag = _last_entries(f, zs)
+    zs = conditioning.zs
     denom = mpc(1)
     for z in zs:
         denom = denom * (-z)
@@ -79,7 +83,8 @@ def _wirtinger(f, zs, bits):
     h = mpmath.ldexp(1, h_exp)
 
     def extended_delta(re, im):
-        return _appended_delta(f, zs, diag, mpc(re, im))
+        probe = mpc(re, im)
+        return _raw(_append(diag, mpc(f.raw(probe)), _gap_row(probe, zs))[-1])
 
     def central(step, along_imag):
         if along_imag:
@@ -95,29 +100,17 @@ def _wirtinger(f, zs, bits):
     return (dx - mpc(0, 1) * dy) / 2, d_zbar
 
 
-def _last_entries(f, zs):
-    """Last entry of each difference row of f over zs, lowest order first.
+def _extended(f, conditioning, diag, more):
+    """The conditioning and last diagonal of f's table over zs + more, from those over zs.
 
-    Works on raw mpc values under the ambient working precision.
+    Only the gaps and differences of the new nodes are formed, at the
+    conditioning's precision, which must be the ambient one.
     """
-    if not zs:
-        return []
-    return [row[-1] for row in difference_rows([mpc(f.raw(z)) for z in zs], zs)]
-
-
-def _appended_delta(f, zs, diag, probe):
-    """Order-n divided difference of f over zs with the node probe appended.
-
-    diag holds the last entries of the n difference rows over zs. This is
-    the last diagonal of the two-point recursion over zs + [probe], the same
-    operations in the same order, so the value is bit-identical to the full
-    table's.
-    """
-    n = len(zs)
-    value = mpc(f.raw(probe))
-    for p in range(1, n + 1):
-        value = (value - diag[p - 1]) / (probe - zs[n - p])
-    return value
+    zs, bits = conditioning.zs + tuple(more), conditioning.precision_bits
+    conditioning = NodeConditioning(zs, bits, conditioning)
+    for z, gaps in zip(more, conditioning.rows[-len(more):]):
+        diag = _append(diag, mpc(f.raw(z)), gaps)
+    return conditioning, diag
 
 
 @dataclass(frozen=True)
@@ -251,14 +244,18 @@ def _power_of_two_below(value):
     return mpmath.ldexp(1, exponent - 2)
 
 
-def _run_stage(f, prev, stage, bits):
+def _run_stage(f, conditioning, diag, stage, bits):
     """One stage at fixed working precision; raises _NeedMoreBits on stall.
 
-    prev and the returned trio are raw mpc nodes. Bits only grow from
-    stage to stage, so a node made at fewer bits is exact at these.
+    conditioning holds the raw mpc nodes prev placed so far, at bits, and
+    diag the last diagonal of f's table over them. Returns the record and
+    the conditioning and diagonal of prev and the stage's trio, extended from
+    these. Bits only grow from stage to stage, so a node made at fewer bits
+    is exact at these.
     """
     p = stage - 1
     target = stage**stage
+    prev = conditioning.zs
     with workprec(bits):
         moduli = [abs(z) for z in prev]
         cap = mpf(1) / (3 * p + 1)
@@ -274,9 +271,9 @@ def _run_stage(f, prev, stage, bits):
         while cd_zero / (scale * lead) < target + 1:
             lead = lead / 2
         eta_first = mpc(lead, 0)
-        active = prev + [eta_first]
+        active, active_diag = _extended(f, conditioning, diag, [eta_first])
 
-        d_z, d_zbar = _wirtinger(f, active, bits)
+        d_z, d_zbar = _wirtinger(f, active, active_diag, bits)
         band = mpmath.ldexp(1, -(bits // 4))
         phase_case = "real-pair"
         theta = mpf(0)
@@ -301,12 +298,11 @@ def _run_stage(f, prev, stage, bits):
                 second, third = mpc(0, radius), mpc(0, -radius)
             else:
                 second, third = mpc(radius * cos_half, 0), mpc(0, radius * sin_half)
-            candidate = active + [second, third]
-            if NodeConditioning(candidate, bits).cancellation_exceeds(bits / 2):
+            candidate, candidate_diag = _extended(f, active, active_diag, [second, third])
+            if candidate.cancellation_exceeds(bits / 2):
                 raise _NeedMoreBits
             # the order 3p+2 difference over all 3p+3 nodes, as delta_table forms it
-            rows = difference_rows([mpc(f.raw(z)) for z in candidate], candidate)
-            achieved = abs(rows[-1][0])
+            achieved = abs(_raw(candidate_diag[-1]))
             if achieved >= target:
                 trio = [eta_first, second, third]
                 record = StageRecord(
@@ -318,7 +314,7 @@ def _run_stage(f, prev, stage, bits):
                     shrink_steps=step,
                     precision_bits=bits,
                 )
-                return record, trio
+                return record, candidate, candidate_diag
             radius = radius / 2
     raise _NeedMoreBits
 
@@ -355,12 +351,14 @@ def build_sequence(f, stages, policy=None):
                 "conjugate derivative vanishes at 0, so the one-node "
                 "extension has no anti-holomorphic growth to amplify"
             )
-    nodes = []
+    # the nodes so far and f's last diagonal over them, extended stage by
+    # stage and formed again only when the bits double
+    conditioning, diag = NodeConditioning((), bits), []
     log = []
     for stage in range(1, stages + 1):
         while True:
             try:
-                record, trio = _run_stage(f, nodes, stage, bits)
+                record, conditioning, diag = _run_stage(f, conditioning, diag, stage, bits)
             except _NeedMoreBits:
                 bits = bits * 2
                 if bits > policy.max_bits:
@@ -369,11 +367,13 @@ def build_sequence(f, stages, policy=None):
                         % (stage, policy.max_bits),
                         tuple(log),
                     )
+                with workprec(bits):
+                    empty = NodeConditioning((), bits)
+                    conditioning, diag = _extended(f, empty, [], conditioning.zs)
                 continue
             break
-        nodes.extend(trio)
         log.append(record)
-    sequence = NodeSequence([ApComplex.from_mpc(z, bits) for z in nodes], bits)
+    sequence = NodeSequence([ApComplex.from_mpc(z, bits) for z in conditioning.zs], bits)
     return AdversarialSequence(
         nodes=sequence,
         stage_log=tuple(log),
@@ -408,9 +408,10 @@ class GrowthReport:
 def verify_growth(seq, f):
     """Recheck every stage certificate and structural invariant from scratch.
 
-    Each stage is recomputed with a fresh divided-difference table at the
+    Each stage is recomputed from a fresh divided-difference table at the
     logged precision plus 64 guard bits, over the node prefix rounded to
-    those bits. Structural violations (missing
+    those bits; one table over the longest such prefix serves every stage
+    logged at that precision. Structural violations (missing
     nodes, off-axis members, broken modulus ordering) mark the stage failed
     with an explanatory note even when the magnitude clears the target.
     """
@@ -419,16 +420,19 @@ def verify_growth(seq, f):
     rows = []
     available = len(seq.nodes)
     # each verification precision rounds its longest stage prefix once, which
-    # rejects stage nodes that coincide at those bits; stages slice it
+    # rejects stage nodes that coincide at those bits, and forms its leading
+    # column; stages slice both
     longest = {}
     for rec in seq.stage_log:
         if 3 * rec.stage <= available:
             bits = rec.precision_bits + 64
             longest[bits] = max(longest.get(bits, 0), 3 * rec.stage)
-    heads = {
-        bits: NodeSequence([n.at_precision(bits) for n in seq.nodes[:count]], bits).zs
-        for bits, count in longest.items()
-    }
+    heads = {}
+    for bits, count in longest.items():
+        zs = NodeSequence([n.at_precision(bits) for n in seq.nodes[:count]], bits).zs
+        with workprec(bits):
+            values = [mpc(f.raw(z)) for z in zs]
+            heads[bits] = zs, _leading_column(values, NodeConditioning(zs, bits))
     for rec in seq.stage_log:
         stage = rec.stage
         target = stage**stage
@@ -447,8 +451,8 @@ def verify_growth(seq, f):
                 node = seq.nodes[needed - 3 + offset]
                 if node.re * node.im != 0:
                     notes.append("node %d off-axis" % (needed - 2 + offset))
-            zs = heads[bits][:needed]
-            moduli = [abs(z) for z in zs]
+            zs, column = heads[bits]
+            moduli = [abs(z) for z in zs[:needed]]
             lead = moduli[needed - 3]
             if not (0 < moduli[needed - 2] < lead and 0 < moduli[needed - 1] < lead):
                 notes.append("pair moduli not inside the stage opening")
@@ -457,8 +461,7 @@ def verify_growth(seq, f):
                 notes.append("stage opening not below earlier moduli")
             if not lead < mpf(1) / (3 * stage - 2):
                 notes.append("stage opening at or above 1/(3s-2)")
-            values = [mpc(f.raw(z)) for z in zs]
-            achieved = abs(difference_rows(values, zs)[needed - 1][0])
+            achieved = abs(column[needed - 1])
         passed = not notes and achieved >= target
         rows.append(GrowthRow(stage, achieved, target, passed, "; ".join(notes), bits))
     return GrowthReport(tuple(rows))

@@ -22,7 +22,13 @@ from functools import partial
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .divdiff import NodeSequence, ScalarFunction, as_node_sequence, difference_rows
+from .divdiff import (
+    NodeConditioning,
+    NodeSequence,
+    ScalarFunction,
+    _leading_column,
+    as_node_sequence,
+)
 from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import _weight
 from .precision import (
@@ -90,15 +96,15 @@ class CriterionProfile:
     r_hat_observed: mpf
 
 
-def _profile_column(zs, bits, q):
-    """Column q of the profile: |Delta_p[g_q]| and its (p+q)-th root, p = 0..len(zs)-1.
+def _profile_column(conditioning, q):
+    """Column q of the profile over the conditioning's nodes: |Delta_p[g_q]| and its (p+q)-th root.
 
     The root is skipped at (0, 0), where the raw value is kept.
     """
-    with workprec(bits):
+    with workprec(conditioning.precision_bits):
         kernel = conj_kernel(q)
-        rows = difference_rows([mpc(kernel.raw(z)) for z in zs], zs)
-        raw = [abs(row[0]) for row in rows]
+        values = [mpc(kernel.raw(z)) for z in conditioning.zs]
+        raw = [abs(v) for v in _leading_column(values, conditioning)]
         normalized = [v if p + q == 0 else _root(v, p + q) for p, v in enumerate(raw)]
     return raw, normalized
 
@@ -114,8 +120,9 @@ def criterion_profile(nodes, p_max, q_max, precision_bits=None):
             % (p_max, p_max + 1, len(seq))
         )
     bits = check_precision(precision_bits or seq.precision_bits)
-    # one column per kernel power, each in a forked worker
-    columns = fork_map(partial(_profile_column, seq.zs[: p_max + 1], bits), range(q_max + 1))
+    # one column per kernel power, each in a forked worker that inherits the node gaps
+    conditioning = NodeConditioning(seq.zs[: p_max + 1], bits)
+    columns = fork_map(partial(_profile_column, conditioning), range(q_max + 1))
     raw_cols, normalized_cols = zip(*columns)
     raw, normalized = tuple(zip(*raw_cols)), tuple(zip(*normalized_cols))
     r_hat = mpf(0)

@@ -14,9 +14,11 @@ for analytic series (equivalently, complete homogeneous symmetric polynomials
 in the shifted nodes). Confluent (repeated) nodes are rejected; behavior near
 confluence is exercised by shrinking clusters of distinct nodes.
 
-NodeConditioning forms the pairwise gaps |eta_i - eta_j| of a node prefix
-once; its near pairs, inverse gap product and cancellation gate all read
-those gaps, and nothing else in the package forms them.
+NodeConditioning forms the pairwise gaps eta_j - eta_i of a node prefix
+once, and extends them node by node; the table recursion, the near pairs,
+the inverse gap product and the cancellation gate all read those gaps, and
+nothing else in the package forms the gaps of a node set. A lone probe node,
+or one factor of a Lagrange basis, takes its gaps from _gap_row directly.
 """
 
 from __future__ import annotations
@@ -34,7 +36,16 @@ from .errors import (
     NodeDistinctnessError,
     ParseError,
 )
-from .precision import DEFAULT_PRECISION, ApComplex, _dot, _running_products, check_precision
+from .precision import (
+    DEFAULT_PRECISION,
+    ApComplex,
+    _append,
+    _dot,
+    _gap_row,
+    _raw,
+    _running_products,
+    check_precision,
+)
 
 SCALAR_KINDS = ("analytic-series", "conjugate-kernel", "composite")
 
@@ -163,18 +174,34 @@ class NodeSequence:
 class NodeConditioning:
     """The pairwise gaps of a node prefix and the measures read from them.
 
-    gaps holds (i, j, |zs[i] - zs[j]|) for every pair i < j, row by row,
-    formed once at precision_bits; each measure is computed when it is read.
+    rows[j] is the _gap_row of zs[j] against zs[:j], which _append reads,
+    formed once at precision_bits. prefix, the conditioning of a leading part
+    of zs at the same precision, lends its rows, so only the gaps of the
+    nodes past it are formed. gaps holds (i, j, |zs[i] - zs[j]|) for every
+    pair i < j, row by row; each modulus is formed when first read, once for
+    a prefix and all its extensions. The measures are computed when read.
     """
 
-    __slots__ = ("gaps", "precision_bits")
+    __slots__ = ("zs", "precision_bits", "rows", "_moduli")
 
-    def __init__(self, zs, precision_bits):
+    def __init__(self, zs, precision_bits, prefix=None):
+        self.zs = tuple(zs)
         self.precision_bits = precision_bits
+        self.rows = list(prefix.rows) if prefix else []
+        self._moduli = list(prefix._moduli) if prefix else []
         with workprec(precision_bits):
-            self.gaps = tuple(
-                (i, j, abs(z - zs[j])) for i, z in enumerate(zs) for j in range(i + 1, len(zs))
-            )
+            for j in range(len(self.rows), len(self.zs)):
+                self.rows.append(_gap_row(self.zs[j], self.zs[:j]))
+                self._moduli.append([])
+
+    @property
+    def gaps(self):
+        with workprec(self.precision_bits):
+            for row, moduli in zip(self.rows, self._moduli):
+                if len(moduli) < len(row):
+                    moduli[:] = [abs(_raw(g)) for g in row]
+        n = len(self.zs)
+        return tuple((i, j, self._moduli[j][j - 1 - i]) for i in range(n) for j in range(i + 1, n))
 
     def near_pairs(self):
         """The (i, j, gap) triples with gap below the threshold 2^-(P/2)."""
@@ -248,26 +275,40 @@ def delta_table(h, nodes, precision_bits=None):
     seq = as_node_sequence(nodes)
     bits = check_precision(precision_bits or seq.precision_bits)
     with workprec(bits):
-        rows = difference_rows([mpc(h.raw(z)) for z in seq.zs], seq.zs)
+        rows = difference_rows([mpc(h.raw(z)) for z in seq.zs], NodeConditioning(seq.zs, bits))
     return DividedDiffTable(seq, bits, rows)
 
 
-def difference_rows(values, zs):
-    """Rows of the two-point recursion from given values at the nodes zs.
+def _diagonals(values, conditioning):
+    """The last diagonal of the table over the first k+1 nodes, for k = 0, 1, ..., from _append.
 
-    Works on raw mpc values under the ambient working precision; rows[p][k]
-    is the order-p divided difference over zs[k..k+p].
+    Works under the ambient working precision, which must be the
+    conditioning's; there may be fewer values than nodes.
     """
-    rows = [tuple(values)]
-    for p in range(1, len(zs)):
-        prev = rows[-1]
-        rows.append(
-            tuple(
-                (prev[k + 1] - prev[k]) / (zs[k + p] - zs[k])
-                for k in range(len(zs) - p)
-            )
-        )
-    return tuple(rows)
+    diag = []
+    for value, gaps in zip(values, conditioning.rows):
+        diag = _append(diag, value, gaps)
+        yield diag
+
+
+def difference_rows(values, conditioning):
+    """Rows of the two-point recursion from given values at the conditioning's nodes.
+
+    Raw mpc values in and out, under the conditioning's precision. rows[p][k]
+    is the order-p divided difference over zs[k..k+p]: entry p of the last
+    diagonal once node k+p is appended.
+    """
+    rows = []
+    for diag in _diagonals(values, conditioning):
+        rows.append([])
+        for row, entry in zip(rows, diag):
+            row.append(_raw(entry))
+    return tuple(map(tuple, rows))
+
+
+def _leading_column(values, conditioning):
+    """[rows[p][0] for each p] of difference_rows: each last diagonal's last entry, in O(n) memory."""
+    return [_raw(diag[-1]) for diag in _diagonals(values, conditioning)]
 
 
 def _order_prefix(nodes, p):
@@ -289,14 +330,14 @@ def delta(h, nodes, p, precision_bits=None):
     return delta_table(h, _order_prefix(nodes, p), precision_bits).entry(p)
 
 
-def _newton_total(scale, lead, rows):
-    """sum_p scale[n-1-p] * lead[p] * rows[p][0] over the n rows, as a raw mpc.
+def _newton_total(scale, lead, column):
+    """sum_p scale[n-1-p] * lead[p] * column[p] over the n entries, as a raw mpc.
 
-    lead[p] = prod_{j<p} (x - eta_j) and rows are the difference rows of the
+    lead[p] = prod_{j<p} (x - eta_j) and column is the _leading_column of the
     first n nodes; a unit scale gives the plain Newton form.
     """
-    n = len(rows)
-    return _dot((scale[n - 1 - p] * lead[p], rows[p][0]) for p in range(n))
+    n = len(column)
+    return _dot((scale[n - 1 - p] * lead[p], column[p]) for p in range(n))
 
 
 def newton_sum(h, nodes, n, x, precision_bits=None):
@@ -309,10 +350,10 @@ def newton_sum(h, nodes, n, x, precision_bits=None):
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
     with workprec(bits):
         zs = seq.zs[:n]
-        rows = difference_rows([mpc(h.raw(z)) for z in zs], zs)
+        column = _leading_column([mpc(h.raw(z)) for z in zs], NodeConditioning(zs, bits))
         xv = x.to_mpc()
         lead = _running_products(xv - z for z in zs[:-1])
-        total = _newton_total([mpc(1)] * n, lead, rows)
+        total = _newton_total([mpc(1)] * n, lead, column)
     return ApComplex.from_mpc(total, bits)
 
 
@@ -332,7 +373,8 @@ def lagrange_sum(h, nodes, n, x, precision_bits=None):
             term = mpc(h.raw(zs[p]))
             for j in range(n):
                 if j != p:
-                    term *= (xv - zs[j]) / (zs[p] - zs[j])
+                    # (x - eta_j) / (eta_p - eta_j), through the division step
+                    term *= _raw(_append([zs[j]], xv, _gap_row(zs[p], [zs[j]]))[1])
             total += term
     return ApComplex.from_mpc(total, bits)
 

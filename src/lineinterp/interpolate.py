@@ -34,9 +34,9 @@ from mpmath import mpf, workprec
 
 from .divdiff import (
     NodeConditioning,
+    _leading_column,
     _newton_total,
     as_node_sequence,
-    difference_rows,
 )
 from .errors import ArityError, ConfigError, DomainError
 from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
@@ -174,10 +174,17 @@ class LinePlan:
             tables = self.at(*point)
             return [abs(tables.en(n) - tables.f_value) for n in orders]
 
+    @cached_property
+    def _conditioning(self):
+        """The NodeConditioning of the plan's nodes at its precision."""
+        return NodeConditioning(self.zs, self.precision_bits)
+
     def identity_residuals(self, points, orders, tail_max_order=None):
         """(N, point index, |identity residual|, cross_form_gap) rows, by N then point."""
         for n in orders:
             self._coefficients(n)
+        # formed here, so the forked workers inherit the node gaps
+        self._conditioning
         per_point = fork_map(partial(self._point_residuals, orders, tail_max_order), points)
         rows = [
             (n, idx, mag, gap)
@@ -283,8 +290,8 @@ class PointTables:
         self.plan._check(n)
         lead, z2pow = self._newton
         with workprec(self.plan.precision_bits):
-            rows = difference_rows(self._kernel_values(n), self.plan.zs[:n])
-            total = _newton_total(z2pow, lead, rows)
+            column = _leading_column(self._kernel_values(n), self.plan._conditioning)
+            total = _newton_total(z2pow, lead, column)
         return total
 
     def identity(self, n, tail_max_order=None):
@@ -337,7 +344,11 @@ def identity_report(f, nodes, n, z1, z2):
     tables = _point_tables(f, nodes, n, z1, z2)
     en, rl, rn, tail, fz, residual, gap = tables.identity(n)
     bits, series_bits = tables.plan.precision_bits, tables._series.precision_bits
-    conditioning = NodeConditioning(tables.plan.zs, tables.plan.nodes.precision_bits)
+    plan = tables.plan
+    if plan.nodes.precision_bits == bits:
+        conditioning = plan._conditioning
+    else:
+        conditioning = NodeConditioning(plan.zs, plan.nodes.precision_bits)
     return InterpolantReport(
         n=n,
         node_count=len(tables.plan.nodes),

@@ -14,12 +14,14 @@ one.
 
 The accumulation kernels at the end (_sum, _dot, _products, _horner and
 _running_products) run the series, restriction, Horner, E_N and product
-loops on a small rounding core over signed int mantissas: a part m*2^e of a
-raw mpc is held as (m, e), m odd or 0 as in mpmath's own tuples, and the
-value as the core form (m, e, n, f). The kernels take raw mpc, or core forms
+loops, and _gap_row and _append the divided-difference recursion, on a
+small rounding core over signed int mantissas: a part m*2^e of a raw mpc is
+held as (m, e), m odd or 0 as in mpmath's own tuples, and the value as the
+core form (m, e, n, f). The kernels take raw mpc, or core forms
 that _cores makes once for operands many calls share, read the precision
 from mpmath.mp.prec at call time, and return raw mpc, except that _products
-returns core forms for _sum to take. They do the same roundings in the same
+and _append return core forms, for _sum and the next _append to take. They
+do the same roundings in the same
 order as the mpc operator loops they stand for, so every result equals that
 loop's bit for bit, by the core's contract:
 
@@ -36,12 +38,24 @@ loop's bit for bit, by the core's contract:
    zero addend parts; and it is mpf_mul, which rounds the exact product once.
 3. mpc_mul forms its four products exactly and rounds a*c - b*d and a*d + b*c
    once each through mpf_sub and mpf_add; _cmul does the same through _add.
+4. mpc_div of (a, b) by (c, d) forms c^2 + d^2, a*c + b*d and b*c - a*d from
+   exact products and rounds each once through mpf_add at prec + 10 with its
+   default rounding, round_fast, which is toward zero: _add with down set,
+   perturbation branch included. Only the two quotients round to nearest,
+   as mpf_div rounds them: the numerator is shifted so that the quotient has
+   at least prec + 5 bits, divmod gives it, a nonzero remainder sets a
+   sticky bit below its last, and the result is rounded (_div). _gap forms a
+   node gap z_i - z_j as mpc_sub does, with its c^2 + d^2, once, and
+   _quotient(x, y, gap) is then what `(x - y) / (z_i - z_j)` returns on raw
+   mpc: the division step of the divided-difference recursion.
 
 The core was checked against mpmath 1.3.0 on its python backend, where a
 mantissa is an int. mpmath has no public rounding setting and its context
-always rounds to nearest, so the core knows no other mode. It holds finite
-values only: a kernel that meets an inf or nan part hands the whole call to
-the mpc operator loop it stands for, and returns what that loop returns.
+always rounds to nearest, so the core rounds toward zero only where mpc_div
+does inside (fact 4). It holds finite values only: a kernel that meets an
+inf or nan part hands the whole call to the mpc operator loop it stands for,
+and returns what that loop returns; a zero gap raises ZeroDivisionError, as
+that loop does.
 
 fork_map, last, is the one place that calls os.fork: it maps a function over
 items in forked workers, one per usable CPU, and returns what the plain loop
@@ -280,9 +294,6 @@ class ApComplex:
         with workprec(self.precision_bits):
             return mpmath.hypot(self.re, self.im)
 
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
     # -- comparison and hashing ----------------------------------------------
 
     def __eq__(self, other):
@@ -334,28 +345,7 @@ def ulp(scale, precision_bits):
     return mpmath.ldexp(1, e - bits)
 
 
-def ulps_apart(a, b, precision_bits=None, scale=None):
-    """Distance |a - b| measured in ulps of a magnitude scale.
-
-    The scale defaults to the larger magnitude of the two values. Callers
-    checking algebraic identities should pass the largest intermediate
-    magnitude so near-cancelling instances are judged on the problem scale.
-    """
-    if precision_bits is None:
-        precision_bits = max(a.precision_bits, b.precision_bits)
-    with workprec(precision_bits + 16):
-        gap = abs(a.to_mpc() - b.to_mpc())
-        if scale is None:
-            scale = max(abs(a.to_mpc()), abs(b.to_mpc()))
-        step = ulp(scale, precision_bits)
-        if gap == 0:
-            return mpf(0)
-        if step == 0:
-            return mpf("inf")
-        return gap / step
-
-
-# -- rounding core and accumulation kernels (facts 1-3 of the module docstring) --
+# -- rounding core and accumulation kernels (facts 1-4 of the module docstring) --
 
 
 class _NonFinite(Exception):
@@ -367,12 +357,13 @@ _ONE = (1, 0, 0, 0)
 _make_mpc = mpmath.mp.make_mpc
 
 
-def _add(m, e, n, f, prec):
+def _add(m, e, n, f, prec, down=False):
     """m*2^e + n*2^f rounded as mpf_add rounds it at (prec, round_nearest) (fact 1).
 
     The mantissas are signed ints, odd unless zero, as in every mpf, and may
     hold any number of bits; the result (mantissa, exponent) has that form
-    too, with mantissa 0 for zero. With n = 0 this rounds m*2^e alone.
+    too, with mantissa 0 for zero. With n = 0 this rounds m*2^e alone. With
+    down set it rounds toward zero, as mpf_add does at round_down (fact 4).
     """
     if not n:
         pass
@@ -396,12 +387,15 @@ def _add(m, e, n, f, prec):
     a = -m if m < 0 else m
     k = a.bit_length() - prec
     if k > 0:
-        # to nearest, ties to even
-        t = a >> (k - 1)
-        if t & 1 and (t & 2 or a & ((1 << (k - 1)) - 1)):
-            a = (t >> 1) + 1
+        if down:
+            a >>= k
         else:
-            a = t >> 1
+            # to nearest, ties to even
+            t = a >> (k - 1)
+            if t & 1 and (t & 2 or a & ((1 << (k - 1)) - 1)):
+                a = (t >> 1) + 1
+            else:
+                a = t >> 1
         e += k
     if a and not a & 1:
         # strip trailing zero bits, so that a nonzero mantissa is odd
@@ -450,8 +444,8 @@ def _box(m, e, n, f):
 
 
 def _raw(z):
-    """z as a raw mpc, for the mpc loops a kernel falls back to."""
-    return _box(*z) if z.__class__ is tuple else z
+    """z, a core form or a _gap, as a raw mpc, for the mpc loops a kernel falls back to."""
+    return _box(*z[:4]) if z.__class__ is tuple else z
 
 
 def _cmul(x, y, prec):
@@ -460,6 +454,49 @@ def _cmul(x, y, prec):
     c, ce, d, de = y
     real = _add(a * c, ae + ce, -(b * d), be + de, prec)
     return real + _add(a * d, ae + de, b * c, be + ce, prec)
+
+
+def _gap(x, y, prec):
+    """x - y for core forms as mpc_sub rounds it, and the c^2 + d^2 mpc_div forms of it (fact 4).
+
+    Returns (c, ce, d, de, r, re): the core form of the gap, then r*2^re.
+    """
+    a, ae, b, be = x
+    c, ce, d, de = y
+    c, ce = _add(a, ae, -c, ce, prec)
+    d, de = _add(b, be, -d, de, prec)
+    return (c, ce, d, de) + _add(c * c, 2 * ce, d * d, 2 * de, prec + 10, True)
+
+
+def _div(m, e, n, f, prec):
+    """m*2^e / n*2^f for n >= 0, rounded as mpf_div rounds it at (prec, round_nearest)."""
+    if not n:
+        raise ZeroDivisionError
+    if not m:
+        return 0, 0
+    if n == 1:
+        return _add(m, e - f, 0, 0, prec)
+    a = -m if m < 0 else m
+    extra = max(prec - a.bit_length() + n.bit_length() + 5, 5)
+    q, r = divmod(a << extra, n)
+    if r:
+        # a sticky bit below the quotient's last, as mpf_div sets it
+        q = q << 1 | 1
+        extra += 1
+    return _add(-q if m < 0 else q, e - f - extra, 0, 0, prec)
+
+
+def _quotient(x, y, g, prec):
+    """(x - y) / g for core forms x, y and a gap g from _gap, rounded as mpc - and / round it."""
+    a, ae, b, be = x
+    m, me, n, nf = y
+    a, ae = _add(a, ae, -m, me, prec)
+    b, be = _add(b, be, -n, nf, prec)
+    c, ce, d, de, r, re_exp = g
+    wp = prec + 10
+    t, te = _add(a * c, ae + ce, b * d, be + de, wp, True)
+    u, ue = _add(b * c, be + ce, -(a * d), ae + de, wp, True)
+    return _div(t, te, r, re_exp, prec) + _div(u, ue, r, re_exp, prec)
 
 
 def _sum(values):
@@ -564,6 +601,50 @@ def _running_products(factors):
         out = [mpc(1)]
         for x in factors:
             out.append(out[-1] * _raw(x))
+    return out
+
+
+def _gap_row(z, zs):
+    """[z - zs[-1], z - zs[-2], ..., z - zs[0]] as _gap forms them, for _append.
+
+    A gap with an inf or nan part is the raw mpc of the mpc operator.
+    """
+    prec = mpmath.mp.prec
+    out = []
+    for y in reversed(zs):
+        try:
+            out.append(_gap(_split(z), _split(y), prec))
+        except _NonFinite:
+            out.append(_raw(z) - _raw(y))
+    return out
+
+
+def _append(diag, value, gaps):
+    """The last diagonal of a divided-difference table, extended by one node in O(n).
+
+    diag[p] is the last entry of row p of the table over nodes zs ([] for
+    none), value the function's value at the new node z and gaps its _gap_row
+    against zs. Entry p of the result, the last of row p over zs + [z], is
+    `(entry[p - 1] - diag[p - 1]) / (z - zs[-p])`, rounded as that mpc loop
+    rounds it, with entry 0 the value. The entries are core forms, for the
+    next _append to take, or the raw mpc of the mpc loop where a value or a
+    gap has an inf or nan part.
+    """
+    prec = mpmath.mp.prec
+    try:
+        x = _split(value)
+        out = [x]
+        for d, g in zip(diag, gaps):
+            if g.__class__ is not tuple:
+                raise _NonFinite
+            x = _quotient(x, _split(d), g, prec)
+            out.append(x)
+    except _NonFinite:
+        x = _raw(value)
+        out = [x]
+        for d, g in zip(diag, gaps):
+            x = (x - _raw(d)) / _raw(g)
+            out.append(x)
     return out
 
 

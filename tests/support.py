@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from lineinterp import DEFAULT_PRECISION, ApComplex, parse_decimal
+from lineinterp import DEFAULT_PRECISION, ApComplex, parse_decimal, ulp
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,19 @@ class QC:
 
 QC_ZERO = QC.of(0)
 QC_ONE = QC.of(1)
+
+
+def ulps_apart(a, b):
+    """|a - b| for ApComplex values, in ulps of the larger magnitude at the wider precision."""
+    bits = max(a.precision_bits, b.precision_bits)
+    with mpmath.workprec(bits + 16):
+        gap = abs(a.to_mpc() - b.to_mpc())
+        step = ulp(max(abs(a.to_mpc()), abs(b.to_mpc())), bits)
+        if gap == 0:
+            return mpmath.mpf(0)
+        if step == 0:
+            return mpmath.mpf("inf")
+        return gap / step
 
 
 def qc_pow(base, n):

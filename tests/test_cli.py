@@ -7,10 +7,13 @@ import json
 import os
 import time
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 from mpmath import mpf, workprec
 
+import lineinterp.cli
+import lineinterp.divdiff
 from lineinterp import (
     AdversarialSequence,
     ApComplex,
@@ -27,7 +30,6 @@ from lineinterp import (
     verify_growth,
 )
 from lineinterp.cli import _emit, main
-from lineinterp.divdiff import NodeConditioning
 
 BITS = 256
 
@@ -271,6 +273,28 @@ def test_converge_config_errors(runner, tmp_path):
         assert result.exit_code == 2, args
         if args[2] == "family:line:0,1,0":
             assert "family:line:A,B,C:COUNT" in result.stderr
+
+
+def test_family_count_over_the_limit_exits_2_before_any_node_is_made(runner, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def unreachable(*args, **kwargs):
+        raise Reached
+
+    # an oversized count is never run: reaching generate_nodes fails the test
+    monkeypatch.setattr(lineinterp.cli, "generate_nodes", unreachable)
+    for count in ("4097", "100000000000"):
+        for kind in ("line:0,1,0", "circle:0,0,1"):
+            result = runner.invoke(main, ["criterion", "--nodes", "family:%s:%s" % (kind, count)])
+            assert result.exit_code == 2, (kind, count)
+            assert result.stdout == ""
+            assert result.stderr == (
+                "config error: family count %s exceeds the limit of 4096 nodes\n" % count
+            )
+    # the limit itself is accepted and reaches the generator
+    result = runner.invoke(main, ["criterion", "--nodes", "family:line:0,1,0:4096"])
+    assert isinstance(result.exception, Reached)
 
 
 # -- criterion -----------------------------------------------------------------------
@@ -710,41 +734,44 @@ def test_help_names_the_family_count_and_the_artifact(runner):
 
 
 def test_node_gaps_formed_once_per_prefix(runner, node_file, monkeypatch):
-    built, gated = [], []
-    construct, gate = NodeConditioning.__init__, NodeConditioning.cancellation_exceeds
+    # every pair's gap is formed once per node set and precision: build_sequence
+    # extends its prefix's gaps, and a plan or a profile forms its own once
+    formed = []
+    form = lineinterp.divdiff._gap_row
 
-    def counting_init(self, zs, precision_bits):
-        built.append(self)
-        construct(self, zs, precision_bits)
+    def counting_row(z, zs):
+        # the row of z against the nodes before it: one gap per earlier node
+        formed.extend((z._mpc_, y._mpc_, mpmath.mp.prec) for y in zs)
+        return form(z, zs)
 
-    def counting_gate(self, half):
-        gated.append(self)
-        return gate(self, half)
+    def taken():
+        keys = list(formed)
+        del formed[:]
+        assert len(set(keys)) == len(keys)
+        return len(keys)
 
-    monkeypatch.setattr(NodeConditioning, "__init__", counting_init)
-    monkeypatch.setattr(NodeConditioning, "cancellation_exceeds", counting_gate)
+    monkeypatch.setattr(lineinterp.divdiff, "_gap_row", counting_row)
     build_sequence(default_kernel(), 3)
-    # one record per gate call, each read by that call only
-    assert gated and built == gated
-    del built[:]
+    assert taken()
     nodes = generate_nodes(circle_family(0, 1), 5, precision_bits=BITS)
     f = exp_sum_series(6, BITS)
     z1, z2 = ApComplex("0.25", 0, BITS), ApComplex(0, "0.125", BITS)
     for n in (2, 4):
+        # the plan's gaps serve the Newton remainder and the conditioning report
         identity_report(f, nodes, n, z1, z2)
-        assert len(built) == 1
-        del built[:]
+        assert taken() == n * (n - 1) // 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     small = ["--nodes", "family:circle:0,0,1:6", "--function", POLY, "--grid", SMALL_GRID,
              "--n-min", "1", "--n-max", "4"]
-    for argv in (
-        ["converge", *small],
-        ["identity", *small],
-        ["dd", "--nodes", node_file],
-        ["criterion", "--nodes", node_file, "--p-max", "4", "--q-max", "2"],
-        ["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1"],
+    for argv, pairs in (
+        (["converge", *small], 0),
+        (["identity", *small], 6),
+        (["dd", "--nodes", node_file], 10),
+        (["criterion", "--nodes", node_file, "--p-max", "4", "--q-max", "2"], 10),
+        (["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1"], 0),
     ):
         assert runner.invoke(main, argv).exit_code == 0
-    assert built == []
+        assert taken() == pairs, argv
 
 
 # -- pinned outputs ------------------------------------------------------------------

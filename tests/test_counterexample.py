@@ -40,6 +40,7 @@ from lineinterp import (
 from lineinterp import counterexample
 from lineinterp.cli import main
 from lineinterp.divdiff import NodeConditioning
+from lineinterp.precision import _raw
 from support import (
     QC,
     QC_ONE,
@@ -110,8 +111,11 @@ def test_default_kernel_frozen_values():
 
 def wirtinger(*prefix):
     """(d_z, d_zbar) of the default kernel over a raw prefix at 256 bits, as stages run it."""
+    f = default_kernel()
     with workprec(256):
-        return counterexample._wirtinger(default_kernel(), [mpc(z) for z in prefix], 256)
+        zs = [mpc(z) for z in prefix]
+        conditioning, diag = counterexample._extended(f, NodeConditioning((), 256), [], zs)
+        return counterexample._wirtinger(f, conditioning, diag, 256)
 
 
 def test_wirtinger_product_formula_frozen():
@@ -242,8 +246,11 @@ def test_appended_diagonal_matches_full_table_bit_for_bit(bits):
         want = delta(f, prefix + [probe], len(prefix), bits).to_mpc()
         with workprec(bits):
             zs = [node.to_mpc() for node in prefix]
-            diag = counterexample._last_entries(f, zs)
-            got = counterexample._appended_delta(f, zs, diag, probe.to_mpc())
+            # the prefix appended node by node, then the probe
+            empty = NodeConditioning((), bits)
+            conditioning, diag = counterexample._extended(f, empty, [], zs)
+            _, diag = counterexample._extended(f, conditioning, diag, [probe.to_mpc()])
+            got = _raw(diag[-1])
         assert got.real == want.real and got.imag == want.imag
 
 

@@ -27,10 +27,9 @@ from lineinterp import (
     generate_nodes,
     germ_for_family,
     line_family,
-    ulps_apart,
 )
 from lineinterp.divdiff import NodeConditioning
-from support import QC, qc_dd_table, qc_to_ap, rand_distinct_nodes
+from support import QC, qc_dd_table, qc_to_ap, rand_distinct_nodes, ulps_apart
 
 BITS = 256
 

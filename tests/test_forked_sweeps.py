@@ -269,12 +269,12 @@ def _column_worker_that(fails):
     class LocalError(Exception):
         pass  # a local class cannot be pickled
 
-    def failing_column(zs, bits, q):
+    def failing_column(conditioning, q):
         if os.getpid() != caller:
             if fails == "sigkill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise LocalError("column %d" % q)
-        return column(zs, bits, q)
+        return column(conditioning, q)
 
     return failing_column
 

@@ -22,8 +22,11 @@ second arithmetic idiom stays in one place.
 
 Inside `precision.py` the kernels round through the integer-mantissa core
 alone: a libmp arithmetic function (`mpf_add`, `mpf_sub`, `mpf_mul`,
-`mpc_add`, `mpc_sub`, `mpc_mul`) may be read only in the non-finite
-fallback, an `except _NonFinite` handler, so there is one rounding path.
+`mpf_div`, `mpc_add`, `mpc_sub`, `mpc_mul`, `mpc_div`) may be read only in
+the non-finite fallback, an `except _NonFinite` handler, so there is one
+rounding path. In the same way no module writes the two-point division
+`(a - b) / (c - d)` of the divided-difference recursion outside that
+fallback: every such quotient goes through the core's division step.
 
 Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
 module that deals work to forked workers goes through that one helper, with
@@ -307,12 +310,13 @@ def test_only_the_kernel_module_uses_libmp():
     assert found == ["precision.py"]
 
 
-LIBMP_ARITHMETIC = {"mpf_add", "mpf_sub", "mpf_mul", "mpc_add", "mpc_sub", "mpc_mul"}
+LIBMP_ARITHMETIC = {
+    "mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpc_add", "mpc_sub", "mpc_mul", "mpc_div",
+}
 
 
-def libmp_arithmetic_outside_fallback(source):
-    """Lines that read a libmp arithmetic function outside an `except _NonFinite` handler."""
-    tree = ast.parse(source)
+def _fallback_nodes(tree):
+    """ids of the nodes inside an `except _NonFinite` handler."""
     fallback = set()
     for node in ast.walk(tree):
         if (
@@ -321,6 +325,13 @@ def libmp_arithmetic_outside_fallback(source):
             and node.type.id == "_NonFinite"
         ):
             fallback.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return fallback
+
+
+def libmp_arithmetic_outside_fallback(source):
+    """Lines that read a libmp arithmetic function outside an `except _NonFinite` handler."""
+    tree = ast.parse(source)
+    fallback = _fallback_nodes(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -351,6 +362,47 @@ def test_the_kernels_round_through_the_core_alone():
     assert libmp_arithmetic_outside_fallback(sample) == [9, 11]  # the checker itself
     precision = ROOT / "src" / "lineinterp" / "precision.py"
     assert libmp_arithmetic_outside_fallback(precision.read_text(encoding="utf-8")) == []
+
+
+def _is_difference(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+
+def two_point_divisions_outside_fallback(source):
+    """Lines that divide a difference by a difference outside an `except _NonFinite` handler."""
+    tree = ast.parse(source)
+    fallback = _fallback_nodes(tree)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and _is_difference(node.left)
+        and _is_difference(node.right)
+        and id(node) not in fallback
+    )
+
+
+def test_no_module_writes_the_two_point_division_outside_the_fallback():
+    sample = (
+        "def step(x, y, z, w, g):\n"
+        "    a = (x - y) / (z - w)\n"
+        "    b = (x - y) / g + x / (z - w) + (x + y) / (z - w)\n"
+        "    try:\n"
+        "        return core(x, y, g)\n"
+        "    except _NonFinite:\n"
+        "        return (x - y) / (z - w)\n"
+        "    except ValueError:\n"
+        "        return ((x - y) /\n"
+        "                (z - w))\n"
+    )
+    assert two_point_divisions_outside_fallback(sample) == [2, 9]  # the checker itself
+    found = {}
+    for path in PACKAGE:
+        lines = two_point_divisions_outside_fallback(path.read_text(encoding="utf-8"))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
 
 
 def fork_uses(source):

@@ -22,9 +22,8 @@ from lineinterp import (
     parse_decimal,
     render_decimal,
     ulp,
-    ulps_apart,
 )
-from support import make_complex, reference_render_decimal
+from support import make_complex, reference_render_decimal, ulps_apart
 
 
 def nearest_bits(num, den, bits):
@@ -329,7 +328,7 @@ def test_squared_magnitude_identity_within_two_ulp():
             "%d.%06d" % (rng.randint(-3, 3), rng.randint(0, 999999)),
             "%d.%06d" % (rng.randint(-3, 3), rng.randint(0, 999999)),
         )
-        if a.is_zero():
+        if a == 0:
             continue
         bits = a.precision_bits
         with workprec(bits):

@@ -2,10 +2,16 @@
 
 `_add(m, e, n, f, prec)` stands for mpf_add (and, with n negated, mpf_sub),
 `_add(m * n, e + f, 0, 0, prec)` for mpf_mul and `_cmul` for mpc_mul, all at
-round_nearest. Each result is boxed by `_part` and compared with the raw mpf
-tuple mpmath returns, and its core form must be canonical: an odd mantissa,
-or 0 for zero. The operands are finite and normalized, as every mpf is, and
-may hold up to 2 prec + 64 bits, as the exact products inside mpc_mul do.
+round_nearest; with down set, `_add` stands for mpf_add at round_down. Each
+result is boxed by `_part` and compared with the raw mpf tuple mpmath
+returns, and its core form must be canonical: an odd mantissa, or 0 for
+zero. The operands are finite and normalized, as every mpf is, and may hold
+up to 2 prec + 64 bits, as the exact products inside mpc_mul do.
+
+The division step `_quotient(x, y, _gap(z, w, prec), prec)` stands for
+mpc_div(mpc_sub(x, y), mpc_sub(z, w)) at round_nearest, whose intermediates
+c^2 + d^2, a c + b d and b c - a d mpc_div rounds toward zero at prec + 10;
+`_append` and `difference_rows` chain it, and must equal the mpc loop.
 
 The fixed cases pin the branches a textbook adder would get wrong:
 mpf_add's perturbation branch (an exponent offset above 100 and top bits
@@ -20,20 +26,29 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
+from mpmath import mpc, workprec
 from mpmath.libmp import (
+    finf,
+    fnan,
     from_man_exp,
     fzero,
+    mpc_div,
     mpc_mul,
+    mpc_sub,
     mpf_add,
     mpf_mul,
     mpf_sub,
     normalize,
+    round_down,
     round_nearest,
 )
 
-from lineinterp.precision import _add, _cmul, _part
+from lineinterp.divdiff import NodeConditioning, difference_rows
+from lineinterp.precision import _add, _append, _cmul, _gap, _gap_row, _part, _quotient, _raw
 
 PRECISIONS = (64, 256, 8192)
+DIVISION_PRECISIONS = (53, 64, 256, 1024, 8192)
 
 
 def mpf_of(m, e):
@@ -57,6 +72,8 @@ def check_add(s, t, prec):
         (_add(m, e, n, f, prec), mpf_add(s, t, prec, round_nearest)),
         (_add(m, e, -n, f, prec), mpf_sub(s, t, prec, round_nearest)),
         (_add(m * n, e + f, 0, 0, prec), mpf_mul(s, t, prec, round_nearest)),
+        (_add(m, e, n, f, prec, True), mpf_add(s, t, prec, round_down)),
+        (_add(m, e, -n, f, prec, True), mpf_sub(s, t, prec, round_down)),
     ):
         assert canonical(*got)
         assert _part(*got) == want
@@ -201,3 +218,156 @@ def test_core_matches_libmp_on_random_operands(prec, data):
     check_add(t, s, prec)
     w = (data.draw(operands(prec)), data.draw(operands(prec)))
     check_cmul((s, t), w, prec)
+
+
+# -- the division step -------------------------------------------------------
+
+
+def core_of_mpc(z):
+    return core_of(z[0]) + core_of(z[1])
+
+
+def check_quotient(x, y, z, w, prec):
+    """_gap and _quotient against mpc_sub, the c^2 + d^2 of mpc_div, and mpc_div itself."""
+    gap = mpc_sub(z, w, prec, round_nearest)
+    g = _gap(core_of_mpc(z), core_of_mpc(w), prec)
+    assert all(canonical(*g[i : i + 2]) for i in (0, 2, 4))
+    assert (_part(*g[:2]), _part(*g[2:4])) == gap
+    # mpc_div's own intermediate, at mpf_add's default rounding, toward zero
+    assert _part(*g[4:]) == mpf_add(mpf_mul(gap[0], gap[0]), mpf_mul(gap[1], gap[1]), prec + 10)
+    numerator = mpc_sub(x, y, prec, round_nearest)
+    if gap == (fzero, fzero):
+        with pytest.raises(ZeroDivisionError):
+            mpc_div(numerator, gap, prec, round_nearest)
+        with pytest.raises(ZeroDivisionError):
+            _quotient(core_of_mpc(x), core_of_mpc(y), g, prec)
+        return
+    m, e, n, f = _quotient(core_of_mpc(x), core_of_mpc(y), g, prec)
+    assert canonical(m, e) and canonical(n, f)
+    assert (_part(m, e), _part(n, f)) == mpc_div(numerator, gap, prec, round_nearest)
+
+
+@st.composite
+def node_parts(draw, prec):
+    """An mpf of at most prec bits: zero, or at orders out to 3 prec + 200."""
+    if draw(st.integers(0, 4)) == 4:
+        return fzero
+    width = draw(st.one_of(st.integers(1, 8), st.integers(max(1, prec - 4), prec)))
+    far = 3 * prec + 200
+    order = draw(st.one_of(st.integers(-4, 4), st.integers(-200, 200), st.integers(-far, far)))
+    noise = random.Random(draw(st.integers(0, 2**64 - 1))).getrandbits(width)
+    man = ((1 << (width - 1)) | noise | 1) & ((1 << width) - 1)
+    return mpf_of(man * draw(st.sampled_from((1, -1))), order - width)
+
+
+@st.composite
+def complexes(draw, prec):
+    return draw(node_parts(prec)), draw(node_parts(prec))
+
+
+@pytest.mark.parametrize("prec", DIVISION_PRECISIONS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_division_step_matches_libmp_on_random_operands(prec, data):
+    x, y, z, w = (data.draw(complexes(prec)) for _ in range(4))
+    check_quotient(x, y, z, w, prec)
+    # an axis gap, with a zero imaginary or real part
+    check_quotient(x, y, (z[0], w[1]), w, prec)
+    check_quotient(x, y, (w[0], z[1]), w, prec)
+    # an exact zero numerator, and one with a zero part
+    check_quotient(x, x, z, w, prec)
+    check_quotient(x, (x[0], y[1]), z, w, prec)
+    # coincident nodes
+    check_quotient(x, y, z, z, prec)
+
+
+@pytest.mark.parametrize("prec", DIVISION_PRECISIONS)
+def test_division_step_takes_the_perturbation_branch_toward_zero(prec):
+    # parts far apart in exponent: c^2 + d^2 and the numerator sums take
+    # mpf_add's perturbation branch at prec + 10, where truncation and
+    # rounding to nearest part ways
+    rng = random.Random(prec)
+    hits = 0
+    for spread in (101, 150, prec + 120, 3 * prec):
+        for _ in range(6):
+            big = mpf_of(rng.getrandbits(prec) | 1 << (prec - 1) | 1, -prec)
+            small = mpf_of(rng.choice((1, -1)) * (rng.getrandbits(prec) | 1), -prec - spread)
+            num = (mpf_of(rng.getrandbits(prec) | 1, -prec), small)
+            for z in ((big, small), (small, big)):
+                check_quotient(num, (fzero, fzero), z, (fzero, fzero), prec)
+                check_quotient(z, num, num, (fzero, fzero), prec)
+                mag = mpf_add(mpf_mul(big, big), mpf_mul(small, small), prec + 10)
+                hits += mag != mpf_add(mpf_mul(big, big), mpf_mul(small, small), prec + 10,
+                                       round_nearest)
+    assert hits > 0
+
+
+def mpc_loop_rows(values, zs):
+    rows = [list(values)]
+    for p in range(1, len(zs)):
+        prev = rows[-1]
+        rows.append([(prev[k + 1] - prev[k]) / (zs[k + p] - zs[k]) for k in range(len(zs) - p)])
+    return rows
+
+
+def random_mpc(rng, prec, far):
+    def part():
+        if rng.random() < 0.2:
+            return mpmath.mpf(0)
+        exponent = rng.randint(-far, 4) if rng.random() < 0.3 else rng.randint(-4, 4)
+        return mpmath.ldexp(rng.choice((1, -1)) * (rng.getrandbits(prec) | 1), exponent - prec)
+
+    return mpc(part(), part())
+
+
+@pytest.mark.parametrize("prec", DIVISION_PRECISIONS)
+def test_tables_and_appended_chains_equal_the_mpc_loop(prec):
+    rng = random.Random(prec + 3)
+    for trial in range(12):
+        with workprec(prec):
+            count = rng.randint(1, 8)
+            zs = []
+            while len(zs) < count:
+                z = random_mpc(rng, prec, 150 if trial % 2 else 4)
+                if z not in zs:
+                    zs.append(z)
+            values = [random_mpc(rng, prec, 150) for _ in zs]
+            want = mpc_loop_rows(values, zs)
+            got = difference_rows(values, NodeConditioning(zs, prec))
+            assert [[v._mpc_ for v in row] for row in got] == [
+                [v._mpc_ for v in row] for row in want
+            ]
+            # the last diagonal, grown one node at a time
+            diag = []
+            for j, value in enumerate(values):
+                diag = _append(diag, value, _gap_row(zs[j], zs[:j]))
+                assert [_raw(v)._mpc_ for v in diag] == [want[p][j - p]._mpc_ for p in range(j + 1)]
+
+
+@pytest.mark.parametrize("prec", (53, 256))
+def test_inf_and_nan_fall_back_to_the_mpc_loop(prec):
+    with workprec(prec):
+        zs = [mpc(1, 0), mpc(0, "0.5"), mpc("-0.25", 0), mpc(3, -2)]
+        inf, nan = mpc(mpmath.inf, 0), mpc(0, mpmath.nan)
+        for values, nodes in (
+            ([mpc(1), inf, mpc(2), mpc(0, 1)], zs),
+            ([mpc(1), mpc(2), nan, mpc(0, 1)], zs),
+            ([mpc(1), mpc(2), mpc(3), mpc(4)], zs[:2] + [inf, zs[3]]),
+        ):
+            want = mpc_loop_rows(values, nodes)
+            got = difference_rows(values, NodeConditioning(nodes, prec))
+            assert [[v._mpc_ for v in row] for row in got] == [
+                [v._mpc_ for v in row] for row in want
+            ]
+            assert any(part in (finf, fnan) for row in got for v in row for part in v._mpc_)
+
+
+@pytest.mark.parametrize("prec", (53, 8192))
+def test_coincident_nodes_raise_zero_division(prec):
+    with workprec(prec):
+        zs = [mpc(1, 0), mpc(0, 1), mpc(1, 0)]
+        for values in ([mpc(1), mpc(2), mpc(3)], [mpc(1), mpc(mpmath.inf), mpc(3)]):
+            with pytest.raises(ZeroDivisionError):
+                mpc_loop_rows(values, zs)
+            with pytest.raises(ZeroDivisionError):
+                difference_rows(values, NodeConditioning(zs, prec))
