@@ -62,6 +62,10 @@ DEFAULT_GRID = "5x5@0.5+10"
 # Largest node count of a family source, checked before any node is made.
 MAX_FAMILY_NODES = 4096
 
+# Largest grid, side * side axis points plus the extra draws, checked before
+# any point is made.
+MAX_GRID_POINTS = 4096
+
 _GRID_RE = re.compile(r"^(\d+)x(\d+)@([^+]+)(?:\+(\d+))?$")
 
 
@@ -93,10 +97,15 @@ def _parse_grid(spec, bits):
         raise ConfigError("grid must be square, got %dx%d" % (side_a, side_b))
     if side_a < 1:
         raise ConfigError("grid side must be at least 1")
+    extra = int(m.group(4)) if m.group(4) else 0
+    points = side_a * side_a + extra
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            "grid of %d points exceeds the limit of %d points" % (points, MAX_GRID_POINTS)
+        )
     radius = parse_decimal(m.group(3), bits)
     if radius <= 0:
         raise ConfigError("grid radius must be positive, got %r" % (spec,))
-    extra = int(m.group(4)) if m.group(4) else 0
     return radius, side_a, extra
 
 

@@ -34,6 +34,18 @@ from .precision import (
     render_decimal,
 )
 
+# Highest total degree of a series read from a spec or a file, checked before
+# the series, with its one list per degree, is built.
+MAX_SERIES_ORDER = 512
+
+
+def _check_series_order(max_order):
+    """A ConfigError naming the limit when max_order is over MAX_SERIES_ORDER."""
+    if max_order > MAX_SERIES_ORDER:
+        raise ConfigError(
+            "series order %d exceeds the limit of %d" % (max_order, MAX_SERIES_ORDER)
+        )
+
 
 class TaylorSeries2:
     """Coefficients a_{k,l}, k+l <= max_order, at a fixed working precision.
@@ -77,13 +89,6 @@ class TaylorSeries2:
         # exact, since __init__ holds every coefficient at precision_bits
         return type(self), (self._coeffs, self.max_order, self.precision_bits)
 
-    def coefficient(self, k, l):
-        """a_{k,l} as ApComplex (zero when absent)."""
-        v = self._coeffs.get((k, l))
-        if v is None:
-            return ApComplex(0, 0, self.precision_bits)
-        return ApComplex.from_mpc(v, self.precision_bits)
-
     def items(self):
         """Deterministic (k, l) -> mpc iteration in graded order."""
         for m, row in enumerate(self._by_degree):
@@ -111,6 +116,7 @@ class TaylorSeries2:
         entries = obj.get("coeffs")
         if not isinstance(max_order, int) or isinstance(max_order, bool):
             raise ParseError("function payload needs an integer max_order")
+        _check_series_order(max_order)
         if not isinstance(entries, list):
             raise ParseError("function payload needs a coeffs list")
         coeffs = {}
@@ -141,11 +147,6 @@ class LineRestriction:
     @property
     def max_order(self):
         return len(self.coeffs) - 1
-
-    def coefficient(self, m):
-        if m < 0 or m >= len(self.coeffs):
-            return ApComplex(0, 0, self.precision_bits)
-        return ApComplex.from_mpc(self.coeffs[m], self.precision_bits)
 
 
 class GradedTerms:
@@ -237,6 +238,7 @@ def poly_series(spec_body, precision_bits=DEFAULT_PRECISION):
     if any(k < 0 or l < 0 for k, l in coeffs):
         raise ParseError("negative coefficient index")
     max_order = max(k + l for k, l in coeffs)
+    _check_series_order(max_order)
     return TaylorSeries2(coeffs, max_order, precision_bits)
 
 
@@ -281,6 +283,7 @@ def series_from_spec(spec, precision_bits=DEFAULT_PRECISION):
             raise ParseError("bad truncation order %r" % (body,)) from exc
         if max_order < 0:
             raise ParseError("truncation order must be nonnegative")
+        _check_series_order(max_order)
         builder = exp_sum_series if name == "exp_sum" else expcos_series
         return builder(max_order, precision_bits)
     raise ParseError("unknown builtin function %r" % (name,))

@@ -17,13 +17,12 @@ _running_products) run the series, restriction, Horner, E_N and product
 loops, and _gap_row and _append the divided-difference recursion, on a
 small rounding core over signed int mantissas: a part m*2^e of a raw mpc is
 held as (m, e), m odd or 0 as in mpmath's own tuples, and the value as the
-core form (m, e, n, f). The kernels take raw mpc, or core forms
-that _cores makes once for operands many calls share, read the precision
-from mpmath.mp.prec at call time, and return raw mpc, except that _products
-and _append return core forms, for _sum and the next _append to take. They
-do the same roundings in the same
-order as the mpc operator loops they stand for, so every result equals that
-loop's bit for bit, by the core's contract:
+core form (m, e, n, f). The kernels take raw mpc, or core forms that
+_cores makes once for operands many calls share, read the precision from
+mpmath.mp.prec at call time, and return raw mpc, except that _products and
+_append return core forms, for _sum and the next _append to take. They do
+the same roundings in the same order as the mpc operator loops they stand
+for, so every result equals that loop's bit for bit, by the core's contract:
 
 1. _add(m, e, n, f, prec) is mpf_add at (prec, round_nearest), which mpc +
    mpc applies to each part: the exact sum rounded to nearest, ties to even,
@@ -52,10 +51,9 @@ loop's bit for bit, by the core's contract:
 The core was checked against mpmath 1.3.0 on its python backend, where a
 mantissa is an int. mpmath has no public rounding setting and its context
 always rounds to nearest, so the core rounds toward zero only where mpc_div
-does inside (fact 4). It holds finite values only: a kernel that meets an
-inf or nan part hands the whole call to the mpc operator loop it stands for,
-and returns what that loop returns; a zero gap raises ZeroDivisionError, as
-that loop does.
+does inside (fact 4). The core holds finite values only; a non-finite part is
+a DomainError, since none of the objects the kernels compute is defined on
+one. A zero gap raises ZeroDivisionError, as the mpc loop does.
 
 fork_map, last, is the one place that calls os.fork: it maps a function over
 items in forked workers, one per usable CPU, and returns what the plain loop
@@ -79,7 +77,7 @@ import mpmath
 from mpmath import mpf, mpc, workprec
 from mpmath.libmp import fzero
 
-from .errors import ConfigError, NumericError, ParseError
+from .errors import ConfigError, DomainError, NumericError, ParseError
 
 MIN_PRECISION = 64
 DEFAULT_PRECISION = 256
@@ -285,10 +283,6 @@ class ApComplex:
 
     # -- edge accessors -------------------------------------------------------
 
-    def conjugate(self):
-        with workprec(self.precision_bits):
-            return ApComplex(self.re, -self.im, self.precision_bits)
-
     def magnitude(self):
         """|z| as an mpf at this value's precision."""
         with workprec(self.precision_bits):
@@ -348,10 +342,6 @@ def ulp(scale, precision_bits):
 # -- rounding core and accumulation kernels (facts 1-4 of the module docstring) --
 
 
-class _NonFinite(Exception):
-    """An inf or nan part met by _split: the kernel then runs its mpc loop."""
-
-
 _ZERO = (0, 0, 0, 0)
 _ONE = (1, 0, 0, 0)
 _make_mpc = mpmath.mp.make_mpc
@@ -408,25 +398,20 @@ def _add(m, e, n, f, prec, down=False):
 def _split(z):
     """The core form (m, e, n, f) of a raw mpc, whose parts are m*2^e and n*2^f.
 
-    A core form is returned as it is.
+    A core form is returned as it is. A part that is inf or nan is a
+    DomainError, since the core holds finite values only.
     """
     if z.__class__ is tuple:
         return z
     (s, m, e, _), (t, n, f, _) = z._mpc_
     if not m and e or not n and f:
-        raise _NonFinite
+        raise DomainError("non-finite value %s: the kernels compute on finite values only" % z)
     return (-m if s else m), e, (-n if t else n), f
 
 
 def _cores(values):
-    """The values with each finite raw mpc in its core form, for kernels to reuse."""
-    out = []
-    for v in values:
-        try:
-            out.append(_split(v))
-        except _NonFinite:
-            out.append(v)
-    return out
+    """The values as core forms, for kernels to reuse."""
+    return [_split(v) for v in values]
 
 
 def _part(m, e):
@@ -444,8 +429,8 @@ def _box(m, e, n, f):
 
 
 def _raw(z):
-    """z, a core form or a _gap, as a raw mpc, for the mpc loops a kernel falls back to."""
-    return _box(*z[:4]) if z.__class__ is tuple else z
+    """z, a core form or a _gap, as a raw mpc."""
+    return _box(*z[:4])
 
 
 def _cmul(x, y, prec):
@@ -501,65 +486,45 @@ def _quotient(x, y, g, prec):
 
 def _sum(values):
     """The loop `total = mpc(0); total += v` over values, zero parts skipped (fact 2)."""
-    values = list(values)
     prec = mpmath.mp.prec
     m = e = n = f = 0
-    try:
-        for v in values:
-            a, ae, b, be = _split(v)
-            if a:
-                m, e = _add(m, e, a, ae, prec)
-            if b:
-                n, f = _add(n, f, b, be, prec)
-    except _NonFinite:
-        total = mpc(0)
-        for v in values:
-            total += _raw(v)
-        return total
+    for v in values:
+        a, ae, b, be = _split(v)
+        if a:
+            m, e = _add(m, e, a, ae, prec)
+        if b:
+            n, f = _add(n, f, b, be, prec)
     return _box(m, e, n, f)
 
 
 def _dot(pairs):
     """The loop `total = mpc(0); total += x * y` over (x, y) pairs, zero parts skipped."""
-    pairs = list(pairs)
     prec = mpmath.mp.prec
     m = e = n = f = 0
-    try:
-        for x, y in pairs:
-            a, ae, b, be = _split(x)
-            c, ce, d, de = _split(y)
-            # x * y as _cmul forms it, written out: this is the hottest loop
-            r, re_exp = _add(a * c, ae + ce, -(b * d), be + de, prec)
-            i, im_exp = _add(a * d, ae + de, b * c, be + ce, prec)
-            if r:
-                m, e = _add(m, e, r, re_exp, prec)
-            if i:
-                n, f = _add(n, f, i, im_exp, prec)
-    except _NonFinite:
-        total = mpc(0)
-        for x, y in pairs:
-            total += _raw(x) * _raw(y)
-        return total
+    for x, y in pairs:
+        a, ae, b, be = _split(x)
+        c, ce, d, de = _split(y)
+        # x * y as _cmul forms it, written out: this is the hottest loop
+        r, re_exp = _add(a * c, ae + ce, -(b * d), be + de, prec)
+        i, im_exp = _add(a * d, ae + de, b * c, be + ce, prec)
+        if r:
+            m, e = _add(m, e, r, re_exp, prec)
+        if i:
+            n, f = _add(n, f, i, im_exp, prec)
     return _box(m, e, n, f)
 
 
 def _products(triples):
     """[x * y * z for (x, y, z) in triples], exact zeros left out (fact 2).
 
-    The products stay in core form, for _sum to take; only where a part is
-    inf or nan are they the raw mpc of the mpc loop.
+    The products stay in core form, for _sum to take.
     """
-    triples = list(triples)
     prec = mpmath.mp.prec
     out = []
-    try:
-        for x, y, z in triples:
-            p = _cmul(_cmul(_split(x), _split(y), prec), _split(z), prec)
-            if p[0] or p[2]:
-                out.append(p)
-    except _NonFinite:
-        out = [_raw(x) * _raw(y) * _raw(z) for x, y, z in triples]
-        return [p for p in out if p != 0]
+    for x, y, z in triples:
+        p = _cmul(_cmul(_split(x), _split(y), prec), _split(z), prec)
+        if p[0] or p[2]:
+            out.append(p)
     return out
 
 
@@ -570,53 +535,31 @@ def _horner(coeffs, w, count):
     coefficient down; it is zero past the last coefficient.
     """
     prec = mpmath.mp.prec
-    out = []
-    try:
-        wv, acc = _split(w), _ZERO
-        for c in reversed(coeffs):
-            m, e, n, f = _cmul(acc, wv, prec)
-            a, ae, b, be = _split(c)
-            acc = _add(m, e, a, ae, prec) + _add(n, f, b, be, prec)
-            out.append(acc)
-        out = [_box(*v) for v in out[::-1][:count]]
-    except _NonFinite:
-        acc, out = mpc(0), []
-        for c in reversed(coeffs):
-            acc = acc * _raw(w) + _raw(c)
-            out.append(acc)
-        out = out[::-1][:count]
+    wv, acc, out = _split(w), _ZERO, []
+    for c in reversed(coeffs):
+        m, e, n, f = _cmul(acc, wv, prec)
+        a, ae, b, be = _split(c)
+        acc = _add(m, e, a, ae, prec) + _add(n, f, b, be, prec)
+        out.append(acc)
+    out = [_box(*v) for v in out[::-1][:count]]
     return out + [_box(*_ZERO)] * (count - len(out))
 
 
 def _running_products(factors):
     """[1, x0, x0*x1, ...]: products of the leading factors, in order, as raw mpc."""
-    factors = list(factors)
     prec = mpmath.mp.prec
     acc, out = _ONE, [_box(*_ONE)]
-    try:
-        for x in factors:
-            acc = _cmul(acc, _split(x), prec)
-            out.append(_box(*acc))
-    except _NonFinite:
-        out = [mpc(1)]
-        for x in factors:
-            out.append(out[-1] * _raw(x))
+    for x in factors:
+        acc = _cmul(acc, _split(x), prec)
+        out.append(_box(*acc))
     return out
 
 
 def _gap_row(z, zs):
-    """[z - zs[-1], z - zs[-2], ..., z - zs[0]] as _gap forms them, for _append.
-
-    A gap with an inf or nan part is the raw mpc of the mpc operator.
-    """
+    """[z - zs[-1], z - zs[-2], ..., z - zs[0]] as _gap forms them, for _append."""
     prec = mpmath.mp.prec
-    out = []
-    for y in reversed(zs):
-        try:
-            out.append(_gap(_split(z), _split(y), prec))
-        except _NonFinite:
-            out.append(_raw(z) - _raw(y))
-    return out
+    z = _split(z)
+    return [_gap(z, _split(y), prec) for y in reversed(zs)]
 
 
 def _append(diag, value, gaps):
@@ -627,24 +570,14 @@ def _append(diag, value, gaps):
     against zs. Entry p of the result, the last of row p over zs + [z], is
     `(entry[p - 1] - diag[p - 1]) / (z - zs[-p])`, rounded as that mpc loop
     rounds it, with entry 0 the value. The entries are core forms, for the
-    next _append to take, or the raw mpc of the mpc loop where a value or a
-    gap has an inf or nan part.
+    next _append to take.
     """
     prec = mpmath.mp.prec
-    try:
-        x = _split(value)
-        out = [x]
-        for d, g in zip(diag, gaps):
-            if g.__class__ is not tuple:
-                raise _NonFinite
-            x = _quotient(x, _split(d), g, prec)
-            out.append(x)
-    except _NonFinite:
-        x = _raw(value)
-        out = [x]
-        for d, g in zip(diag, gaps):
-            x = (x - _raw(d)) / _raw(g)
-            out.append(x)
+    x = _split(value)
+    out = [x]
+    for d, g in zip(diag, gaps):
+        x = _quotient(x, _split(d), g, prec)
+        out.append(x)
     return out
 
 

@@ -276,6 +276,11 @@ def make_complex(re_text, im_text="0", precision_bits=DEFAULT_PRECISION):
     )
 
 
+def series_coefficient(f, k, l):
+    """a_{k,l} of a TaylorSeries2, read from its items, as an ApComplex (zero when absent)."""
+    return ApComplex.from_mpc(dict(f.items()).get((k, l), 0), f.precision_bits)
+
+
 def ap_gap(a, b):
     """|a - b| of two ApComplex values, formed on mpc at the larger precision."""
     bits = max(a.precision_bits, b.precision_bits)

@@ -14,10 +14,12 @@ from mpmath import mpf, workprec
 
 import lineinterp.cli
 import lineinterp.divdiff
+import lineinterp.funcmodel
 from lineinterp import (
     AdversarialSequence,
     ApComplex,
     NodeSequence,
+    TaylorSeries2,
     build_sequence,
     circle_family,
     conjugation,
@@ -275,13 +277,15 @@ def test_converge_config_errors(runner, tmp_path):
             assert "family:line:A,B,C:COUNT" in result.stderr
 
 
+class Reached(Exception):
+    """Raised by a patched allocating call: an oversized value got past its check."""
+
+
+def unreachable(*args, **kwargs):
+    raise Reached
+
+
 def test_family_count_over_the_limit_exits_2_before_any_node_is_made(runner, monkeypatch):
-    class Reached(Exception):
-        pass
-
-    def unreachable(*args, **kwargs):
-        raise Reached
-
     # an oversized count is never run: reaching generate_nodes fails the test
     monkeypatch.setattr(lineinterp.cli, "generate_nodes", unreachable)
     for count in ("4097", "100000000000"):
@@ -295,6 +299,60 @@ def test_family_count_over_the_limit_exits_2_before_any_node_is_made(runner, mon
     # the limit itself is accepted and reaches the generator
     result = runner.invoke(main, ["criterion", "--nodes", "family:line:0,1,0:4096"])
     assert isinstance(result.exception, Reached)
+
+
+def test_grid_over_the_limit_exits_2_before_any_point_is_made(runner, monkeypatch):
+    # an oversized grid is never built: reaching default_zgrid fails the test
+    monkeypatch.setattr(lineinterp.cli, "default_zgrid", unreachable)
+    base = ["--nodes", "family:circle:0,0,1:8", "--function", "builtin:poly:0,0,1,0"]
+    for grid, points in (("64x64@0.5+1", 4097), ("65x65@0.5", 4225),
+                         ("100000x100000@0.5", 10**10), ("1x1@0.5+99999999999", 10**11)):
+        for command in ("converge", "identity"):
+            result = runner.invoke(main, [command, *base, "--grid", grid])
+            assert result.exit_code == 2, (command, grid)
+            assert result.stdout == ""
+            assert result.stderr == (
+                "config error: grid of %d points exceeds the limit of 4096 points\n" % points
+            )
+    # the limit itself is accepted and reaches the grid builder
+    for grid in ("64x64@0.5", "1x1@0.5+4095"):
+        result = runner.invoke(main, ["converge", *base, "--grid", grid])
+        assert isinstance(result.exception, Reached), grid
+
+
+def test_series_order_over_the_limit_exits_2_before_the_series_is_built(
+    runner, monkeypatch, tmp_path
+):
+    # an oversized order is never built: reaching a builder fails the test
+    monkeypatch.setattr(lineinterp.funcmodel, "exp_sum_series", unreachable)
+    monkeypatch.setattr(lineinterp.funcmodel, "expcos_series", unreachable)
+    monkeypatch.setattr(TaylorSeries2, "__init__", unreachable)
+
+    def function_file(max_order):
+        path = tmp_path / ("f%d.json" % max_order)
+        path.write_text(json.dumps({"max_order": max_order, "coeffs": []}))
+        return str(path)
+
+    def run(source):
+        args = ["--nodes", "family:circle:0,0,1:8", "--function", source]
+        return runner.invoke(main, ["converge", *args])
+
+    for source, order in (
+        ("builtin:exp_sum:513", 513),
+        ("builtin:expcos:100000000000", 10**11),
+        ("builtin:poly:0,0,1,0;513,0,1,0", 513),
+        ("builtin:poly:0,100000000000,1,0", 10**11),
+        (function_file(513), 513),
+        (function_file(10**11), 10**11),
+    ):
+        result = run(source)
+        assert result.exit_code == 2, source
+        assert result.stdout == ""
+        assert result.stderr == "config error: series order %d exceeds the limit of 512\n" % order
+    # the limit itself is accepted and reaches the builder
+    for source in ("builtin:exp_sum:512", "builtin:expcos:512", "builtin:poly:256,256,1,0",
+                   function_file(512)):
+        assert isinstance(run(source).exception, Reached), source
 
 
 # -- criterion -----------------------------------------------------------------------

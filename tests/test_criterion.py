@@ -12,6 +12,7 @@ import pytest
 from mpmath import mpc, mpf, workprec
 
 from lineinterp import (
+    ApComplex,
     ArityError,
     ConfigError,
     DomainError,
@@ -36,6 +37,12 @@ BITS = 256
 
 def ap(re, im=0):
     return qc_to_ap(QC.of(Fraction(re), Fraction(im)), BITS)
+
+
+def conj(z):
+    """The conjugate of an ApComplex, negated exactly at its own precision."""
+    with workprec(z.precision_bits):
+        return ApComplex(z.re, -z.im, z.precision_bits)
 
 
 def nodes_of(*qs):
@@ -300,10 +307,10 @@ def test_germ_frozen_examples():
     assert real_axis(z) == z
     imag_axis = germ_for_family(line_family(1, 0, 0), BITS)
     w = ap(0, Fraction(3, 4))
-    assert imag_axis(w) == w.conjugate()
+    assert imag_axis(w) == conj(w)
     unit_circle = germ_for_family(circle_family(0, 1), BITS)
     i = ap(0, 1)
-    assert unit_circle(i) == i.conjugate()
+    assert unit_circle(i) == conj(i)
 
 
 def test_germ_matches_conjugate_on_generated_nodes():
@@ -316,4 +323,4 @@ def test_germ_matches_conjugate_on_generated_nodes():
         germ = germ_for_family(family, BITS)
         seq = generate_nodes(family, 12, seed=1, precision_bits=BITS)
         for node in seq:
-            assert ulps_apart(germ(node), node.conjugate()) <= 4
+            assert ulps_apart(germ(node), conj(node)) <= 4

@@ -10,7 +10,11 @@ client of the public API and the mathematics stays in the library.
 Every underscore-prefixed top-level function or class of the package is read
 by the package itself: tests alone do not keep a private helper alive. In the
 same way every class of `errors.py` is raised by the package, or is the base
-of another class there: an error type nothing raises is dead API.
+of another class there: an error type nothing raises is dead API. Every
+public top-level function and public method is read by the package too, or
+is on a short allowlist whose groups each say why they stay: the identity
+oracles, the click commands, the one-point edges the benchmark imports, and
+two helpers kept for their planned callers.
 
 The package writes only the formats it reads back: no `to_csv_text`, and a
 class with `to_json_obj` also has `from_json_obj`. The layout of a printed
@@ -21,12 +25,11 @@ Only `precision.py`, which holds the accumulation kernels, reaches into
 second arithmetic idiom stays in one place.
 
 Inside `precision.py` the kernels round through the integer-mantissa core
-alone: a libmp arithmetic function (`mpf_add`, `mpf_sub`, `mpf_mul`,
-`mpf_div`, `mpc_add`, `mpc_sub`, `mpc_mul`, `mpc_div`) may be read only in
-the non-finite fallback, an `except _NonFinite` handler, so there is one
-rounding path. In the same way no module writes the two-point division
-`(a - b) / (c - d)` of the divided-difference recursion outside that
-fallback: every such quotient goes through the core's division step.
+alone: no libmp arithmetic function (`mpf_add`, `mpf_sub`, `mpf_mul`,
+`mpf_div`, `mpc_add`, `mpc_sub`, `mpc_mul`, `mpc_div`) is read there, so
+there is one rounding path. In the same way no module writes the two-point
+division `(a - b) / (c - d)` of the divided-difference recursion: every such
+quotient goes through the core's division step.
 
 Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
 module that deals work to forked workers goes through that one helper, with
@@ -184,6 +187,110 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sources) == []
 
 
+def unread_public_members(sources):
+    """(module, name) of each public top-level function or method no module reads.
+
+    sources is a list of (module, source text); a method is named
+    Class.method. A member counts as read when any of the modules reads its
+    name, bare or as an attribute, outside a function of that same name, so
+    recursion does not keep it alive. Importing a name, or listing it in
+    __all__, is not a read. Reads are matched by name alone, so a method
+    whose name an unrelated attribute shares, such as a `conjugate` beside
+    mpc's, passes unseen.
+    """
+    defined, read = [], set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for module, source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members = [(node.name + ".", m) for m in node.body]
+            else:
+                members = [("", node)]
+            defined += [
+                (module, prefix + m.name)
+                for prefix, m in members
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+        visit(tree, frozenset())
+    return [(module, name) for module, name in defined if name.rpartition(".")[2] not in read]
+
+
+# the public members no package code reads, each group kept for the reason beside it
+UNREAD_PUBLIC_ALLOWED = {
+    # the identity oracles the paper relies on, and the primitives their tests build on
+    "oracles": {
+        "divdiff.py": {
+            "product", "delta", "newton_sum", "lagrange_sum", "leibniz_delta",
+            "delta_analytic", "monotone_tuple_count",
+        },
+    },
+    # the subcommands, which click reaches through the decorator, not by name
+    "commands": {
+        "cli.py": {
+            "cmd_converge", "cmd_criterion", "cmd_counterexample", "cmd_identity",
+            "cmd_mobius", "cmd_dd",
+        },
+    },
+    # the one-point edges that the benchmark harness imports
+    "edges": {
+        "funcmodel.py": {"eval2"},
+        "interpolate.py": {"eval_EN", "eval_RN_lagrange", "eval_RN_newton", "identity_report"},
+        "counterexample.py": {"default_kernel"},
+    },
+    # kept for their planned callers: the proved criterion bound and scaled tolerances
+    "planned": {"criterion.py": {"germ_for_family"}, "precision.py": {"ulp"}},
+}
+
+
+def test_every_public_member_is_read_or_allowed():
+    sample = [
+        (
+            "a",
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def imported():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def value(self):\n"
+            "        return used()\n"
+            "    def twin(self):\n"
+            "        return self.twin()\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "__all__ = ['imported']\n",
+        ),
+        ("b", "from a import imported\nprint(Box().value())\n"),
+    ]
+    # the checker itself
+    assert unread_public_members(sample) == [
+        ("a", "recursive"),
+        ("a", "imported"),
+        ("a", "Box.twin"),
+    ]
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in PACKAGE]
+    allowed = {
+        (module, name)
+        for group in UNREAD_PUBLIC_ALLOWED.values()
+        for module, names in group.items()
+        for name in names
+    }
+    # an allowed member that gains a reader, or goes, leaves the allowlist too
+    assert set(unread_public_members(sources)) == allowed
+
+
 def unraised_errors(errors_source, sources):
     """Classes of errors_source that no raise of sources names and no class there derives from.
 
@@ -315,32 +422,17 @@ LIBMP_ARITHMETIC = {
 }
 
 
-def _fallback_nodes(tree):
-    """ids of the nodes inside an `except _NonFinite` handler."""
-    fallback = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.ExceptHandler)
-            and isinstance(node.type, ast.Name)
-            and node.type.id == "_NonFinite"
-        ):
-            fallback.update(id(n) for stmt in node.body for n in ast.walk(stmt))
-    return fallback
-
-
-def libmp_arithmetic_outside_fallback(source):
-    """Lines that read a libmp arithmetic function outside an `except _NonFinite` handler."""
-    tree = ast.parse(source)
-    fallback = _fallback_nodes(tree)
+def libmp_arithmetic(source):
+    """Lines that read a libmp arithmetic function, bare or as an attribute."""
     out = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         else:
             continue
-        if name in LIBMP_ARITHMETIC and id(node) not in fallback:
+        if name in LIBMP_ARITHMETIC:
             out.append(node.lineno)
     return sorted(out)
 
@@ -348,58 +440,51 @@ def libmp_arithmetic_outside_fallback(source):
 def test_the_kernels_round_through_the_core_alone():
     sample = (
         "from mpmath import libmp\n"
-        "from mpmath.libmp import mpc_mul, mpf_add\n"
+        "from mpmath.libmp import fzero\n"
         "def kernel(x, y):\n"
         "    try:\n"
         "        return core(x, y)\n"
-        "    except _NonFinite:\n"
-        "        return mpf_add(x, y, 64), mpc_mul(x, y, 64)\n"
         "    except ValueError:\n"
-        "        return mpf_add(x, y, 64)\n"
+        "        return mpf_add(x, y, 64), mpc_mul(x, y, 64)\n"
         "def other(x):\n"
-        "    return libmp.mpf_mul(x, x, 64)\n"
+        "    return libmp.mpf_mul(x, x, 64), fzero\n"
     )
-    assert libmp_arithmetic_outside_fallback(sample) == [9, 11]  # the checker itself
+    assert libmp_arithmetic(sample) == [7, 7, 9]  # the checker itself
     precision = ROOT / "src" / "lineinterp" / "precision.py"
-    assert libmp_arithmetic_outside_fallback(precision.read_text(encoding="utf-8")) == []
+    assert libmp_arithmetic(precision.read_text(encoding="utf-8")) == []
 
 
 def _is_difference(node):
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
 
 
-def two_point_divisions_outside_fallback(source):
-    """Lines that divide a difference by a difference outside an `except _NonFinite` handler."""
-    tree = ast.parse(source)
-    fallback = _fallback_nodes(tree)
+def two_point_divisions(source):
+    """Lines that divide a difference by a difference."""
     return sorted(
         node.lineno
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Div)
         and _is_difference(node.left)
         and _is_difference(node.right)
-        and id(node) not in fallback
     )
 
 
-def test_no_module_writes_the_two_point_division_outside_the_fallback():
+def test_no_module_writes_the_two_point_division():
     sample = (
         "def step(x, y, z, w, g):\n"
         "    a = (x - y) / (z - w)\n"
         "    b = (x - y) / g + x / (z - w) + (x + y) / (z - w)\n"
         "    try:\n"
         "        return core(x, y, g)\n"
-        "    except _NonFinite:\n"
-        "        return (x - y) / (z - w)\n"
-        "    except ValueError:\n"
+        "    except ArithmeticError:\n"
         "        return ((x - y) /\n"
         "                (z - w))\n"
     )
-    assert two_point_divisions_outside_fallback(sample) == [2, 9]  # the checker itself
+    assert two_point_divisions(sample) == [2, 7]  # the checker itself
     found = {}
     for path in PACKAGE:
-        lines = two_point_divisions_outside_fallback(path.read_text(encoding="utf-8"))
+        lines = two_point_divisions(path.read_text(encoding="utf-8"))
         if lines:
             found[path.name] = lines
     assert found == {}

@@ -18,9 +18,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
 
-from lineinterp import ApComplex, TaylorSeries2, restrict_to_line
+from lineinterp import (
+    ApComplex,
+    DomainError,
+    LinePlan,
+    NodeSequence,
+    ScalarFunction,
+    TaylorSeries2,
+    delta_table,
+    restrict_to_line,
+)
 from lineinterp.funcmodel import GradedTerms
-from lineinterp.precision import _cores, _dot, _horner, _products, _raw, _running_products, _sum
+from lineinterp.precision import (
+    _append,
+    _cores,
+    _dot,
+    _gap_row,
+    _horner,
+    _products,
+    _raw,
+    _running_products,
+    _sum,
+)
 
 PRECISIONS = (64, 256, 8192)
 
@@ -187,31 +206,53 @@ def test_running_products_is_the_mpc_loop_bit_for_bit(bits, data):
 NON_FINITE = [mpf("inf"), -mpf("inf"), mpf("nan")]
 
 
+def kernel_calls(vals, w):
+    """Calls of the seven kernels, each on vals or on w in every operand it can take."""
+    zs = [mpc(1, 0), mpc(0, 1), mpc(-1, 0)]
+    return {
+        "_sum": lambda: _sum(vals),
+        "_dot (x)": lambda: _dot((x, mpc(1)) for x in vals),
+        "_dot (y)": lambda: _dot((mpc(1), y) for y in vals),
+        "_products": lambda: _products(zip(vals, vals[1:], vals[2:])),
+        "_horner": lambda: _horner(vals, mpc(2), 7),
+        "_horner (w)": lambda: _horner(vals[:1], w, 7),
+        "_running_products": lambda: _running_products(vals),
+        "_gap_row (z)": lambda: _gap_row(w, zs),
+        "_gap_row (zs)": lambda: _gap_row(mpc(2), vals),
+        "_append (value)": lambda: _append([mpc(1)], w, _gap_row(mpc(2), zs[:1])),
+        "_append (diag)": lambda: _append(vals, mpc(1), _gap_row(mpc(2), zs)),
+    }
+
+
 @pytest.mark.parametrize("bits", PRECISIONS)
 @pytest.mark.parametrize("bad", NON_FINITE, ids=["inf", "-inf", "nan"])
-def test_inf_and_nan_parts_give_what_the_mpc_loop_gives(bits, bad):
-    """The core holds finite values only: a kernel hands such a call to its mpc loop.
+def test_inf_and_nan_parts_are_a_domain_error_in_every_kernel(bits, bad):
+    """The core holds finite values only, and no kernel computes around that.
 
-    Each non-finite part meets a finite value, a zero and an infinity, in the
-    real and in the imaginary part, as a raw value and beside core forms.
+    Each non-finite part sits in the real or the imaginary part, or both, as
+    a raw mpc among raw values and among core forms; _cores refuses it too.
     """
     with workprec(bits):
-        finite = [mpc(3, -5) / 7, mpc(0, 1) / 3, mpc(2), mpc(0), mpc(mpf("inf"), 1)]
-        odd = [mpc(bad, 1), mpc(1, bad), mpc(bad, bad)]
-        for v in odd:
-            vals = finite[:2] + [v] + finite[2:]
-            for given in (vals, _cores(vals)):
-                assert _sum(given)._mpc_ == reference_sum(vals)._mpc_
-                pairs = list(zip(vals, reversed(vals)))
-                given_pairs = list(zip(given, reversed(given)))
-                assert _dot(given_pairs)._mpc_ == reference_dot(pairs)._mpc_
-                for w in (v, finite[0], finite[3]):
-                    want = raw(reference_horner(vals, w, 7))
-                    assert raw(_horner(given, w, 7)) == want
-                terms = [a * x * y for a, x, y in zip(vals, vals[1:], vals[2:])]
-                got = _products(zip(given, given[1:], given[2:]))
-                assert raw(map(_raw, got)) == raw(t for t in terms if t != 0)
-                assert raw(_running_products(given)) == raw(reference_running_products(vals))
+        finite = [mpc(3, -5) / 7, mpc(0, 1) / 3, mpc(2), mpc(0)]
+        for v in (mpc(bad, 1), mpc(1, bad), mpc(bad, bad)):
+            with pytest.raises(DomainError, match="non-finite value"):
+                _cores(finite[:2] + [v] + finite[2:])
+            for head, tail in ((finite[:2], finite[2:]), (_cores(finite[:2]), _cores(finite[2:]))):
+                for name, call in kernel_calls(head + [v] + tail, v).items():
+                    with pytest.raises(DomainError, match="non-finite value"):
+                        call()
+                        pytest.fail("%s computed on %s" % (name, v))
+
+
+def test_a_non_finite_value_is_a_domain_error_on_the_public_paths():
+    bits = 128
+    nodes = NodeSequence([ApComplex(k, 1 - k, bits) for k in range(4)], bits)
+    inf = ScalarFunction(fn=lambda w: w + mpf("inf"))
+    with pytest.raises(DomainError, match="non-finite value"):
+        delta_table(inf, nodes)
+    f = TaylorSeries2({(0, 0): 1, (1, 1): ApComplex(0, mpf("inf"), bits)}, 2, bits)
+    with pytest.raises(DomainError, match="non-finite value"):
+        LinePlan(f, nodes, 3, bits).at(ApComplex(1, 0, bits), ApComplex(0, 1, bits)).en(3)
 
 
 @pytest.mark.parametrize("bits", PRECISIONS)

@@ -311,16 +311,6 @@ def test_hash_agrees_with_equal_numbers():
     )
 
 
-def test_conjugation_involution_exact():
-    rng = random.Random(5)
-    for _ in range(50):
-        a = ApComplex(
-            parse_decimal("%d.%03d" % (rng.randint(-9, 9), rng.randint(0, 999))),
-            parse_decimal("%d.%03d" % (rng.randint(-9, 9), rng.randint(0, 999))),
-        )
-        assert a.conjugate().conjugate() == a
-
-
 def test_squared_magnitude_identity_within_two_ulp():
     rng = random.Random(6)
     for _ in range(100):
