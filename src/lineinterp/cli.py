@@ -320,16 +320,17 @@ def _spooled_rows(fd, lengths):
 
 
 def _emit_table(columns, count, row, fmt, out_path, doc):
-    """_emit of the rows row(0), ..., row(count - 1): CSV under the columns, or the JSON doc.
+    """_emit of the rows row(0), ..., row(count - 1): CSV under the columns, or the JSON doc().
 
     row(i) returns table row i as its CSV lines and its tuple of items, one
-    for each array of doc; each array stands in doc as _ARRAY, in document
-    order. Each row is rendered in a forked worker, or in the caller, and
-    appended to a spool, so only its byte length comes back through fork_map.
-    Nothing is written until every row is spooled, so a failing row leaves the
-    output empty; then the rows are copied out in order, one row held at a
-    time. One try/finally owns the spool from its creation to the last byte
-    copied.
+    for each array of the document; each array stands in it as _ARRAY, in
+    document order. doc is called only for JSON, so CSV renders none of the
+    document's other values. Each row is rendered in a forked worker, or in
+    the caller, and appended to a spool, so only its byte length comes back
+    through fork_map. Nothing is written until every row is spooled, so a
+    failing row leaves the output empty; then the rows are copied out in
+    order, one row held at a time. One try/finally owns the spool from its
+    creation to the last byte copied.
     """
     csv = fmt == "csv"
 
@@ -343,7 +344,7 @@ def _emit_table(columns, count, row, fmt, out_path, doc):
         if csv:
             pieces = itertools.chain([_csv_text([columns])], _spooled_rows(fd, lengths))
         else:
-            pieces = _json_pieces(_json_text(doc), fd, lengths)
+            pieces = _json_pieces(_json_text(doc()), fd, lengths)
         _emit(pieces, out_path)
     finally:
         os.close(fd)
@@ -468,7 +469,7 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
         ratio = None if ratio is None else render_decimal(ratio)
         return _one_line(columns, (n, render_decimal(sup), ratio))
 
-    _emit_table(columns, len(sups), row, fmt, out, {"precision_bits": bits, "rows": _ARRAY})
+    _emit_table(columns, len(sups), row, fmt, out, lambda: {"precision_bits": bits, "rows": _ARRAY})
     return 0
 
 
@@ -495,15 +496,17 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
         norm = [render_decimal(v) for v in prof.normalized[p]]
         return [(p, q, *cells) for q, cells in enumerate(zip(raw, norm))], (raw, norm)
 
-    doc = {
-        "p_max": p_max,
-        "q_max": q_max,
-        "precision_bits": prof.precision_bits,
-        "estimate_kind": "observed-finite-window",
-        "r_hat_observed": render_decimal(prof.r_hat_observed),
-        "raw": _ARRAY,
-        "normalized": _ARRAY,
-    }
+    def doc():
+        return {
+            "p_max": p_max,
+            "q_max": q_max,
+            "precision_bits": prof.precision_bits,
+            "estimate_kind": "observed-finite-window",
+            "r_hat_observed": render_decimal(prof.r_hat_observed),
+            "raw": _ARRAY,
+            "normalized": _ARRAY,
+        }
+
     _emit_table(("p", "q", "raw", "normalized"), p_max + 1, row, fmt, out, doc)
     return 0
 
@@ -563,7 +566,9 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
         return [(cert.stage, achieved, cert.target, cert.precision_bits)], (item,)
 
     columns = ("p", "achieved", "target", "precision_bits")
-    doc = {"sequence": sequence, "growth": {"rows": _ARRAY, "all_passed": report.all_passed}}
+    def doc():
+        return {"sequence": sequence, "growth": {"rows": _ARRAY, "all_passed": report.all_passed}}
+
     _emit_table(columns, len(report.rows), row, fmt, None, doc)
     return 0 if report.all_passed else 1
 
@@ -615,13 +620,15 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
         n, idx, mag, gap = rows[i]
         return _one_line(columns, (n, idx, render_decimal(mag), render_decimal(gap)))
 
-    doc = {
-        "precision_bits": bits,
-        "tolerance": tolerance,
-        "max_residual": render_decimal(worst),
-        "passed": passed,
-        "rows": _ARRAY,
-    }
+    def doc():
+        return {
+            "precision_bits": bits,
+            "tolerance": tolerance,
+            "max_residual": render_decimal(worst),
+            "passed": passed,
+            "rows": _ARRAY,
+        }
+
     _emit_table(columns, len(rows), row, fmt, out, doc)
     return 0 if passed else 1
 
@@ -745,7 +752,9 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
         lines = [(p, k, re, im) for k, (re, im) in enumerate(cells)]
         return lines, ([{"re": re, "im": im} for re, im in cells],)
 
-    doc = {"precision_bits": bits, "nodes": [z.to_json_obj() for z in nodes], "rows": _ARRAY}
+    def doc():
+        return {"precision_bits": bits, "nodes": [z.to_json_obj() for z in nodes], "rows": _ARRAY}
+
     _emit_table(("p", "k", "re", "im"), len(table.rows), row, fmt, out, doc)
     return 0
 

@@ -219,34 +219,36 @@ class NodeConditioning:
     def cancellation_exceeds(self, half):
         """Whether the sum of |log2 gap| over all pairs exceeds half.
 
-        The |log2| are summed in floats. Each term is within (1 + term) *
-        2^-51 of its true value and the float sum adds at most n_pairs *
-        total * 2^-53, while the full-precision sum is within n_pairs * (1 +
-        total) * 2^-58 of the truth. A float sum farther than n_pairs * (1 +
-        total) * 2^-40 from half therefore sits on the same side as the
-        full-precision one; inside that band, or when two nodes coincide, the
-        full-precision sum of the same gaps decides.
+        The terms are summed in floats from the c^2 + d^2 that each _gap form
+        carries, as |log2(c^2 + d^2)| / 2, so no modulus is formed. That sum
+        of squares is rounded toward zero at P + 10 bits, so its half log2 is
+        within 2^-(P+8) of |log2 gap|, and the float term is within (1 + term)
+        * 2^-50 of it. The float sum adds at most n_pairs * total * 2^-53,
+        while the full-precision sum is within n_pairs * (1 + total) * 2^-58
+        of the truth. A float sum farther than n_pairs * (1 + total) * 2^-40
+        from half therefore sits on the same side as the full-precision one;
+        inside that band, or when two nodes coincide, the full-precision sum
+        of the moduli in gaps decides.
         """
-        gaps = [gap for _, _, gap in self.gaps]
-        if all(gaps):
-            total = sum(abs(_log2_float(gap)) for gap in gaps)
-            if abs(total - half) > len(gaps) * (1 + total) * 2.0**-40:
+        norms = [g[4:] for row in self.rows for g in row]
+        if all(r for r, _ in norms):
+            total = sum(abs(_log2_float(r, re)) for r, re in norms) / 2
+            if abs(total - half) > len(norms) * (1 + total) * 2.0**-40:
                 return total > half
         with workprec(self.precision_bits):
             total = mpf(0)
-            for gap in gaps:
+            for _, _, gap in self.gaps:
                 total += abs(mpmath.log(gap, 2))
         return total > half
 
 
-def _log2_float(x):
-    """log2 of a positive mpf as a float, exact in the integer part.
+def _log2_float(man, exp):
+    """log2 of man * 2^exp, for an int man > 0, as a float exact in the integer part.
 
-    x = man * 2^exp is split as 2^(exp + width) * (man / 2^width) with the
-    second factor in [1/2, 1), so no float overflows or underflows at any
-    exponent, and the result is within (1 + |log2 x|) * 2^-51 of the truth.
+    The value is split as 2^(exp + width) * (man / 2^width) with the second
+    factor in [1/2, 1), so no float overflows or underflows at any exponent,
+    and the result is within (1 + |log2(man * 2^exp)|) * 2^-51 of the truth.
     """
-    man, exp = int(x.man), int(x.exp)
     width = man.bit_length()
     return (exp + width) + math.log2(man / (1 << width))
 

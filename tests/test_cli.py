@@ -15,6 +15,7 @@ from mpmath import mpf, workprec
 import lineinterp.cli
 import lineinterp.divdiff
 import lineinterp.funcmodel
+import lineinterp.precision
 from lineinterp import (
     AdversarialSequence,
     ApComplex,
@@ -149,6 +150,30 @@ def test_dd_and_criterion_json_carry_the_csv_cells(runner, node_file):
              for p, (raw_row, norm_row) in enumerate(zip(obj["raw"], obj["normalized"]))
              for q, (raw, norm) in enumerate(zip(raw_row, norm_row))]
     assert cells == [tuple(r) for r in rows]
+
+
+def test_csv_renders_only_the_table_cells(runner, node_file, monkeypatch):
+    # the JSON document's other values (nodes, r_hat_observed) are rendered
+    # for --format json alone; one CPU, so every render is in this process
+    rendered = []
+    render = lineinterp.precision.render_decimal
+
+    def counting(x):
+        rendered.append(x)
+        return render(x)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(lineinterp.precision, "render_decimal", counting)
+    monkeypatch.setattr(lineinterp.cli, "render_decimal", counting)
+    dd = ["dd", "--nodes", node_file, "--kernel", "conj-kernel:2"]
+    crit = ["criterion", "--nodes", node_file, "--p-max", "4", "--q-max", "2"]
+    # dd: re and im of 15 entries, then of the 5 nodes; criterion: raw and
+    # normalized of 5 x 3 entries, then r_hat_observed
+    for argv, cells, extra in ((dd, 30, 10), (crit, 30, 1)):
+        for fmt, want in (("csv", cells), ("json", cells + extra)):
+            del rendered[:]
+            assert runner.invoke(main, argv + ["--format", fmt]).exit_code == 0
+            assert len(rendered) == want, (argv[0], fmt)
 
 
 def test_dd_kernel_spec_errors(runner, node_file):

@@ -206,6 +206,9 @@ def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypat
                 assert len(logged) == len(record.gaps)
                 assert all(x is g for (x, _), (_, _, g) in zip(logged, record.gaps))
                 fallbacks.append(logged[0][1])
+            else:
+                # the float path reads the sums of squares and forms no modulus
+                assert not any(record._moduli)
     # a sum equal to bits/2 sits inside the guard band; one bit more does not
     assert fallbacks == [bits] * 2
 
@@ -214,6 +217,7 @@ def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypat
 def test_cancellation_gate_matches_full_precision_sum(bits):
     rng = random.Random(bits)
     decisions = set()
+    float_decided = 0
     for trial in range(60):
         count = rng.randint(2, 9)
         pairs = count * (count - 1) // 2
@@ -225,9 +229,13 @@ def test_cancellation_gate_matches_full_precision_sum(bits):
             nodes = random_axis_nodes(rng, count, bits)
         zs = [n.to_mpc() for n in nodes]
         want = log2_gap_sum_exceeds(zs, bits)
-        assert NodeConditioning(zs, bits).cancellation_exceeds(bits / 2) is want
+        record = NodeConditioning(zs, bits)
+        assert record.cancellation_exceeds(bits / 2) is want
         decisions.add(want)
+        float_decided += not any(record._moduli)
     assert decisions == {False, True}
+    # outside the guard band no modulus is formed
+    assert float_decided >= 50
 
 
 # -- appended diagonal -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Value-type tests: decimal codec, promotion, field laws, ulp distances."""
 
 import copy
+import math
 import pickle
 import random
 import time
@@ -202,6 +203,100 @@ def test_powers_of_five_cache_stays_bounded():
         assert render_decimal(v) == reference_render_decimal(v), k
     assert cache.cache_info().misses == 3 * steps
     assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def _value(m, n):
+    """m * 2^-n exactly, at a precision that holds m."""
+    with workprec(max(m.bit_length(), 8)):
+        return mpmath.ldexp(mpmath.mpf(m), -n)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096, 8192, 16384])
+def test_fraction_digits_match_the_int_product(bits):
+    # n below the chunk, at it and at its multiples, and around the mantissa
+    # length: for n < bits the value has a nonzero integer part
+    rng = random.Random(bits + 5)
+    k = precision._CHUNK
+    for n in (1, k - 1, k, k + 1, 2 * k, 3 * k, bits - 1, bits, bits + 1, 2 * bits + 3):
+        m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert precision._fraction_digits(m, n) == str(m * 5**n), (bits, n)
+        for negative in (False, True):
+            v = _value(m, n)
+            v = -v if negative else v
+            assert render_decimal(v) == reference_render_decimal(v), (bits, n)
+
+
+@pytest.mark.parametrize("bits", [256, 2048, 8192])
+def test_fraction_digits_around_powers_of_ten(bits):
+    # m / 2^n just below and above 10^-j and 10^j: runs of nines and zeros
+    # across chunk boundaries, carries, and the leading-zero skip at its edge
+    for j in (1, 7, 199, 200, 201, 600):
+        width = int(j * math.log2(10)) + 1
+        cases = [(bits + width, (1 << (bits + width)) // 10**j)]
+        if bits > width:
+            cases.append((bits - width, 10**j << (bits - width)))
+        for n, center in cases:
+            for m in (center - 1, center, center + 1, center + 2):
+                assert precision._fraction_digits(m, n) == str(m * 5**n), (bits, j, n, m - center)
+                v = _value(m, n)
+                assert render_decimal(v) == reference_render_decimal(v), (bits, j, n)
+
+
+def _edge(bits, digits):
+    """The largest n with (bits - 1) * log10(2) + n * log10(5) <= digits, render_decimal's estimate."""
+    n = int((digits - (bits - 1) * precision._LOG10_2) / math.log10(5))
+    while (bits - 1) * precision._LOG10_2 + (n + 1) * math.log10(5) <= digits:
+        n += 1
+    while (bits - 1) * precision._LOG10_2 + n * math.log10(5) > digits:
+        n -= 1
+    return n
+
+
+def test_render_takes_the_chunks_up_to_the_crossover(monkeypatch):
+    # the digits come from _fraction_digits up to the crossover and from the
+    # Decimal path past it, and both sides match the oracle
+    powers = []
+    power = precision._pow
+
+    def counting(base, n):
+        powers.append(n)
+        return power(base, n)
+
+    monkeypatch.setattr(precision, "_pow", counting)
+    rng = random.Random(11)
+    slope, floor = precision._CHUNK_SLOPE, precision._CHUNK_FLOOR_BITS
+    cases = [(bits, min(slope * (bits - floor), precision._CHUNK_MAX_DIGITS))
+             for bits in (floor + 512, 4096, 8192, 16384)]
+    for bits, limit in cases:
+        n = _edge(bits, limit)
+        for past, shift in ((False, n), (True, n + 1)):
+            for negative in (False, True):
+                del powers[:]
+                v = _dyadic(rng, bits, -shift, negative)
+                assert render_decimal(v) == reference_render_decimal(v), (bits, shift)
+                assert bool(powers) is past, (bits, shift)
+    # a mantissa of _CHUNK_FLOOR_BITS or fewer bits keeps the Decimal path
+    for bits in (64, 256, floor):
+        del powers[:]
+        v = _dyadic(rng, bits, -(bits + 7))
+        assert render_decimal(v) == reference_render_decimal(v)
+        assert powers
+
+
+def test_kernel_growth_shapes_never_reach_the_decimal_path(monkeypatch):
+    # the 8192-bit criterion and dd tables print mantissas of about 7900 to
+    # 8192 bits at 2^-8200 .. 2^-16400; none of them may fall back to the
+    # cached powers of five
+    def refuse(base, n):
+        raise AssertionError("_pow(%d, %d) called" % (base, n))
+
+    monkeypatch.setattr(precision, "_pow", refuse)
+    rng = random.Random(16400)
+    for bits in (7900, 8100, 8192):
+        for e in (-8200, -8300, -8400, -12000, -16400):
+            for negative in (False, True):
+                v = _dyadic(rng, bits, e, negative)
+                assert render_decimal(v) == reference_render_decimal(v), (bits, e)
 
 
 def test_render_holds_deep_expansions_to_the_int_to_str_cap():
