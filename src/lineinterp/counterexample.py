@@ -84,7 +84,7 @@ def _wirtinger(f, conditioning, diag, bits):
 
     def extended_delta(re, im):
         probe = mpc(re, im)
-        return _raw(_append(diag, mpc(f.raw(probe)), _gap_row(probe, zs))[-1])
+        return _raw(_append(diag, f.raw(probe), _gap_row(probe, zs))[-1])
 
     def central(step, along_imag):
         if along_imag:
@@ -109,7 +109,7 @@ def _extended(f, conditioning, diag, more):
     zs, bits = conditioning.zs + tuple(more), conditioning.precision_bits
     conditioning = NodeConditioning(zs, bits, conditioning)
     for z, gaps in zip(more, conditioning.rows[-len(more):]):
-        diag = _append(diag, mpc(f.raw(z)), gaps)
+        diag = _append(diag, f.raw(z), gaps)
     return conditioning, diag
 
 
@@ -431,7 +431,7 @@ def verify_growth(seq, f):
     for bits, count in longest.items():
         zs = NodeSequence([n.at_precision(bits) for n in seq.nodes[:count]], bits).zs
         with workprec(bits):
-            values = [mpc(f.raw(z)) for z in zs]
+            values = [f.raw(z) for z in zs]
             heads[bits] = zs, _leading_column(values, NodeConditioning(zs, bits))
     for rec in seq.stage_log:
         stage = rec.stage

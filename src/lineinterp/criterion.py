@@ -27,9 +27,10 @@ from .divdiff import (
     NodeSequence,
     ScalarFunction,
     _leading_column,
+    _require_order,
     as_node_sequence,
 )
-from .errors import ArityError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .funcmodel import _weight
 from .precision import (
     DEFAULT_PRECISION,
@@ -103,7 +104,7 @@ def _profile_column(conditioning, q):
     """
     with workprec(conditioning.precision_bits):
         kernel = conj_kernel(q)
-        values = [mpc(kernel.raw(z)) for z in conditioning.zs]
+        values = [kernel.raw(z) for z in conditioning.zs]
         raw = [abs(v) for v in _leading_column(values, conditioning)]
         normalized = [v if p + q == 0 else _root(v, p + q) for p, v in enumerate(raw)]
     return raw, normalized
@@ -112,13 +113,9 @@ def _profile_column(conditioning, q):
 def criterion_profile(nodes, p_max, q_max, precision_bits=None):
     """Magnitudes |Delta_p[g_q](eta_{p+1})| over the ordered node prefix."""
     seq = as_node_sequence(nodes)
-    if p_max < 0 or q_max < 0:
+    if q_max < 0:
         raise DomainError("profile window must be nonnegative")
-    if len(seq) < p_max + 1:
-        raise ArityError(
-            "profile to order %d needs %d nodes, have %d"
-            % (p_max, p_max + 1, len(seq))
-        )
+    _require_order(seq, p_max + 1)
     bits = check_precision(precision_bits or seq.precision_bits)
     # one column per kernel power, each in a forked worker that inherits the node gaps
     conditioning = NodeConditioning(seq.zs[: p_max + 1], bits)
@@ -171,6 +168,7 @@ class NodeFamily:
 
 
 def _as_real(value, bits):
+    """A decimal string or a number as an mpf rounded to bits."""
     with workprec(bits):
         if isinstance(value, str):
             return parse_decimal(value, bits)

@@ -37,9 +37,12 @@ from .errors import (
     ParseError,
 )
 from .precision import (
+    _ONE,
     DEFAULT_PRECISION,
     ApComplex,
     _append,
+    _as_mpc,
+    _cmul,
     _dot,
     _gap_row,
     _raw,
@@ -69,19 +72,19 @@ class ScalarFunction:
             raise ConfigError("unknown scalar function kind %r" % (self.kind,))
 
     def raw(self, w):
-        """Evaluate at an mpc under the ambient working precision."""
-        return self.fn(w)
+        """The value at an mpc as an mpc rounded at the ambient working precision."""
+        return mpc(self.fn(w))
 
     def __call__(self, z):
         if not isinstance(z, ApComplex):
             raise ConfigError("ScalarFunction evaluates ApComplex values")
         with workprec(z.precision_bits):
-            return ApComplex.from_mpc(mpc(self.fn(z.to_mpc())), z.precision_bits)
+            return ApComplex.from_mpc(self.raw(z.to_mpc()), z.precision_bits)
 
 
 def analytic_series(coeffs):
-    """ScalarFunction for the truncated series sum a_n zeta^n."""
-    frozen = [c.to_mpc() if isinstance(c, ApComplex) else mpc(c) for c in coeffs]
+    """ScalarFunction for the truncated series sum a_n zeta^n, the coefficients held unrounded."""
+    frozen = [_as_mpc(c) for c in coeffs]
 
     def fn(w):
         total = mpc(0)
@@ -178,30 +181,26 @@ class NodeConditioning:
     formed once at precision_bits. prefix, the conditioning of a leading part
     of zs at the same precision, lends its rows, so only the gaps of the
     nodes past it are formed. gaps holds (i, j, |zs[i] - zs[j]|) for every
-    pair i < j, row by row; each modulus is formed when first read, once for
-    a prefix and all its extensions. The measures are computed when read.
+    pair i < j; it and the measures are computed when read.
     """
 
-    __slots__ = ("zs", "precision_bits", "rows", "_moduli")
+    __slots__ = ("zs", "precision_bits", "rows")
 
     def __init__(self, zs, precision_bits, prefix=None):
         self.zs = tuple(zs)
         self.precision_bits = precision_bits
         self.rows = list(prefix.rows) if prefix else []
-        self._moduli = list(prefix._moduli) if prefix else []
         with workprec(precision_bits):
             for j in range(len(self.rows), len(self.zs)):
                 self.rows.append(_gap_row(self.zs[j], self.zs[:j]))
-                self._moduli.append([])
 
     @property
     def gaps(self):
-        with workprec(self.precision_bits):
-            for row, moduli in zip(self.rows, self._moduli):
-                if len(moduli) < len(row):
-                    moduli[:] = [abs(_raw(g)) for g in row]
         n = len(self.zs)
-        return tuple((i, j, self._moduli[j][j - 1 - i]) for i in range(n) for j in range(i + 1, n))
+        with workprec(self.precision_bits):
+            return tuple(
+                (i, j, abs(_raw(self.rows[j][j - 1 - i]))) for i in range(n) for j in range(i + 1, n)
+            )
 
     def near_pairs(self):
         """The (i, j, gap) triples with gap below the threshold 2^-(P/2)."""
@@ -277,7 +276,7 @@ def delta_table(h, nodes, precision_bits=None):
     seq = as_node_sequence(nodes)
     bits = check_precision(precision_bits or seq.precision_bits)
     with workprec(bits):
-        rows = difference_rows([mpc(h.raw(z)) for z in seq.zs], NodeConditioning(seq.zs, bits))
+        rows = difference_rows([h.raw(z) for z in seq.zs], NodeConditioning(seq.zs, bits))
     return DividedDiffTable(seq, bits, rows)
 
 
@@ -313,13 +312,18 @@ def _leading_column(values, conditioning):
     return [_raw(diag[-1]) for diag in _diagonals(values, conditioning)]
 
 
+def _require_order(seq, n):
+    """Check that an order reads the first n nodes of seq, n at least 1."""
+    if n < 1:
+        raise DomainError("an order reads at least one node, got %d" % n)
+    if len(seq) < n:
+        raise ArityError("%d nodes needed, have %d" % (n, len(seq)))
+
+
 def _order_prefix(nodes, p):
     """The first p+1 nodes, which an order-p divided difference reads."""
     seq = as_node_sequence(nodes)
-    if p < 0:
-        raise DomainError("order p must be nonnegative")
-    if len(seq) < p + 1:
-        raise ArityError("order %d needs %d nodes, have %d" % (p, p + 1, len(seq)))
+    _require_order(seq, p + 1)
     return seq.first(p + 1)
 
 
@@ -335,44 +339,40 @@ def delta(h, nodes, p, precision_bits=None):
 def _newton_total(scale, lead, column):
     """sum_p scale[n-1-p] * lead[p] * column[p] over the n entries, as a raw mpc.
 
-    lead[p] = prod_{j<p} (x - eta_j) and column is the _leading_column of the
-    first n nodes; a unit scale gives the plain Newton form.
+    scale and lead are core forms, lead[p] = prod_{j<p} (x - eta_j), and
+    column is the _leading_column of the first n nodes; a unit scale gives
+    the plain Newton form.
     """
+    prec = mpmath.mp.prec
     n = len(column)
-    return _dot((scale[n - 1 - p] * lead[p], column[p]) for p in range(n))
+    return _raw(_dot((_cmul(scale[n - 1 - p], lead[p], prec), column[p]) for p in range(n)))
 
 
 def newton_sum(h, nodes, n, x, precision_bits=None):
     """Newton form: sum_{p<n} prod_{j<=p} (x - eta_j) * Delta_p(h)(eta_{p+1})."""
     seq = as_node_sequence(nodes)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if len(seq) < n:
-        raise ArityError("Newton sum of order %d needs %d nodes" % (n, n))
+    _require_order(seq, n)
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
     with workprec(bits):
         zs = seq.zs[:n]
-        column = _leading_column([mpc(h.raw(z)) for z in zs], NodeConditioning(zs, bits))
+        column = _leading_column([h.raw(z) for z in zs], NodeConditioning(zs, bits))
         xv = x.to_mpc()
         lead = _running_products(xv - z for z in zs[:-1])
-        total = _newton_total([mpc(1)] * n, lead, column)
+        total = _newton_total([_ONE] * n, lead, column)
     return ApComplex.from_mpc(total, bits)
 
 
 def lagrange_sum(h, nodes, n, x, precision_bits=None):
     """Lagrange form: sum_p prod_{j != p} (x - eta_j)/(eta_p - eta_j) * h(eta_p)."""
     seq = as_node_sequence(nodes)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if len(seq) < n:
-        raise ArityError("Lagrange sum of order %d needs %d nodes" % (n, n))
+    _require_order(seq, n)
     bits = check_precision(precision_bits or max(seq.precision_bits, x.precision_bits))
     with workprec(bits):
         zs = seq.zs[:n]
         xv = x.to_mpc()
         total = mpc(0)
         for p in range(n):
-            term = mpc(h.raw(zs[p]))
+            term = h.raw(zs[p])
             for j in range(n):
                 if j != p:
                     # (x - eta_j) / (eta_p - eta_j), through the division step
@@ -409,17 +409,14 @@ def delta_analytic(coeffs, center, nodes, p, precision_bits=None):
     """
     head = _order_prefix(nodes, p)
     bits = check_precision(precision_bits or head.precision_bits)
-    frozen = [c.to_mpc() if isinstance(c, ApComplex) else mpc(c) for c in coeffs]
+    frozen = [_as_mpc(c) for c in coeffs]
     if not frozen:
         raise ArityError("series needs at least one coefficient")
     top = len(frozen) - 1 - p
     if top < 0:
         return ApComplex(0, 0, bits)
     with workprec(bits):
-        if center is None:
-            c0 = mpc(0)
-        else:
-            c0 = center.to_mpc() if isinstance(center, ApComplex) else mpc(center)
+        c0 = mpc(0) if center is None else _as_mpc(center)
         xs = [z - c0 for z in head.zs]
         # homog[m] = complete homogeneous symmetric polynomial of degree m in
         # the variables added so far; updating in ascending m adds one variable.

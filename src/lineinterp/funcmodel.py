@@ -18,15 +18,16 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from mpmath import mpc, mpf, workprec
+from mpmath import mpf, workprec
 
 from .errors import ConfigError, ParseError
 from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
-    _cores,
+    _as_mpc,
     _dot,
     _products,
+    _raw,
     _running_products,
     _sum,
     check_precision,
@@ -69,8 +70,7 @@ class TaylorSeries2:
                     % (k, l, max_order)
                 )
             with workprec(bits):
-                # unary plus rounds every kind, mpc and ApComplex too, to bits
-                v = +(value.to_mpc() if isinstance(value, ApComplex) else mpc(value))
+                v = +_as_mpc(value)
             if v != 0:
                 frozen[(k, l)] = v
         by_degree = [[] for _ in range(max_order + 1)]
@@ -126,6 +126,8 @@ class TaylorSeries2:
             k, l = entry["k"], entry["l"]
             if any(not isinstance(i, int) or isinstance(i, bool) for i in (k, l)):
                 raise ParseError("coefficient indices must be integers")
+            if k < 0 or l < 0:
+                raise ParseError("negative coefficient index")
             if (k, l) in coeffs:
                 raise ParseError("duplicate coefficient index (%d, %d)" % (k, l))
             coeffs[(k, l)] = ApComplex(
@@ -156,8 +158,8 @@ class GradedTerms:
     from row n on; both accumulate term by term in graded order, so every
     partial sum is the one a direct evaluation of that range would give.
     The terms are formed by the kernel _products and held in the kernels'
-    core form, and the sums are raw mpc from _sum, all at precision_bits; a
-    row leaves out exactly zero terms, as at z1 = 0.
+    core form, and total returns the sums of _sum as raw mpc, all at
+    precision_bits; a row leaves out exactly zero terms, as at z1 = 0.
     """
 
     __slots__ = ("rows", "precision_bits")
@@ -165,8 +167,8 @@ class GradedTerms:
     def __init__(self, f, z1, z2):
         bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
         with workprec(bits):
-            pow1 = _cores(_running_products([z1.to_mpc()] * f.max_order))
-            pow2 = _cores(_running_products([z2.to_mpc()] * f.max_order))
+            pow1 = _running_products([z1.to_mpc()] * f.max_order)
+            pow2 = _running_products([z2.to_mpc()] * f.max_order)
             self.rows = [
                 _products((a, pow1[k], pow2[m - k]) for k, a in row)
                 for m, row in enumerate(f._by_degree)
@@ -178,7 +180,7 @@ class GradedTerms:
         if stop is None or stop >= len(self.rows):
             stop = len(self.rows) - 1
         with workprec(self.precision_bits):
-            return _sum(chain.from_iterable(self.rows[m] for m in range(start, stop + 1)))
+            return _raw(_sum(chain.from_iterable(self.rows[m] for m in range(start, stop + 1))))
 
 
 def eval2(f, z1, z2):
@@ -193,8 +195,8 @@ def restrict_to_line(f, eta, precision_bits=None):
         raise ConfigError("eta must be an ApComplex value")
     bits = check_precision(precision_bits or max(f.precision_bits, eta.precision_bits))
     with workprec(bits):
-        powers = _cores(_running_products([eta.to_mpc()] * f.max_order))
-        out = tuple(_dot((a, powers[k]) for k, a in row) for row in f._by_degree)
+        powers = _running_products([eta.to_mpc()] * f.max_order)
+        out = tuple(_raw(_dot((a, powers[k]) for k, a in row)) for row in f._by_degree)
     return LineRestriction(eta=eta, coeffs=out, precision_bits=bits)
 
 
@@ -216,11 +218,11 @@ def _projection(ev, z1v, z2v, weight):
 
 def poly_series(spec_body, precision_bits=DEFAULT_PRECISION):
     """Inline polynomial: "k,l,re,im;k,l,re,im;..." entries."""
-    entries = [chunk for chunk in spec_body.split(";") if chunk.strip()]
-    if not entries:
+    chunks = [chunk for chunk in spec_body.split(";") if chunk.strip()]
+    if not chunks:
         raise ParseError("empty inline polynomial spec")
-    coeffs = {}
-    for chunk in entries:
+    entries = []
+    for chunk in chunks:
         parts = [part.strip() for part in chunk.split(",")]
         if len(parts) != 4:
             raise ParseError("inline coefficient needs k,l,re,im, got %r" % (chunk,))
@@ -228,18 +230,9 @@ def poly_series(spec_body, precision_bits=DEFAULT_PRECISION):
             k, l = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError("bad coefficient index in %r" % (chunk,)) from exc
-        if (k, l) in coeffs:
-            raise ParseError("duplicate coefficient index (%d, %d)" % (k, l))
-        coeffs[(k, l)] = ApComplex(
-            parse_decimal(parts[2], precision_bits),
-            parse_decimal(parts[3], precision_bits),
-            precision_bits,
-        )
-    if any(k < 0 or l < 0 for k, l in coeffs):
-        raise ParseError("negative coefficient index")
-    max_order = max(k + l for k, l in coeffs)
-    _check_series_order(max_order)
-    return TaylorSeries2(coeffs, max_order, precision_bits)
+        entries.append({"k": k, "l": l, "re": parts[2], "im": parts[3]})
+    max_order = max(e["k"] + e["l"] for e in entries)
+    return TaylorSeries2.from_json_obj({"max_order": max_order, "coeffs": entries}, precision_bits)
 
 
 def exp_sum_series(max_order, precision_bits=DEFAULT_PRECISION):

@@ -32,31 +32,27 @@ from functools import cached_property, partial
 import mpmath
 from mpmath import mpf, workprec
 
+from .criterion import _as_real
 from .divdiff import (
     NodeConditioning,
     _leading_column,
     _newton_total,
+    _require_order,
     as_node_sequence,
 )
-from .errors import ArityError, ConfigError, DomainError
+from .errors import ArityError, ConfigError
 from .funcmodel import GradedTerms, _projection, _weight, restrict_to_line
 from .precision import (
     ApComplex,
+    _cmul,
     _cores,
     _dot,
     _horner,
+    _raw,
     _running_products,
     check_precision,
     fork_map,
-    parse_decimal,
 )
-
-
-def _require_order(seq, n):
-    if n < 1:
-        raise DomainError("interpolation order must be at least 1")
-    if len(seq) < n:
-        raise ArityError("order %d needs %d nodes, have %d" % (n, n, len(seq)))
 
 
 def _lagrange_chain(line, zs, p, count):
@@ -124,7 +120,7 @@ class LinePlan:
             # gaps[q][t] = product of (eta_q - eta_j) over the first t indices
             # j != q: prod_{j<p} for t = p <= q, prod_{j<N, j != q} for t = N-1.
             self._gaps = [
-                _running_products(zs[q] - zs[j] for j in range(n_max) if j != q)
+                [_raw(g) for g in _running_products(zs[q] - zs[j] for j in range(n_max) if j != q)]
                 for q in range(n_max)
             ]
             # numer[p][q-p] = (1 + eta_p conj(eta_q)) / (1 + |eta_q|^2)
@@ -138,15 +134,9 @@ class LinePlan:
             ]
         self._coeff_cache = {}
 
-    def _check(self, n):
-        if n < 1:
-            raise DomainError("interpolation order must be at least 1")
-        if n > self.n_max:
-            raise ArityError("order %d exceeds the plan's %d lines" % (n, self.n_max))
-
     def _coefficients(self, n):
         """K[p][q-p] = numer[p][q-p] / prod_{j<n, j != q} (eta_q - eta_j), as core forms."""
-        self._check(n)
+        _require_order(self.zs, n)
         if n not in self._coeff_cache:
             with workprec(self.precision_bits):
                 self._coeff_cache[n] = [
@@ -212,9 +202,9 @@ class PointTables:
     and, on first use, the graded series terms, the Lagrange basis chains and
     the Newton products. The inner sums of E_N are H[q][N-p]; both remainder
     forms take the kernel values H[q][N] * w_q at the nodes, formed once per
-    N. Every member returns raw values; the public functions box them. The
-    Horner table and the sums of E_N and both remainders use the kernels
-    _horner and _dot.
+    N. The Horner table, the w_q and the kernel values are core forms, and
+    the sums of E_N and both remainders use the kernels _horner and _dot.
+    Every member returns raw values; the public functions box them.
     """
 
     def __init__(self, plan, z1, z2):
@@ -228,9 +218,7 @@ class PointTables:
             z1v, z2v = z1.to_mpc(), z2.to_mpc()
             self.z2v = z2v
             self.line = [z1v - eta * z2v for eta in plan.zs]
-            self.w = [
-                _projection(eta, z1v, z2v, d) for eta, d in zip(plan.zs, plan.denoms)
-            ]
+            self.w = _cores(_projection(eta, z1v, z2v, d) for eta, d in zip(plan.zs, plan.denoms))
             # only H[q][k] for k <= n_max is ever read
             self.horner = [
                 _horner(coeffs, w, plan.n_max + 1)
@@ -262,9 +250,9 @@ class PointTables:
         return lead, z2pow
 
     def _kernel_values(self, n):
-        # formed once per n, under the plan precision both remainder forms set
         if n not in self._kernel_cache:
-            self._kernel_cache[n] = [self.horner[q][n] * self.w[q] for q in range(n)]
+            bits = self.plan.precision_bits
+            self._kernel_cache[n] = [_cmul(self.horner[q][n], self.w[q], bits) for q in range(n)]
         return self._kernel_cache[n]
 
     def en(self, n):
@@ -277,17 +265,17 @@ class PointTables:
                 _dot(zip(coeffs[p], (row[n - 1 - p] for row in self.horner[p:n])))
                 for p in range(n)
             )
-            return _dot(zip(reversed(suffix), inner))
+            return _raw(_dot(zip(reversed(suffix), inner)))
 
     def rn_lagrange(self, n):
         """Remainder in Lagrange form: kernel values against the basis L_p."""
-        self.plan._check(n)
+        _require_order(self.plan.zs, n)
         with workprec(self.plan.precision_bits):
-            return _dot(zip((chain[n - 1] for chain in self._lagrange), self._kernel_values(n)))
+            return _raw(_dot(zip((chain[n - 1] for chain in self._lagrange), self._kernel_values(n))))
 
     def rn_newton(self, n):
         """Remainder in Newton form: divided differences of the kernel values."""
-        self.plan._check(n)
+        _require_order(self.plan.zs, n)
         lead, z2pow = self._newton
         with workprec(self.plan.precision_bits):
             column = _leading_column(self._kernel_values(n), self.plan._conditioning)
@@ -373,11 +361,8 @@ def default_zgrid(precision_bits=None, radius="0.5", side=5, extra=10, seed=0):
     the polydisc of the same radius.
     """
     bits = check_precision(precision_bits or 256)
+    rv = _as_real(radius, bits)
     with workprec(bits):
-        if isinstance(radius, str):
-            rv = parse_decimal(radius, bits)
-        else:
-            rv = +mpf(radius)
         base = [
             ApComplex(0, 0, bits),
             ApComplex(rv, 0, bits),

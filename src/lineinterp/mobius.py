@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpc, mpf, workprec
 
+from .criterion import _as_real
 from .divdiff import NodeSequence, as_node_sequence
 from .errors import DomainError, SeparationError
 from .funcmodel import TaylorSeries2, _weight
 from .interpolate import LinePlan
-from .precision import ApComplex, _running_products, check_precision, parse_decimal
+from .precision import ApComplex, _raw, _running_products, check_precision
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def pushforward(f, ctx):
     with workprec(bits):
         # z1 -> conj(a) zeta1 + conj(c) zeta2, z2 -> conj(b) zeta1 + conj(d) zeta2
         pow11, pow12, pow21, pow22 = (
-            _running_products([u.conjugate()] * top) for u in (a, c, b, d)
+            [_raw(v) for v in _running_products([u.conjugate()] * top)] for u in (a, c, b, d)
         )
         binom = [[mpf(mpmath.binomial(n, i)) for i in range(n + 1)] for n in range(top + 1)]
         out = {}
@@ -225,11 +226,8 @@ def theta_infinity(nodes, phi="0", precision_bits=None):
     """
     seq = as_node_sequence(nodes)
     bits = check_precision(precision_bits or seq.precision_bits)
+    angle = _as_real(phi, bits)
     with workprec(bits):
-        if isinstance(phi, str):
-            angle = parse_decimal(phi, bits)
-        else:
-            angle = +mpf(phi)
         factor = -mpmath.exp(mpc(0, -2 * angle))
         out = [ApComplex.from_mpc(factor * z, bits) for z in seq.zs]
     return NodeSequence(out, bits)

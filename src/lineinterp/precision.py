@@ -8,21 +8,21 @@ on raw mpc under workprec, and box their results once with from_mpc.
 Decimal I/O is exact in both directions: rendering writes the exact decimal
 expansion of the stored binary value (every m * 2^e has one), and parsing
 rounds the decimal to the nearest representable value (ties to even) using
-integer arithmetic only. Consequently parse(render(x)) == x at equal
-precision, and files written at one precision load losslessly at any higher
-one.
+integer arithmetic only, through the core's division step _div (fact 4).
+Consequently parse(render(x)) == x at equal precision, and files written at
+one precision load losslessly at any higher one.
 
 The accumulation kernels at the end (_sum, _dot, _products, _horner and
 _running_products) run the series, restriction, Horner, E_N and product
 loops, and _gap_row and _append the divided-difference recursion, on a
 small rounding core over signed int mantissas: a part m*2^e of a raw mpc is
 held as (m, e), m odd or 0 as in mpmath's own tuples, and the value as the
-core form (m, e, n, f). The kernels take raw mpc, or core forms that
-_cores makes once for operands many calls share, read the precision from
-mpmath.mp.prec at call time, and return raw mpc, except that _products and
-_append return core forms, for _sum and the next _append to take. They do
-the same roundings in the same order as the mpc operator loops they stand
-for, so every result equals that loop's bit for bit, by the core's contract:
+core form (m, e, n, f). The kernels take raw mpc or core forms, and return
+core forms. They read the precision from mpmath.mp.prec at call time; _cores
+converts operands that many calls share once, and _raw boxes a result where
+mpc operators take over. The kernels do the same roundings in the same order
+as the mpc operator loops they stand for, so every result equals that loop's
+bit for bit, by the core's contract:
 
 1. _add(m, e, n, f, prec) is mpf_add at (prec, round_nearest), which mpc +
    mpc applies to each part: the exact sum rounded to nearest, ties to even,
@@ -43,7 +43,9 @@ for, so every result equals that loop's bit for bit, by the core's contract:
    perturbation branch included. Only the two quotients round to nearest,
    as mpf_div rounds them: the numerator is shifted so that the quotient has
    at least prec + 5 bits, divmod gives it, a nonzero remainder sets a
-   sticky bit below its last, and the result is rounded (_div). _gap forms a
+   sticky bit below its last, and the result is rounded (_div). The sticky
+   bit sits at least five bits below the rounding position, so _div rounds
+   correctly, and parse_decimal rounds num / 10^k through it. _gap forms a
    node gap z_i - z_j as mpc_sub does, with its c^2 + d^2, once, and
    _quotient(x, y, gap) is then what `(x - y) / (z_i - z_j)` returns on raw
    mpc: the division step of the divided-difference recursion.
@@ -75,7 +77,7 @@ import threading
 
 import mpmath
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import fzero
+from mpmath.libmp import from_int, fzero
 
 from .errors import ConfigError, DomainError, NumericError, ParseError
 
@@ -189,29 +191,6 @@ def check_precision(bits):
     return bits
 
 
-def _round_ratio_to_bits(num, den, bits):
-    """Round num/den (both positive ints) to a bits-bit float, ties to even.
-
-    Returns (mantissa, exponent) with value mantissa * 2^exponent and
-    2^(bits-1) <= mantissa < 2^bits before the final carry, which can bump the
-    mantissa to the next power of two (still exactly representable).
-    """
-    shift = bits - (num.bit_length() - den.bit_length())
-    while True:
-        if shift >= 0:
-            q, r = divmod(num << shift, den)
-            d = den
-        else:
-            q, r = divmod(num, den << -shift)
-            d = den << -shift
-        if q.bit_length() == bits:
-            break
-        shift += bits - q.bit_length()
-    if 2 * r > d or (2 * r == d and q & 1):
-        q += 1
-    return q, -shift
-
-
 def parse_decimal(text, precision_bits=DEFAULT_PRECISION):
     """Parse a decimal string to the nearest mpf at the given precision."""
     bits = check_precision(precision_bits)
@@ -243,14 +222,7 @@ def parse_decimal(text, precision_bits=DEFAULT_PRECISION):
         num, den = digits * 10**exp10, 1
     else:
         num, den = digits, 10**-exp10
-    m, e = _round_ratio_to_bits(num, den, bits)
-    # Every mpf operation, negation included, rounds at the ambient context,
-    # so stay inside workprec until the value is final.
-    with workprec(bits):
-        value = mpmath.ldexp(mpf(m), e)
-        if negative:
-            value = -value
-    return value
+    return _make_mpf(_part(*_div(-num if negative else num, 0, den, 0, bits)))
 
 
 def render_decimal(x):
@@ -397,11 +369,25 @@ def ulp(scale, precision_bits):
     return mpmath.ldexp(1, e - bits)
 
 
+def _as_mpc(value):
+    """value, an ApComplex, mpc, mpf or int, as a raw mpc, without rounding it."""
+    if isinstance(value, ApComplex):
+        return value.to_mpc()
+    if isinstance(value, mpc):
+        return value
+    if isinstance(value, mpf):
+        return _make_mpc((value._mpf_, fzero))
+    if isinstance(value, int):
+        return _make_mpc((from_int(value), fzero))
+    raise ConfigError("expected an ApComplex, mpc, mpf or int, got %r" % (value,))
+
+
 # -- rounding core and accumulation kernels (facts 1-4 of the module docstring) --
 
 
 _ZERO = (0, 0, 0, 0)
 _ONE = (1, 0, 0, 0)
+_make_mpf = mpmath.mp.make_mpf
 _make_mpc = mpmath.mp.make_mpc
 
 
@@ -481,14 +467,9 @@ def _part(m, e):
     return 0, m, e, m.bit_length()
 
 
-def _box(m, e, n, f):
-    """The raw mpc of a core form."""
-    return _make_mpc((_part(m, e), _part(n, f)))
-
-
 def _raw(z):
     """z, a core form or a _gap, as a raw mpc."""
-    return _box(*z[:4])
+    return _make_mpc((_part(z[0], z[1]), _part(z[2], z[3])))
 
 
 def _cmul(x, y, prec):
@@ -552,7 +533,7 @@ def _sum(values):
             m, e = _add(m, e, a, ae, prec)
         if b:
             n, f = _add(n, f, b, be, prec)
-    return _box(m, e, n, f)
+    return m, e, n, f
 
 
 def _dot(pairs):
@@ -569,14 +550,11 @@ def _dot(pairs):
             m, e = _add(m, e, r, re_exp, prec)
         if i:
             n, f = _add(n, f, i, im_exp, prec)
-    return _box(m, e, n, f)
+    return m, e, n, f
 
 
 def _products(triples):
-    """[x * y * z for (x, y, z) in triples], exact zeros left out (fact 2).
-
-    The products stay in core form, for _sum to take.
-    """
+    """[x * y * z for (x, y, z) in triples], exact zeros left out (fact 2)."""
     prec = mpmath.mp.prec
     out = []
     for x, y, z in triples:
@@ -587,7 +565,7 @@ def _products(triples):
 
 
 def _horner(coeffs, w, count):
-    """[H_0, ..., H_{count-1}], H_k = sum_{m>=k} w^(m-k) coeffs[m], as raw mpc.
+    """[H_0, ..., H_{count-1}], H_k = sum_{m>=k} w^(m-k) coeffs[m].
 
     H_k is acc after `acc = acc * w + coeffs[k]`, run from mpc(0) and the top
     coefficient down; it is zero past the last coefficient.
@@ -599,17 +577,17 @@ def _horner(coeffs, w, count):
         a, ae, b, be = _split(c)
         acc = _add(m, e, a, ae, prec) + _add(n, f, b, be, prec)
         out.append(acc)
-    out = [_box(*v) for v in out[::-1][:count]]
-    return out + [_box(*_ZERO)] * (count - len(out))
+    out = out[::-1][:count]
+    return out + [_ZERO] * (count - len(out))
 
 
 def _running_products(factors):
-    """[1, x0, x0*x1, ...]: products of the leading factors, in order, as raw mpc."""
+    """[1, x0, x0*x1, ...]: products of the leading factors, in order."""
     prec = mpmath.mp.prec
-    acc, out = _ONE, [_box(*_ONE)]
+    acc, out = _ONE, [_ONE]
     for x in factors:
         acc = _cmul(acc, _split(x), prec)
-        out.append(_box(*acc))
+        out.append(acc)
     return out
 
 
@@ -627,8 +605,7 @@ def _append(diag, value, gaps):
     none), value the function's value at the new node z and gaps its _gap_row
     against zs. Entry p of the result, the last of row p over zs + [z], is
     `(entry[p - 1] - diag[p - 1]) / (z - zs[-p])`, rounded as that mpc loop
-    rounds it, with entry 0 the value. The entries are core forms, for the
-    next _append to take.
+    rounds it, with entry 0 the value.
     """
     prec = mpmath.mp.prec
     x = _split(value)

@@ -15,6 +15,7 @@ from mpmath import mpf, workprec
 import lineinterp.cli
 import lineinterp.divdiff
 import lineinterp.funcmodel
+import lineinterp.mobius
 import lineinterp.precision
 from lineinterp import (
     AdversarialSequence,
@@ -30,6 +31,7 @@ from lineinterp import (
     generate_nodes,
     identity_report,
     parse_decimal,
+    render_decimal,
     verify_growth,
 )
 from lineinterp.cli import _emit, main
@@ -634,6 +636,51 @@ def test_mobius_report_all_residuals_pass(runner, integer_node_file):
         assert dec(obj["reduction_coherence_residual"]) <= dec("1e-50")
 
 
+# report keys of the four values MobiusContext.residuals returns, in its order;
+# unitarity_defect gives the fifth value that `passed` checks
+MOBIUS_RESIDUALS = [
+    "max_theta_modulus",
+    "max_round_trip_residual",
+    "max_line_factor_residual",
+    "reduction_coherence_residual",
+]
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-budget", "past-budget"])
+@pytest.mark.parametrize("key", MOBIUS_RESIDUALS + ["unitarity_defect"])
+def test_each_mobius_check_decides_passed(runner, monkeypatch, key, past):
+    # one residual set to its budget passes; one part in 2^100 past it fails
+    residuals = lineinterp.mobius.MobiusContext.residuals
+    unitarity_defect = lineinterp.mobius.MobiusContext.unitarity_defect
+    made = []
+
+    def doctored(ctx):
+        with workprec(BITS):
+            if key == "max_theta_modulus":
+                budget = lineinterp.mobius.theta_bound(ctx)
+            else:
+                budget = dec("1e-50" if key == "reduction_coherence_residual" else "1e-60")
+            made.append(budget * (1 + mpmath.ldexp(1, -100)) if past else budget)
+        return made[-1]
+
+    def patched_residuals(ctx, thetas, seed):
+        out = list(residuals(ctx, thetas, seed))
+        if key in MOBIUS_RESIDUALS:
+            out[MOBIUS_RESIDUALS.index(key)] = doctored(ctx)
+        return tuple(out)
+
+    def patched_unitarity(ctx):
+        return doctored(ctx) if key == "unitarity_defect" else unitarity_defect(ctx)
+
+    monkeypatch.setattr(lineinterp.mobius.MobiusContext, "residuals", patched_residuals)
+    monkeypatch.setattr(lineinterp.mobius.MobiusContext, "unitarity_defect", patched_unitarity)
+    result = runner.invoke(main, ["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1"])
+    obj = json.loads(result.output)
+    assert obj[key] == render_decimal(made[0])
+    assert obj["passed"] is not past
+    assert result.exit_code == (1 if past else 0)
+
+
 def test_mobius_is_byte_deterministic(runner, integer_node_file):
     args = ["mobius", "--nodes", integer_node_file, "--eta-inf", "0,1", "--seed", "5"]
     first = runner.invoke(main, args)
@@ -747,6 +794,15 @@ def test_out_of_range_decimal_exponent_exits_2_quickly(runner, argv):
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert "outside 1e-500000..1e500000" in result.stderr
+
+
+def test_analytic_kernel_coefficients_keep_the_run_precision(runner):
+    result = runner.invoke(
+        main,
+        ["dd", "--nodes", "family:line:0,1,0:2", "--kernel", "analytic:0.1", "--precision", "256"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[1] == "0,0,%s,0" % render_decimal(parse_decimal("0.1", 256))
 
 
 def test_decimal_expansion_past_the_digit_cap_exits_3(runner, tmp_path):

@@ -181,6 +181,20 @@ def random_axis_nodes(rng, count, bits, cluster_exp=None):
 # -- cancellation gate -----------------------------------------------------
 
 
+def count_modulus_formations(monkeypatch):
+    """A list that grows by one entry per modulus NodeConditioning.gaps forms."""
+    formed = []
+    gaps = NodeConditioning.gaps.fget
+
+    def counting(record):
+        out = gaps(record)
+        formed.extend(out)
+        return out
+
+    monkeypatch.setattr(NodeConditioning, "gaps", property(counting))
+    return formed
+
+
 @pytest.mark.parametrize("bits", [64, 256, 8192])
 def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypatch):
     # only the fallback takes logarithms at working precision
@@ -192,6 +206,7 @@ def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypat
         return exact_log(x, base)
 
     monkeypatch.setattr(mpmath, "log", counting)
+    formed = count_modulus_formations(monkeypatch)
     fallbacks = []
     for shift, escalates in ((bits // 2, False), (bits // 2 + 1, True)):
         with workprec(bits):
@@ -200,21 +215,23 @@ def test_cancellation_gate_boundary_uses_full_precision_fallback(bits, monkeypat
         for pair in pairs:
             record = NodeConditioning(pair, bits)
             del logged[:]
+            del formed[:]
             assert record.cancellation_exceeds(bits / 2) is escalates
             if logged:
-                # the fallback reads the record's gaps and forms none again
-                assert len(logged) == len(record.gaps)
-                assert all(x is g for (x, _), (_, _, g) in zip(logged, record.gaps))
+                # the fallback takes the log of every modulus of the record's gaps
+                assert len(logged) == len(formed) == 1
+                assert [x for x, _ in logged] == [g for _, _, g in record.gaps]
                 fallbacks.append(logged[0][1])
             else:
                 # the float path reads the sums of squares and forms no modulus
-                assert not any(record._moduli)
+                assert formed == []
     # a sum equal to bits/2 sits inside the guard band; one bit more does not
     assert fallbacks == [bits] * 2
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
-def test_cancellation_gate_matches_full_precision_sum(bits):
+def test_cancellation_gate_matches_full_precision_sum(bits, monkeypatch):
+    formed = count_modulus_formations(monkeypatch)
     rng = random.Random(bits)
     decisions = set()
     float_decided = 0
@@ -230,9 +247,10 @@ def test_cancellation_gate_matches_full_precision_sum(bits):
         zs = [n.to_mpc() for n in nodes]
         want = log2_gap_sum_exceeds(zs, bits)
         record = NodeConditioning(zs, bits)
+        del formed[:]
         assert record.cancellation_exceeds(bits / 2) is want
         decisions.add(want)
-        float_decided += not any(record._moduli)
+        float_decided += not formed
     assert decisions == {False, True}
     # outside the guard band no modulus is formed
     assert float_decided >= 50
@@ -451,6 +469,36 @@ def test_verify_growth_flags_off_axis_node(seq3):
     report = verify_growth(tampered, default_kernel())
     assert [row.passed for row in report.rows] == [True, True, False]
     assert "node 9 off-axis" in report.rows[2].note
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["at-target", "just-below"])
+def test_verify_growth_fails_a_stage_whose_magnitude_misses_its_target(seq3, monkeypatch, short):
+    # the stage-3 entry of the one leading column, patched to s^s = 27 or just below it
+    assert {rec.precision_bits for rec in seq3.stage_log} == {seq3.precision_bits}
+    leading_column = counterexample._leading_column
+
+    def patched(values, conditioning):
+        column = leading_column(values, conditioning)
+        with workprec(conditioning.precision_bits):
+            column[8] = mpc(27) * (1 - mpmath.ldexp(1, -100)) if short else mpc(27)
+        return column
+
+    monkeypatch.setattr(counterexample, "_leading_column", patched)
+    report = verify_growth(seq3, default_kernel())
+    assert [row.passed for row in report.rows] == [True, True, not short]
+    assert [row.note for row in report.rows] == ["", "", ""]
+
+
+@pytest.mark.parametrize("lead, opens", [("1", False), ("0.99999999", True)])
+def test_verify_growth_fails_a_stage_opening_at_one_over_3s_minus_2(lead, opens):
+    # a stage-1 artifact whose leading node sits on 1/(3s - 2) = 1 or just
+    # inside it; the magnitude clears s^s = 1 either way
+    doc = build_sequence(default_kernel(), 1).to_json_obj()
+    doc["nodes"][0]["re"] = lead
+    (row,) = verify_growth(AdversarialSequence.from_json_obj(doc), default_kernel()).rows
+    assert row.achieved >= row.target
+    assert row.passed is opens
+    assert row.note == ("" if opens else "stage opening at or above 1/(3s-2)")
 
 
 def test_verify_growth_rejects_nodes_that_coincide_at_the_verification_bits(seq3):

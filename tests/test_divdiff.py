@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import workprec
 
 from lineinterp import (
+    ApComplex,
     ArityError,
     ConfigError,
     DomainError,
@@ -27,6 +28,7 @@ from lineinterp import (
     leibniz_delta,
     monotone_tuple_count,
     newton_sum,
+    parse_decimal,
     product,
 )
 from lineinterp.divdiff import NodeConditioning
@@ -274,6 +276,22 @@ def test_delta_analytic_annihilates_high_orders():
     table = qc_dd_table(values, qnodes)
     for p in (3, 4, 5, 6):
         assert table[p][0] == QC_ZERO
+
+
+def test_delta_analytic_reads_raw_coefficients_unrounded():
+    # at the default 53-bit ambient precision, raw 256-bit mpf coefficients
+    # and center give what the same values boxed as ApComplex give
+    bits = 256
+    texts = ["0.1", "-2.7", "0.3", "1e-30", "7"]
+    coeffs = [parse_decimal(t, bits) for t in texts]
+    center = parse_decimal("0.35", bits)
+    nodes = NodeSequence([qc_to_ap(q, bits) for q in rand_distinct_nodes(random.Random(67), 4)])
+    with workprec(53):
+        for p in range(4):
+            boxed = delta_analytic(
+                [ApComplex(c, 0, bits) for c in coeffs], ApComplex(center, 0, bits), nodes, p
+            )
+            assert delta_analytic(coeffs, center, nodes, p) == boxed
 
 
 def test_delta_analytic_confluent_limit_recovers_coefficient():

@@ -257,6 +257,7 @@ def test_function_json_round_trip():
         },
         {"max_order": 4, "coeffs": [{"k": True, "l": False, "re": "1", "im": "0"}]},
         {"max_order": 4, "coeffs": [{"k": 0, "l": True, "re": "1", "im": "0"}]},
+        {"max_order": 4, "coeffs": [{"k": -1, "l": 1, "re": "1", "im": "0"}]},
     ],
 )
 def test_function_json_rejects_malformed(payload):
@@ -295,7 +296,17 @@ def test_expcos_kills_odd_second_index():
 
 @pytest.mark.parametrize(
     "spec",
-    ["poly:", "poly:1,2,3", "exp_sum:x", "exp_sum:-1", "mystery:4", "exp_sum"],
+    [
+        "poly:",
+        "poly:1,2,3",
+        "poly:a,0,1,0",
+        "poly:-1,1,1,0",
+        "poly:0,0,1,0;0,0,2,0",
+        "exp_sum:x",
+        "exp_sum:-1",
+        "mystery:4",
+        "exp_sum",
+    ],
 )
 def test_bad_specs_rejected(spec):
     with pytest.raises(ParseError):

@@ -29,7 +29,9 @@ alone: no libmp arithmetic function (`mpf_add`, `mpf_sub`, `mpf_mul`,
 `mpf_div`, `mpc_add`, `mpc_sub`, `mpc_mul`, `mpc_div`) is read there, so
 there is one rounding path. In the same way no module writes the two-point
 division `(a - b) / (c - d)` of the divided-difference recursion: every such
-quotient goes through the core's division step.
+quotient goes through the core's division step. That step, `precision._div`,
+is the one place that calls `divmod`, so parsing a decimal and dividing two
+values round through one division routine.
 
 Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
 module that deals work to forked workers goes through that one helper, with
@@ -488,6 +490,35 @@ def test_no_module_writes_the_two_point_division():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+def divmod_calls(source):
+    """(line, top-level function or class around it, or None) of each divmod call."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod":
+                out.append((node.lineno, owner))
+    return sorted(out)
+
+
+def test_only_the_division_step_calls_divmod():
+    sample = (
+        "def _div(a, b):\n"
+        "    return divmod(a, b)\n"
+        "def ratio(a, b):\n"
+        "    q, r = divmod(a, b)\n"
+        "    return q, math.divmod\n"
+        "x = divmod(7, 2)\n"
+    )
+    assert divmod_calls(sample) == [(2, "_div"), (4, "ratio"), (6, None)]  # the checker itself
+    found = {
+        (path.name, owner)
+        for path in PACKAGE
+        for _, owner in divmod_calls(path.read_text(encoding="utf-8"))
+    }
+    assert found == {("precision.py", "_div")}
 
 
 def fork_uses(source):

@@ -28,6 +28,7 @@ from lineinterp import (
 from lineinterp.divdiff import NodeConditioning
 from lineinterp.funcmodel import GradedTerms
 from lineinterp.interpolate import _lagrange_chain
+from lineinterp.precision import _raw
 from support import (
     QC,
     QC_ONE,
@@ -336,7 +337,7 @@ def test_interpolation_check_vanishes_on_lines():
 def _lagrange_value(zs, q, z1, z2):
     """L_q(z) over the raw nodes zs, q one-based, by the chain the plan runs."""
     line = [z1 - eta * z2 for eta in zs]
-    return _lagrange_chain(line, zs, q - 1, len(zs))[-1]
+    return _raw(_lagrange_chain(line, zs, q - 1, len(zs))[-1])
 
 
 def test_lagrange_monomial_is_line_indicator():

@@ -83,6 +83,38 @@ def test_parse_against_oracle_random_decimals(bits):
         assert got == nearest_bits(num, den, bits)
 
 
+@pytest.mark.parametrize("bits", [64, 256, 8192])
+def test_parse_rounds_halfway_decimals_to_even(bits):
+    # m * 2^e with m of bits + 1 bits and odd lies halfway between two
+    # neighbours at bits; its exact decimal must round to the even one, and
+    # the decimals one unit in their last digit either side of it must not
+    rng = random.Random(bits)
+    rounded = {"up": 0, "down": 0}
+    for trial in range(24):
+        m = (1 << bits) | rng.getrandbits(bits) | 1
+        e = rng.randint(-2 * bits, bits // 2)
+        if e >= 0:
+            text, num, den = str(m << e), m << e, 1
+        else:
+            text, num, den = "%de%d" % (m * 5**-e, e), m * 5**-e, 10**-e
+        negative = trial % 2
+        sign = -1 if negative else 1
+        half = m >> 1
+        even = half + (half & 1)
+        rounded["up" if even > half else "down"] += 1
+        with workprec(bits + 8):
+            want = sign * mpmath.ldexp(even, e + 1)
+        got = parse_decimal(("-" if negative else "") + text, bits)
+        assert got == want == nearest_bits(sign * num, den, bits)
+        for step in (-1, 1):
+            near = num * 10 + step
+            text = "%de%d" % (sign * near, min(e, 0) - 1)
+            assert parse_decimal(text, bits) == nearest_bits(sign * near, den * 10, bits)
+            with workprec(bits + 8):
+                assert (abs(parse_decimal(text, bits)) > abs(want)) is (step > 0 and even == half)
+    assert min(rounded.values()) >= 6
+
+
 def test_render_parse_round_trip_random_values():
     rng = random.Random(42)
     for _ in range(300):
