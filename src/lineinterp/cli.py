@@ -215,13 +215,6 @@ def _parse_kernel(spec, bits):
     raise ConfigError("unknown kernel spec %r" % (spec,))
 
 
-def _require_span(nodes, n_max):
-    if n_max > len(nodes):
-        raise ConfigError(
-            "N range reaches %d but only %d nodes are available" % (n_max, len(nodes))
-        )
-
-
 def _emit(pieces, out_path):
     """Write text, or an iterable of pieces in order, to out_path or stdout.
 
@@ -454,7 +447,6 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
     _check_orders(n_min, n_max)
     grid_args = _parse_grid(grid, bits)
     nodes = _load_nodes(node_source, bits, seed)
-    _require_span(nodes, n_max)
     f = _load_function(function_source, bits)
     points = default_zgrid(bits, *grid_args, seed=seed)
     orders = range(n_min, n_max + 1)
@@ -607,7 +599,6 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
     grid_args = _parse_grid(grid, bits)
     tol = _parse_tolerance("--tolerance", tolerance, bits)
     nodes = _load_nodes(node_source, bits, seed)
-    _require_span(nodes, n_max)
     f = _load_function(function_source, bits)
     points = default_zgrid(bits, *grid_args, seed=seed)
     orders = range(n_min, n_max + 1)

@@ -58,23 +58,24 @@ def default_kernel():
     return conj_kernel(1)
 
 
-def _wirtinger(f, conditioning, diag, bits):
+def _wirtinger(f, cd_zero, conditioning, diag, bits):
     """Wirtinger derivatives (d_z, d_zbar) at 0 of zeta -> Delta_n(f)(zs, zeta).
 
     zs, the conditioning's nodes, are the n raw prefix nodes, none at 0 (no
     node: f itself), at the ambient precision, which must be bits and the
-    conditioning's; diag is the last diagonal of f's table over zs. d_zbar
-    comes from the product formula (df/dconj)(0) / prod(0 - eta_i), accurate
-    to rounding. d_z takes central differences along both axes at a dyadic
-    step capped a factor of eight below the smallest prefix modulus, with one
-    Richardson step at ratio 2, and carries about two thirds of the
-    precision. Each probe appends itself to diag in O(n).
+    conditioning's; diag is the last diagonal of f's table over zs, and
+    cd_zero is (df/dconj)(0) as an mpc at bits. d_zbar comes from the product
+    formula cd_zero / prod(0 - eta_i), accurate to rounding. d_z takes central
+    differences along both axes at a dyadic step capped a factor of eight
+    below the smallest prefix modulus, with one Richardson step at ratio 2,
+    and carries about two thirds of the precision. Each probe appends itself
+    to diag in O(n).
     """
     zs = conditioning.zs
     denom = mpc(1)
     for z in zs:
         denom = denom * (-z)
-    d_zbar = mpc(f.conj_derivative(mpc(0))) / denom
+    d_zbar = cd_zero / denom
 
     h_exp = -(bits // 3)
     if zs:
@@ -262,18 +263,19 @@ def _run_stage(f, conditioning, diag, stage, bits):
         if moduli:
             cap = min(cap, min(moduli))
         lead = _power_of_two_below(cap)
-        cd_zero = abs(mpc(f.conj_derivative(mpc(0))))
+        cd_zero = mpc(f.conj_derivative(mpc(0)))
+        cd_mod = abs(cd_zero)
         scale = mpf(1)
         for m in moduli:
             scale = scale * m
-        # |d_zbar| of the one-node extension is cd_zero / (scale * lead) by
+        # |d_zbar| of the one-node extension is cd_mod / (scale * lead) by
         # the product formula; each halving doubles it, so this terminates
-        while cd_zero / (scale * lead) < target + 1:
+        while cd_mod / (scale * lead) < target + 1:
             lead = lead / 2
         eta_first = mpc(lead, 0)
         active, active_diag = _extended(f, conditioning, diag, [eta_first])
 
-        d_z, d_zbar = _wirtinger(f, active, active_diag, bits)
+        d_z, d_zbar = _wirtinger(f, cd_zero, active, active_diag, bits)
         band = mpmath.ldexp(1, -(bits // 4))
         phase_case = "real-pair"
         theta = mpf(0)
@@ -373,7 +375,7 @@ def build_sequence(f, stages, policy=None):
                 continue
             break
         log.append(record)
-    sequence = NodeSequence([ApComplex.from_mpc(z, bits) for z in conditioning.zs], bits)
+    sequence = NodeSequence(conditioning.zs, bits)
     return AdversarialSequence(
         nodes=sequence,
         stage_log=tuple(log),
@@ -429,7 +431,7 @@ def verify_growth(seq, f):
             longest[bits] = max(longest.get(bits, 0), 3 * rec.stage)
     heads = {}
     for bits, count in longest.items():
-        zs = NodeSequence([n.at_precision(bits) for n in seq.nodes[:count]], bits).zs
+        zs = NodeSequence(seq.nodes.zs[:count], bits).zs
         with workprec(bits):
             values = [f.raw(z) for z in zs]
             heads[bits] = zs, _leading_column(values, NodeConditioning(zs, bits))
@@ -448,8 +450,8 @@ def verify_growth(seq, f):
             # a product of nonzero mpf values never rounds to zero, so the
             # axis test is exact
             for offset in range(3):
-                node = seq.nodes[needed - 3 + offset]
-                if node.re * node.im != 0:
+                node = seq.nodes.zs[needed - 3 + offset]
+                if node.real * node.imag != 0:
                     notes.append("node %d off-axis" % (needed - 2 + offset))
             zs, column = heads[bits]
             moduli = [abs(z) for z in zs[:needed]]

@@ -176,12 +176,13 @@ def _as_real(value, bits):
 
 
 def _as_point(value, bits):
-    if isinstance(value, ApComplex):
-        return value.at_precision(bits)
+    """An ApComplex, a (re, im) pair or a real value as a raw mpc rounded to bits."""
     with workprec(bits):
+        if isinstance(value, ApComplex):
+            return +value.to_mpc()
         if isinstance(value, tuple):
-            return ApComplex(_as_real(value[0], bits), _as_real(value[1], bits), bits)
-        return ApComplex(_as_real(value, bits), 0, bits)
+            return mpc(_as_real(value[0], bits), _as_real(value[1], bits))
+        return mpc(_as_real(value, bits))
 
 
 def line_family(a, b, c, count=None):
@@ -224,13 +225,12 @@ def generate_nodes(family, count=None, seed=0, precision_bits=DEFAULT_PRECISION)
                 t = span * (t - mpmath.floor(t) - mpf(1) / 2)
                 out.append(base + t * direction)
         else:
-            center = _as_point(family.center, bits).to_mpc()
+            center = _as_point(family.center, bits)
             radius = _as_real(family.radius, bits)
             for k in range(count):
                 angle = 2 * mpmath.pi * ((k + seed) * phi)
                 out.append(center + radius * mpc(mpmath.cos(angle), mpmath.sin(angle)))
-        points = [ApComplex.from_mpc(z, bits) for z in out]
-    return NodeSequence(points, bits)
+    return NodeSequence(out, bits)
 
 
 def germ_for_family(family, precision_bits=DEFAULT_PRECISION):
@@ -249,7 +249,7 @@ def germ_for_family(family, precision_bits=DEFAULT_PRECISION):
 
         return ScalarFunction(fn=fn, kind="composite")
     with workprec(bits):
-        center = _as_point(family.center, bits).to_mpc()
+        center = _as_point(family.center, bits)
         r2 = _as_real(family.radius, bits) ** 2
 
     def fn(w):

@@ -75,12 +75,6 @@ class ScalarFunction:
         """The value at an mpc as an mpc rounded at the ambient working precision."""
         return mpc(self.fn(w))
 
-    def __call__(self, z):
-        if not isinstance(z, ApComplex):
-            raise ConfigError("ScalarFunction evaluates ApComplex values")
-        with workprec(z.precision_bits):
-            return ApComplex.from_mpc(self.raw(z.to_mpc()), z.precision_bits)
-
 
 def analytic_series(coeffs):
     """ScalarFunction for the truncated series sum a_n zeta^n, the coefficients held unrounded."""
@@ -111,56 +105,60 @@ def product(g, h):
 class NodeSequence:
     """Ordered, pairwise-distinct complex nodes at a common working precision.
 
-    zs holds the nodes as raw mpc, unboxed once here; computations read it.
+    zs holds the nodes as raw mpc, each rounded once to precision_bits, and
+    is all the sequence stores; computations read it. A node may be given as
+    an ApComplex, mpc, mpf or int. Without precision_bits the nodes must be
+    ApComplex values, and the sequence takes the largest of their
+    precisions. Indexing and iteration box a node at the sequence's
+    precision, for callers at the API edge.
     """
 
-    __slots__ = ("nodes", "precision_bits", "zs")
+    __slots__ = ("zs", "precision_bits")
 
     def __init__(self, nodes, precision_bits=None):
         nodes = tuple(nodes)
         if not nodes:
             raise ArityError("a node sequence needs at least one node")
-        for n in nodes:
-            if not isinstance(n, ApComplex):
-                raise ConfigError("nodes must be ApComplex values")
         if precision_bits is None:
+            if not all(isinstance(n, ApComplex) for n in nodes):
+                raise ConfigError("nodes that are not ApComplex values need precision_bits")
             precision_bits = max(n.precision_bits for n in nodes)
         bits = check_precision(precision_bits)
+        with workprec(bits):
+            zs = tuple(+_as_mpc(n) for n in nodes)
         seen = {}
-        for i, n in enumerate(nodes):
-            key = (n.re, n.im)
-            if key in seen:
+        for i, z in enumerate(zs):
+            if z._mpc_ in seen:
                 raise NodeDistinctnessError(
-                    "nodes %d and %d coincide exactly" % (seen[key], i)
+                    "nodes %d and %d coincide exactly" % (seen[z._mpc_], i)
                 )
-            seen[key] = i
-        object.__setattr__(self, "nodes", nodes)
+            seen[z._mpc_] = i
+        object.__setattr__(self, "zs", zs)
         object.__setattr__(self, "precision_bits", bits)
-        object.__setattr__(self, "zs", tuple(n.to_mpc() for n in nodes))
 
     def __setattr__(self, name, value):
         raise AttributeError("NodeSequence is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked __setattr__
-        return type(self), (self.nodes, self.precision_bits)
+        return type(self), (self.zs, self.precision_bits)
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.zs)
 
     def __iter__(self):
-        return iter(self.nodes)
+        return map(self.__getitem__, range(len(self.zs)))
 
     def __getitem__(self, idx):
-        return self.nodes[idx]
+        return ApComplex.from_mpc(self.zs[idx], self.precision_bits)
 
     def first(self, n):
-        if n < 1 or n > len(self.nodes):
-            raise ArityError("requested %d nodes, have %d" % (n, len(self.nodes)))
-        return NodeSequence(self.nodes[:n], self.precision_bits)
+        if n < 1 or n > len(self.zs):
+            raise ArityError("requested %d nodes, have %d" % (n, len(self.zs)))
+        return NodeSequence(self.zs[:n], self.precision_bits)
 
     def to_json_obj(self):
-        return {"nodes": [n.to_json_obj() for n in self.nodes]}
+        return {"nodes": [n.to_json_obj() for n in self]}
 
     @classmethod
     def from_json_obj(cls, obj, precision_bits=DEFAULT_PRECISION):

@@ -38,9 +38,14 @@ from .precision import ApComplex, _raw, _running_products, check_precision
 
 @dataclass(frozen=True)
 class MobiusContext:
-    """Reference slope, its separation from the nodes, and the unitary frame."""
+    """Reference slope, its separation from the nodes, and the unitary frame.
 
-    eta_inf: ApComplex
+    eta_inf is a raw mpc rounded once to precision_bits by make_context; the
+    separation epsilon_inf, the unitary, the thetas of to_bounded, theta_bound
+    and the residuals all read that one value.
+    """
+
+    eta_inf: mpc
     epsilon_inf: mpf
     unitary: tuple  # ((u11, u12), (u21, u22)) as raw mpc at precision_bits
     nodes: NodeSequence
@@ -105,7 +110,7 @@ class MobiusContext:
             return mpc(mpf(rng.randint(-64, 64)) / 128, mpf(rng.randint(-64, 64)) / 128)
 
         with workprec(bits):
-            e = self.eta_inf.to_mpc()
+            e = self.eta_inf
             max_mod = round_trip = line_res = coherence = mpf(0)
             for ej, theta in zip(self.nodes.zs, thetas.zs):
                 max_mod = max(max_mod, abs(theta))
@@ -135,7 +140,7 @@ def make_context(nodes, eta_inf, precision_bits=None):
         precision_bits or max(seq.precision_bits, eta_inf.precision_bits)
     )
     with workprec(bits):
-        e = eta_inf.to_mpc()
+        e = +eta_inf.to_mpc()
         eps = mpf("inf")
         for z in seq.zs:
             gap = abs(z - e)
@@ -145,7 +150,7 @@ def make_context(nodes, eta_inf, precision_bits=None):
         scale = 1 / mpmath.sqrt(_weight(e))
         unitary = ((scale * e.conjugate(), mpc(scale)), (mpc(scale), -scale * e))
     return MobiusContext(
-        eta_inf=eta_inf.at_precision(bits),
+        eta_inf=e,
         epsilon_inf=eps,
         unitary=unitary,
         nodes=seq,
@@ -165,8 +170,7 @@ def to_bounded(ctx):
     """Map the nodes through the homography; the image is a bounded set."""
     bits = ctx.precision_bits
     with workprec(bits):
-        e = ctx.eta_inf.to_mpc()
-        thetas = [ApComplex.from_mpc(_theta(e, z), bits) for z in ctx.nodes.zs]
+        thetas = [_theta(ctx.eta_inf, z) for z in ctx.nodes.zs]
     return NodeSequence(thetas, bits)
 
 
@@ -174,8 +178,7 @@ def theta_bound(ctx):
     """Explicit a-priori bound on sup |theta_j| from the separation."""
     bits = ctx.precision_bits
     with workprec(bits):
-        e = ctx.eta_inf.to_mpc()
-        mod = abs(e)
+        mod = abs(ctx.eta_inf)
         if mod == 0:
             return 1 / ctx.epsilon_inf
         first = (1 + 2 * mod**2) / ctx.epsilon_inf
@@ -229,5 +232,5 @@ def theta_infinity(nodes, phi="0", precision_bits=None):
     angle = _as_real(phi, bits)
     with workprec(bits):
         factor = -mpmath.exp(mpc(0, -2 * angle))
-        out = [ApComplex.from_mpc(factor * z, bits) for z in seq.zs]
+        out = [factor * z for z in seq.zs]
     return NodeSequence(out, bits)

@@ -1,9 +1,12 @@
 """Arbitrary-precision complex values with explicit per-value precision.
 
-Every value wraps a pair of mpmath binary floats together with the precision
-(in bits) it is maintained at. ApComplex is the type values enter and leave
-the library as; it carries no arithmetic. Computations unbox with to_mpc, work
-on raw mpc under workprec, and box their results once with from_mpc.
+Inside the library a value is a raw mpc at a stated precision: a node set
+holds its nodes raw, rounded once to its precision, and every computation
+works on raw mpc under workprec. ApComplex, a pair of mpmath binary floats
+together with the precision (in bits) it is maintained at, appears only where
+a value enters or leaves the library; it carries no arithmetic. A boxed input
+is unboxed once with to_mpc (or _as_mpc), and a result boxed once with
+from_mpc.
 
 Decimal I/O is exact in both directions: rendering writes the exact decimal
 expansion of the stored binary value (every m * 2^e has one), and parsing
@@ -306,10 +309,6 @@ class ApComplex:
     def to_mpc(self):
         with workprec(self.precision_bits):
             return mpc(self.re, self.im)
-
-    def at_precision(self, bits):
-        """Same value re-rounded (or exactly embedded) at another precision."""
-        return ApComplex(self.re, self.im, bits)
 
     # -- edge accessors -------------------------------------------------------
 

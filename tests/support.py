@@ -81,6 +81,12 @@ def ulps_apart(a, b):
         return gap / step
 
 
+def value_at(h, z):
+    """ScalarFunction h at an ApComplex z, as h.raw gives it at z's precision, boxed there."""
+    with mpmath.workprec(z.precision_bits):
+        return ApComplex.from_mpc(h.raw(z.to_mpc()), z.precision_bits)
+
+
 def qc_pow(base, n):
     out = QC_ONE
     for _ in range(n):

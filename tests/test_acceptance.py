@@ -412,7 +412,7 @@ def test_ac9_mobius_reduction():
     tol = _tol("1e-60")
     rng = random.Random(9)
     with workprec(BITS):
-        e = ctx.eta_inf.to_mpc()
+        e = ctx.eta_inf
         in_bound = all(abs(t) <= bound for t in thetas.zs)
         round_trip = max(_mag_diff(_inverse(e, t), z) for z, t in zip(nodes.zs, thetas.zs))
         unitarity = +ctx.unitarity_defect()

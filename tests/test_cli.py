@@ -616,6 +616,15 @@ def test_identity_duplicate_node_exits_3(runner, tmp_path):
     assert "coincide" in result.stderr
 
 
+def test_identity_n_max_past_the_node_count_exits_2(runner):
+    result = runner.invoke(
+        main, ["identity", "--nodes", "family:circle:0,0,1:4", "--function", POLY, "--n-max", "9"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["config error: 9 nodes needed, have 4"]
+
+
 # -- mobius --------------------------------------------------------------------------
 
 
@@ -853,6 +862,34 @@ def test_digit_cap_in_a_row_a_forked_worker_renders_exits_3(runner, tmp_path, mo
         ]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criterion", "--nodes", "family:circle:0,0,1:6", "--p-max", "4", "--q-max", "2"],
+        ["dd", "--nodes", "family:line:0,1,0:5", "--kernel", "conj-kernel:2"],
+        ["counterexample", "--stages", "2"],
+    ],
+    ids=["criterion", "dd", "counterexample"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_family_runs_never_unbox_a_value(runner, monkeypatch, argv, fmt):
+    # Inside the library every value is a raw mpc: a run on generated nodes
+    # boxes its results for output and never unboxes one. One CPU keeps all
+    # the work in this process, where the count sees it.
+    unboxed = []
+    to_mpc = ApComplex.to_mpc
+
+    def counted_to_mpc(self):
+        unboxed.append(self)
+        return to_mpc(self)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(ApComplex, "to_mpc", counted_to_mpc)
+    result = runner.invoke(main, argv + ["--format", fmt])
+    assert result.exit_code == 0
+    assert unboxed == []
 
 
 def test_help_names_the_family_count_and_the_artifact(runner):

@@ -100,11 +100,11 @@ def seq5():
 def test_default_kernel_frozen_values():
     f = default_kernel()
     assert f.kind == "conjugate-kernel"
-    at0 = f(ap(0))
-    assert at0.re == 0 and at0.im == 0
-    at1 = f(ap(1))
-    assert at1.re == mpf("0.5") and at1.im == 0
     with workprec(256):
+        at0 = f.raw(mpc(0))
+        assert at0.real == 0 and at0.imag == 0
+        at1 = f.raw(mpc(1))
+        assert at1.real == mpf("0.5") and at1.imag == 0
         assert f.conj_derivative(mpc(0)) == 1
         assert f.conj_derivative(mpc(1)) == mpf("0.25")
 
@@ -115,7 +115,8 @@ def wirtinger(*prefix):
     with workprec(256):
         zs = [mpc(z) for z in prefix]
         conditioning, diag = counterexample._extended(f, NodeConditioning((), 256), [], zs)
-        return counterexample._wirtinger(f, conditioning, diag, 256)
+        cd_zero = mpc(f.conj_derivative(mpc(0)))
+        return counterexample._wirtinger(f, cd_zero, conditioning, diag, 256)
 
 
 def test_wirtinger_product_formula_frozen():
@@ -505,9 +506,9 @@ def test_verify_growth_rejects_nodes_that_coincide_at_the_verification_bits(seq3
     # Nodes 7 and 8 differ only past the 256 + 64 verification bits of every
     # stage, so they coincide once rounded for stage 3.
     wide = 1024
+    nodes = list(seq3.nodes.zs)
     with workprec(wide):
-        nodes = [n.at_precision(wide) for n in seq3.nodes]
-        nodes[8] = ApComplex(0, nodes[7].im * (1 + mpf(2) ** -500), wide)
+        nodes[8] = mpc(0, nodes[7].imag * (1 + mpf(2) ** -500))
     tampered = AdversarialSequence(
         nodes=NodeSequence(nodes, wide),
         stage_log=seq3.stage_log,
@@ -547,7 +548,7 @@ def test_prebuilt_sequences_are_not_unboxed_again(seq3, monkeypatch):
     assert unboxing == {"all": 0, "outside construction": 0}
     verify_growth(seq3, default_kernel())
     assert {rec.precision_bits for rec in seq3.stage_log} == {seq3.precision_bits}
-    assert unboxing == {"all": 9, "outside construction": 0}
+    assert unboxing == {"all": 0, "outside construction": 0}
 
 
 def test_verify_growth_validation(seq3):

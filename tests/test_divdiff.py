@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import workprec
+from mpmath import mpc, mpf, workprec
 
 from lineinterp import (
     ApComplex,
@@ -49,6 +49,7 @@ from support import (
     rand_poly_coeffs,
     rand_qc,
     ulps_apart,
+    value_at,
 )
 
 
@@ -107,18 +108,46 @@ def test_table_recursion_invariant_holds_exactly():
                 assert abs(lhs - rhs) <= mpmath.ldexp(1, -200) * max(1, abs(lhs))
 
 
-def test_zs_holds_each_node_unboxed_bit_for_bit():
-    # nodes held below, at and above the sequence's 256 bits keep their own
-    # precision in zs: nothing is re-rounded to the sequence's
-    nodes = [
-        make_complex("0.1", "-0.3", bits) for bits in (64, 256, 1024)
-    ] + [make_complex("1e-40", "7", 1024)]
+def test_raw_and_boxed_nodes_build_the_same_sequence():
+    boxed = [make_complex("0.1", "-0.3"), make_complex("1e-40", "7"), make_complex("-2")]
+    with workprec(256):
+        raw = [boxed[0].to_mpc(), boxed[1].to_mpc(), mpf(-2)]
+    from_boxed, from_raw = NodeSequence(boxed), NodeSequence(raw, 256)
+    assert isinstance(from_raw.zs, tuple) and len(from_raw) == 3
+    assert [z._mpc_ for z in from_raw.zs] == [z._mpc_ for z in from_boxed.zs]
+    assert [z._mpc_ for z in from_boxed.zs] == [n.to_mpc()._mpc_ for n in boxed]
+    # boxing gives the same nodes back, at the sequence's precision
+    assert list(from_raw) == list(from_boxed) == boxed
+    assert [from_raw[i].precision_bits for i in range(3)] == [256] * 3
+    head = from_raw.first(2)
+    assert [z._mpc_ for z in head.zs] == [z._mpc_ for z in from_raw.zs[:2]]
+    # an int is a node too; raw nodes state their precision
+    assert NodeSequence([0, 1], 64).zs == (mpc(0), mpc(1))
+    with pytest.raises(ConfigError):
+        NodeSequence(raw)
+
+
+def test_nodes_finer_than_the_sequence_are_rounded_once():
+    # nodes held below, at and above the sequence's 256 bits: each is rounded
+    # once to 256 bits, as ApComplex rounds its parts, and exact ones stay
+    nodes = [make_complex("0.1", "-0.3", bits) for bits in (64, 1024)]
+    nodes.append(make_complex("1e-40", "7", 1024))
     seq = NodeSequence(nodes, 256)
-    assert isinstance(seq.zs, tuple)
-    assert [z._mpc_ for z in seq.zs] == [n.to_mpc()._mpc_ for n in nodes]
-    assert seq.zs[2] != seq.zs[1]  # 0.1 at 1024 bits is not 0.1 at 256
-    head = seq.first(2)
-    assert [z._mpc_ for z in head.zs] == [z._mpc_ for z in seq.zs[:2]]
+    want = [ApComplex(n.re, n.im, 256).to_mpc() for n in nodes]
+    assert [z._mpc_ for z in seq.zs] == [z._mpc_ for z in want]
+    assert seq.zs[0] == nodes[0].to_mpc()
+    assert seq.zs[1] != nodes[1].to_mpc()  # 0.1 at 1024 bits is not 0.1 at 256
+    with workprec(1024):
+        raw = [z.to_mpc() for z in nodes]
+    assert [z._mpc_ for z in NodeSequence(raw, 256).zs] == [z._mpc_ for z in want]
+    # distinct at 1024 bits, equal once rounded to 256
+    with workprec(1024):
+        tenth = mpf(1) / 10
+        close = [ApComplex(tenth, 0, 1024), ApComplex(tenth * (1 + mpf(2) ** -500), 0, 1024)]
+    assert len(NodeSequence(close, 1024)) == 2
+    for pair in (close, [z.to_mpc() for z in close]):
+        with pytest.raises(NodeDistinctnessError, match="nodes 0 and 1 coincide exactly"):
+            NodeSequence(pair, 256)
 
 
 def test_duplicate_nodes_rejected():
@@ -191,9 +220,10 @@ def test_newton_equals_lagrange_and_oracle():
         want_n = qc_newton_sum(values, qnodes, qx)
         want_l = qc_lagrange_sum(values, qnodes, qx)
         assert want_n == want_l
-        assert rel_gap(nv, qc_to_ap(want_n, 512).at_precision(256)) <= mpmath.ldexp(
+        wide = qc_to_ap(want_n, 512)
+        assert rel_gap(nv, ApComplex(wide.re, wide.im, 256)) <= mpmath.ldexp(
             1, -(256 - 40)
-        ) or ap_gap(nv, qc_to_ap(want_n, 512)) <= mpmath.ldexp(1, -200)
+        ) or ap_gap(nv, wide) <= mpmath.ldexp(1, -200)
 
 
 def test_interpolant_reproduces_low_degree_polynomial():
@@ -410,12 +440,10 @@ def test_scalar_function_kind_validated():
         ScalarFunction(fn=lambda w: w, kind="mystery")
 
 
-def test_scalar_function_deterministic_and_typed():
+def test_scalar_function_deterministic():
     fn = conjugation()
     z = make_complex("1.5", "-2")
-    assert fn(z) == fn(z)
-    with pytest.raises(ConfigError):
-        fn(1.5)
+    assert value_at(fn, z) == value_at(fn, z)
 
 
 def test_node_json_round_trip():

@@ -290,7 +290,7 @@ def test_plan_rejects_orders_and_points_it_cannot_serve():
     with pytest.raises(ArityError):
         LinePlan(f, nodes, 4)
     with pytest.raises(ConfigError):
-        plan.at(z.at_precision(512), z)
+        plan.at(ApComplex(z.re, z.im, 512), z)
     # given restrictions must be those of the first n_max lines, in order
     rest = [restrict_to_line(f, nodes[q]) for q in range(3)]
     assert LinePlan(f, nodes, 2, restrictions=rest).restriction_coeffs == plan.restriction_coeffs

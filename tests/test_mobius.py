@@ -110,10 +110,10 @@ def test_unitary_is_unitary():
 def test_theta_frozen_values():
     ctx = make_context(nodes_of((0,),), ap(0, 1), BITS)
     with workprec(BITS):
-        assert _theta(ctx.eta_inf.to_mpc(), mpc(0)) == mpc(0, 1)  # 1 / (-i) = i
+        assert _theta(ctx.eta_inf, mpc(0)) == mpc(0, 1)  # 1 / (-i) = i
     ctx0 = make_context(nodes_of((1,), (2,), (4,)), ap(0), BITS)
     thetas = to_bounded(ctx0)
-    assert thetas.nodes == nodes_of((1,), (Fraction(1, 2),), (Fraction(1, 4),)).nodes
+    assert thetas.zs == nodes_of((1,), (Fraction(1, 2),), (Fraction(1, 4),)).zs
 
 
 def test_theta_unit_modulus_for_integer_nodes():
@@ -137,13 +137,29 @@ def test_theta_bound_origin_case():
     assert theta_bound(ctx) == mpf(1) / 2  # 1/eps with eps = 2
 
 
+def test_eta_inf_finer_than_the_context_is_rounded_once():
+    # a 512-bit center on 128 bits is rounded once to 128 bits, and the
+    # separation and the thetas read that one value; from the unrounded
+    # center, the separation from node -1/2 rounds to another 128-bit value
+    with workprec(512):
+        third = mpf(1) / 3
+        center = ApComplex(third, third, 512)
+    nodes = NodeSequence([mpf(-0.5), 2, mpc(0, 2)], 128)
+    ctx = make_context(nodes, center, 128)
+    with workprec(128):
+        assert ctx.eta_inf == +center.to_mpc()
+        assert ctx.epsilon_inf == min(abs(z - ctx.eta_inf) for z in nodes.zs)
+        assert ctx.epsilon_inf != abs(nodes.zs[0] - center.to_mpc())
+        assert to_bounded(ctx).zs == tuple(_theta(ctx.eta_inf, z) for z in nodes.zs)
+
+
 def test_inverse_homography_recovers_nodes():
     rng = random.Random(31)
     qnodes = rand_distinct_nodes(rng, 8)
     nodes = NodeSequence([qc_to_ap(q, BITS) for q in qnodes], BITS)
     ctx = make_context(nodes, ap(Fraction(3, 8), Fraction(7, 4)), BITS)
     with workprec(BITS):
-        e = ctx.eta_inf.to_mpc()
+        e = ctx.eta_inf
         for z in nodes.zs:
             assert mag_diff(_inverse(e, _theta(e, z)), z) <= mpmath.ldexp(1, -240)
         with pytest.raises(DomainError):
@@ -156,7 +172,7 @@ def test_line_factor_identity():
     ctx = make_context(nodes_of((1,), (-2, 1), (0, -1)), ap(Fraction(1, 2), 3), BITS)
     rng = random.Random(77)
     with workprec(BITS):
-        e = ctx.eta_inf.to_mpc()
+        e = ctx.eta_inf
         for ej in ctx.nodes.zs:
             theta = _theta(e, ej)
             on_line = ctx._line_factor_defect(e, ej, theta, theta, mpc(1))
