@@ -66,6 +66,9 @@ MAX_FAMILY_NODES = 4096
 # any point is made.
 MAX_GRID_POINTS = 4096
 
+# Largest kernel power, criterion --q-max, checked before any node is made.
+MAX_KERNEL_POWER = 256
+
 _GRID_RE = re.compile(r"^(\d+)x(\d+)@([^+]+)(?:\+(\d+))?$")
 
 
@@ -480,6 +483,8 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
 def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     """Normalized conjugate-kernel divided-difference profile."""
     bits = check_precision(precision)
+    if q_max > MAX_KERNEL_POWER:
+        raise ConfigError("--q-max %d exceeds the limit of %d" % (q_max, MAX_KERNEL_POWER))
     nodes = _load_nodes(node_source, bits, seed)
     prof = criterion_profile(nodes, p_max, q_max, bits)
 
@@ -670,7 +675,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
                     "mode": "rotation-at-infinity",
                     "phi": phi,
                     "precision_bits": bits,
-                    "theta": [t.to_json_obj() for t in thetas],
+                    "theta": thetas.to_json_obj()["nodes"],
                 }
             ),
             out,
@@ -694,7 +699,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
             {
                 "eta_inf": center.to_json_obj(),
                 "precision_bits": bits,
-                "theta": [t.to_json_obj() for t in thetas],
+                "theta": thetas.to_json_obj()["nodes"],
                 "theta_bound": render_decimal(bound),
                 "max_theta_modulus": render_decimal(max_mod),
                 "unitarity_defect": render_decimal(unitarity),
@@ -744,7 +749,7 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
         return lines, ([{"re": re, "im": im} for re, im in cells],)
 
     def doc():
-        return {"precision_bits": bits, "nodes": [z.to_json_obj() for z in nodes], "rows": _ARRAY}
+        return {"precision_bits": bits, "nodes": nodes.to_json_obj()["nodes"], "rows": _ARRAY}
 
     _emit_table(("p", "k", "re", "im"), len(table.rows), row, fmt, out, doc)
     return 0

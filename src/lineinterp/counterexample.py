@@ -36,9 +36,10 @@ from .errors import (
 )
 from .precision import (
     DEFAULT_PRECISION,
-    ApComplex,
     _append,
     _gap_row,
+    _point_from_json,
+    _point_json,
     _raw,
     check_precision,
     parse_decimal,
@@ -135,12 +136,15 @@ class EscalationPolicy:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Acceptance record for one three-node stage (1-based stage index)."""
+    """Acceptance record for one three-node stage (1-based stage index).
+
+    The stage's three nodes are raw mpc at precision_bits, as the stage made them.
+    """
 
     stage: int
-    eta_first: ApComplex
-    eta_second: ApComplex
-    eta_third: ApComplex
+    eta_first: mpc
+    eta_second: mpc
+    eta_third: mpc
     achieved: mpf
     target: int
     phase_case: str
@@ -150,9 +154,9 @@ class StageRecord:
     def to_json_obj(self):
         return {
             "stage": self.stage,
-            "eta_first": self.eta_first.to_json_obj(),
-            "eta_second": self.eta_second.to_json_obj(),
-            "eta_third": self.eta_third.to_json_obj(),
+            "eta_first": _point_json(self.eta_first.real, self.eta_first.imag),
+            "eta_second": _point_json(self.eta_second.real, self.eta_second.imag),
+            "eta_third": _point_json(self.eta_third.real, self.eta_third.imag),
             "achieved": render_decimal(self.achieved),
             "target": self.target,
             "phase_case": self.phase_case,
@@ -168,9 +172,9 @@ class StageRecord:
             bits = check_precision(int(obj["precision_bits"]))
             return cls(
                 stage=int(obj["stage"]),
-                eta_first=ApComplex.from_json_obj(obj["eta_first"], bits),
-                eta_second=ApComplex.from_json_obj(obj["eta_second"], bits),
-                eta_third=ApComplex.from_json_obj(obj["eta_third"], bits),
+                eta_first=_point_from_json(obj["eta_first"], bits),
+                eta_second=_point_from_json(obj["eta_second"], bits),
+                eta_third=_point_from_json(obj["eta_third"], bits),
                 achieved=parse_decimal(obj["achieved"], bits),
                 target=int(obj["target"]),
                 phase_case=str(obj["phase_case"]),
@@ -181,10 +185,10 @@ class StageRecord:
             raise ParseError("malformed stage record: %s" % (exc,))
 
 
-def _axis_of(node):
-    if node.im == 0:
+def _axis_of(z):
+    if z.imag == 0:
         return "real"
-    if node.re == 0:
+    if z.real == 0:
         return "imaginary"
     return "off-axis"
 
@@ -210,15 +214,10 @@ class AdversarialSequence:
         return len(self.stage_log)
 
     def to_json_obj(self):
-        entries = []
-        for node in self.nodes:
-            entry = node.to_json_obj()
-            entry["axis"] = _axis_of(node)
-            entries.append(entry)
         return {
             "kernel": self.kernel_kind,
             "precision_bits": self.precision_bits,
-            "nodes": entries,
+            "nodes": [dict(_point_json(z.real, z.imag), axis=_axis_of(z)) for z in self.nodes.zs],
             "stage_log": [rec.to_json_obj() for rec in self.stage_log],
         }
 
@@ -306,15 +305,8 @@ def _run_stage(f, conditioning, diag, stage, bits):
             # the order 3p+2 difference over all 3p+3 nodes, as delta_table forms it
             achieved = abs(_raw(candidate_diag[-1]))
             if achieved >= target:
-                trio = [eta_first, second, third]
                 record = StageRecord(
-                    stage,
-                    *(ApComplex.from_mpc(z, bits) for z in trio),
-                    achieved=achieved,
-                    target=target,
-                    phase_case=phase_case,
-                    shrink_steps=step,
-                    precision_bits=bits,
+                    stage, eta_first, second, third, achieved, target, phase_case, step, bits
                 )
                 return record, candidate, candidate_diag
             radius = radius / 2

@@ -45,6 +45,8 @@ from .precision import (
     _cmul,
     _dot,
     _gap_row,
+    _point_from_json,
+    _point_json,
     _raw,
     _running_products,
     check_precision,
@@ -110,7 +112,8 @@ class NodeSequence:
     an ApComplex, mpc, mpf or int. Without precision_bits the nodes must be
     ApComplex values, and the sequence takes the largest of their
     precisions. Indexing and iteration box a node at the sequence's
-    precision, for callers at the API edge.
+    precision, for callers at the API edge; the JSON payload is written from
+    zs and read straight into it, each node parsed once at precision_bits.
     """
 
     __slots__ = ("zs", "precision_bits")
@@ -158,7 +161,7 @@ class NodeSequence:
         return NodeSequence(self.zs[:n], self.precision_bits)
 
     def to_json_obj(self):
-        return {"nodes": [n.to_json_obj() for n in self]}
+        return {"nodes": [_point_json(z.real, z.imag) for z in self.zs]}
 
     @classmethod
     def from_json_obj(cls, obj, precision_bits=DEFAULT_PRECISION):
@@ -166,10 +169,7 @@ class NodeSequence:
             raise ParseError("node payload must be {'nodes': [...]}")
         if not obj["nodes"]:
             raise ParseError("node payload contains no nodes")
-        return cls(
-            [ApComplex.from_json_obj(entry, precision_bits) for entry in obj["nodes"]],
-            precision_bits,
-        )
+        return cls([_point_from_json(z, precision_bits) for z in obj["nodes"]], precision_bits)
 
 
 class NodeConditioning:
@@ -179,26 +179,31 @@ class NodeConditioning:
     formed once at precision_bits. prefix, the conditioning of a leading part
     of zs at the same precision, lends its rows, so only the gaps of the
     nodes past it are formed. gaps holds (i, j, |zs[i] - zs[j]|) for every
-    pair i < j; it and the measures are computed when read.
+    pair i < j, its moduli formed on first read and kept; the measures are
+    computed from it when read.
     """
 
-    __slots__ = ("zs", "precision_bits", "rows")
+    __slots__ = ("zs", "precision_bits", "rows", "_gaps")
 
     def __init__(self, zs, precision_bits, prefix=None):
         self.zs = tuple(zs)
         self.precision_bits = precision_bits
         self.rows = list(prefix.rows) if prefix else []
+        self._gaps = None
         with workprec(precision_bits):
             for j in range(len(self.rows), len(self.zs)):
                 self.rows.append(_gap_row(self.zs[j], self.zs[:j]))
 
     @property
     def gaps(self):
-        n = len(self.zs)
-        with workprec(self.precision_bits):
-            return tuple(
-                (i, j, abs(_raw(self.rows[j][j - 1 - i]))) for i in range(n) for j in range(i + 1, n)
-            )
+        if self._gaps is None:
+            n = len(self.zs)
+            rows = self.rows
+            with workprec(self.precision_bits):
+                self._gaps = tuple(
+                    (i, j, abs(_raw(rows[j][j - 1 - i]))) for i in range(n) for j in range(i + 1, n)
+                )
+        return self._gaps
 
     def near_pairs(self):
         """The (i, j, gap) triples with gap below the threshold 2^-(P/2)."""

@@ -26,13 +26,13 @@ from .precision import (
     ApComplex,
     _as_mpc,
     _dot,
+    _point_from_json,
+    _point_json,
     _products,
     _raw,
     _running_products,
     _sum,
     check_precision,
-    parse_decimal,
-    render_decimal,
 )
 
 # Highest total degree of a series read from a spec or a file, checked before
@@ -96,16 +96,7 @@ class TaylorSeries2:
                 yield (k, m - k), v
 
     def to_json_obj(self):
-        out = []
-        for (k, l), v in self.items():
-            out.append(
-                {
-                    "k": k,
-                    "l": l,
-                    "re": render_decimal(v.real),
-                    "im": render_decimal(v.imag),
-                }
-            )
+        out = [{"k": k, "l": l, **_point_json(v.real, v.imag)} for (k, l), v in self.items()]
         return {"max_order": self.max_order, "coeffs": out}
 
     @classmethod
@@ -130,11 +121,7 @@ class TaylorSeries2:
                 raise ParseError("negative coefficient index")
             if (k, l) in coeffs:
                 raise ParseError("duplicate coefficient index (%d, %d)" % (k, l))
-            coeffs[(k, l)] = ApComplex(
-                parse_decimal(entry["re"], precision_bits),
-                parse_decimal(entry["im"], precision_bits),
-                precision_bits,
-            )
+            coeffs[(k, l)] = _point_from_json(entry, precision_bits)
         return cls(coeffs, max_order, precision_bits)
 
 
@@ -157,18 +144,18 @@ class GradedTerms:
     The series value is the sum of all rows and the tail of order n the sum
     from row n on; both accumulate term by term in graded order, so every
     partial sum is the one a direct evaluation of that range would give.
-    The terms are formed by the kernel _products and held in the kernels'
-    core form, and total returns the sums of _sum as raw mpc, all at
-    precision_bits; a row leaves out exactly zero terms, as at z1 = 0.
+    The point (z1, z2) is raw mpc, and bits the precision of the terms and
+    sums. The terms are formed by the kernel _products and held in the
+    kernels' core form, and total returns the sums of _sum as raw mpc; a row
+    leaves out exactly zero terms, as at z1 = 0.
     """
 
     __slots__ = ("rows", "precision_bits")
 
-    def __init__(self, f, z1, z2):
-        bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
+    def __init__(self, f, z1, z2, bits):
         with workprec(bits):
-            pow1 = _running_products([z1.to_mpc()] * f.max_order)
-            pow2 = _running_products([z2.to_mpc()] * f.max_order)
+            pow1 = _running_products([z1] * f.max_order)
+            pow2 = _running_products([z2] * f.max_order)
             self.rows = [
                 _products((a, pow1[k], pow2[m - k]) for k, a in row)
                 for m, row in enumerate(f._by_degree)
@@ -185,8 +172,8 @@ class GradedTerms:
 
 def eval2(f, z1, z2):
     """Value of the truncated series at (z1, z2), summed in graded order."""
-    terms = GradedTerms(f, z1, z2)
-    return ApComplex.from_mpc(terms.total(), terms.precision_bits)
+    bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
+    return ApComplex.from_mpc(GradedTerms(f, z1.to_mpc(), z2.to_mpc(), bits).total(), bits)
 
 
 def restrict_to_line(f, eta, precision_bits=None):

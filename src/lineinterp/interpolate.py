@@ -146,7 +146,12 @@ class LinePlan:
         return self._coeff_cache[n]
 
     def at(self, z1, z2):
-        return PointTables(self, z1, z2)
+        """The PointTables of the ApComplex point (z1, z2), unboxed once; see PointTables."""
+        bits = self.precision_bits
+        if max(z1.precision_bits, z2.precision_bits) > bits:
+            raise ConfigError("point precision exceeds the plan's %d bits" % bits)
+        series_bits = max(self.f.precision_bits, z1.precision_bits, z2.precision_bits)
+        return PointTables(self, z1.to_mpc(), z2.to_mpc(), series_bits)
 
     def sup_errors(self, points, orders):
         """{N: max over the points of |E_N(f) - f|}, the points in forked workers."""
@@ -204,21 +209,20 @@ class PointTables:
     forms take the kernel values H[q][N] * w_q at the nodes, formed once per
     N. The Horner table, the w_q and the kernel values are core forms, and
     the sums of E_N and both remainders use the kernels _horner and _dot.
-    Every member returns raw values; the public functions box them.
+    The point (z1, z2) is raw mpc, at most the plan's precision, and the
+    series terms are formed at series_bits, the widest precision of f and
+    the point as LinePlan.at gives it. Every member returns raw values; the
+    public functions box them.
     """
 
-    def __init__(self, plan, z1, z2):
-        bits = plan.precision_bits
-        if max(z1.precision_bits, z2.precision_bits) > bits:
-            raise ConfigError("point precision exceeds the plan's %d bits" % bits)
+    def __init__(self, plan, z1, z2, series_bits):
         self.plan = plan
         self.z1, self.z2 = z1, z2
+        self.series_bits = series_bits
         self._kernel_cache = {}
-        with workprec(bits):
-            z1v, z2v = z1.to_mpc(), z2.to_mpc()
-            self.z2v = z2v
-            self.line = [z1v - eta * z2v for eta in plan.zs]
-            self.w = _cores(_projection(eta, z1v, z2v, d) for eta, d in zip(plan.zs, plan.denoms))
+        with workprec(plan.precision_bits):
+            self.line = [z1 - eta * z2 for eta in plan.zs]
+            self.w = _cores(_projection(eta, z1, z2, d) for eta, d in zip(plan.zs, plan.denoms))
             # only H[q][k] for k <= n_max is ever read
             self.horner = [
                 _horner(coeffs, w, plan.n_max + 1)
@@ -227,7 +231,7 @@ class PointTables:
 
     @cached_property
     def _series(self):
-        return GradedTerms(self.plan.f, self.z1, self.z2)
+        return GradedTerms(self.plan.f, self.z1, self.z2, self.series_bits)
 
     @cached_property
     def f_value(self):
@@ -246,7 +250,7 @@ class PointTables:
         n_max = self.plan.n_max
         with workprec(self.plan.precision_bits):
             lead = _running_products(self.line[: n_max - 1])
-            z2pow = _running_products([self.z2v] * (n_max - 1))
+            z2pow = _running_products([self.z2] * (n_max - 1))
         return lead, z2pow
 
     def _kernel_values(self, n):
@@ -331,15 +335,15 @@ def identity_report(f, nodes, n, z1, z2):
     """
     tables = _point_tables(f, nodes, n, z1, z2)
     en, rl, rn, tail, fz, residual, gap = tables.identity(n)
-    bits, series_bits = tables.plan.precision_bits, tables._series.precision_bits
-    plan = tables.plan
+    plan, series_bits = tables.plan, tables.series_bits
+    bits = plan.precision_bits
     if plan.nodes.precision_bits == bits:
         conditioning = plan._conditioning
     else:
         conditioning = NodeConditioning(plan.zs, plan.nodes.precision_bits)
     return InterpolantReport(
         n=n,
-        node_count=len(tables.plan.nodes),
+        node_count=len(plan.nodes),
         precision_bits=bits,
         value_en=ApComplex.from_mpc(en, bits),
         value_rn_lagrange=ApComplex.from_mpc(rl, bits),

@@ -32,17 +32,19 @@ from .criterion import _as_real
 from .divdiff import NodeSequence, as_node_sequence
 from .errors import DomainError, SeparationError
 from .funcmodel import TaylorSeries2, _weight
-from .interpolate import LinePlan
-from .precision import ApComplex, _raw, _running_products, check_precision
+from .interpolate import LinePlan, PointTables
+from .precision import _raw, _running_products, check_precision
 
 
 @dataclass(frozen=True)
 class MobiusContext:
     """Reference slope, its separation from the nodes, and the unitary frame.
 
-    eta_inf is a raw mpc rounded once to precision_bits by make_context; the
-    separation epsilon_inf, the unitary, the thetas of to_bounded, theta_bound
-    and the residuals all read that one value.
+    eta_inf is a raw mpc rounded once to precision_bits by make_context, the
+    edge that unboxes it; the separation epsilon_inf, the unitary, the thetas
+    of to_bounded, theta_bound and the residuals all read that one value. The
+    checks of residuals draw raw points, apply U with _unitary and evaluate
+    the interpolants through PointTables, so nothing inside them is boxed.
     """
 
     eta_inf: mpc
@@ -51,16 +53,10 @@ class MobiusContext:
     nodes: NodeSequence
     precision_bits: int
 
-    def apply_unitary(self, z1, z2):
-        """U applied to (z1, z2)."""
-        bits = self.precision_bits
+    def _unitary(self, w1, w2):
+        """U applied to the raw (w1, w2)."""
         (a, b), (c, d) = self.unitary
-        with workprec(bits):
-            w1, w2 = z1.to_mpc(), z2.to_mpc()
-            return (
-                ApComplex.from_mpc(a * w1 + b * w2, bits),
-                ApComplex.from_mpc(c * w1 + d * w2, bits),
-            )
+        return a * w1 + b * w2, c * w1 + d * w2
 
     def _adjoint(self, w1, w2):
         """U* (conjugate transpose) applied to the raw (w1, w2)."""
@@ -123,13 +119,12 @@ class MobiusContext:
             for _ in range(3):
                 coeffs = {(k, m): draw() for k in range(n + 2) for m in range(n + 2 - k)}
                 f = TaylorSeries2(coeffs, n + 1, bits)
-                z1, z2 = (ApComplex.from_mpc(draw(), bits) for _ in range(2))
-                u1, u2 = self.apply_unitary(z1, z2)
-                gap = abs(
-                    LinePlan(f, self.nodes, n, bits).at(z1, z2).en(n)
-                    - LinePlan(pushforward(f, self), thetas, n, bits).at(u1, u2).en(n)
-                )
-                coherence = max(coherence, gap)
+                z1, z2 = draw(), draw()
+                u1, u2 = self._unitary(z1, z2)
+                plan = LinePlan(f, self.nodes, n, bits)
+                image = LinePlan(pushforward(f, self), thetas, n, bits)
+                en = PointTables(plan, z1, z2, bits).en(n)
+                coherence = max(coherence, abs(en - PointTables(image, u1, u2, bits).en(n)))
         return max_mod, round_trip, line_res, coherence
 
 

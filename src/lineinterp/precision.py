@@ -4,9 +4,13 @@ Inside the library a value is a raw mpc at a stated precision: a node set
 holds its nodes raw, rounded once to its precision, and every computation
 works on raw mpc under workprec. ApComplex, a pair of mpmath binary floats
 together with the precision (in bits) it is maintained at, appears only where
-a value enters or leaves the library; it carries no arithmetic. A boxed input
-is unboxed once with to_mpc (or _as_mpc), and a result boxed once with
-from_mpc.
+a value enters or leaves the library; it carries no arithmetic. Those edges
+are the public one-point functions, NodeSequence indexing, LinePlan.at,
+make_context and the CLI's --eta-inf: a boxed input is unboxed once with
+to_mpc (or _as_mpc), and a result boxed once with from_mpc. A file holds a
+complex value as the payload {"re": ..., "im": ...} of two exact decimals;
+_point_json writes it and _point_from_json reads it straight to a raw mpc,
+for every class that stores complex values, so a loaded value is never boxed.
 
 Decimal I/O is exact in both directions: rendering writes the exact decimal
 expansion of the stored binary value (every m * 2^e has one), and parsing
@@ -276,6 +280,18 @@ def render_decimal(x):
     return sign + body + "e" + str(k)
 
 
+def _point_json(re, im):
+    """The payload {"re": ..., "im": ...} of the mpf parts re and im, as exact decimals."""
+    return {"re": render_decimal(re), "im": render_decimal(im)}
+
+
+def _point_from_json(obj, bits):
+    """The raw mpc of a payload {"re": ..., "im": ...}, each part parsed once at bits."""
+    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
+        raise ParseError("complex payload must be {'re': ..., 'im': ...}")
+    return _make_mpc((parse_decimal(obj["re"], bits)._mpf_, parse_decimal(obj["im"], bits)._mpf_))
+
+
 class ApComplex:
     """Immutable complex value held at an explicit binary precision."""
 
@@ -340,17 +356,12 @@ class ApComplex:
     # -- serialization ---------------------------------------------------------
 
     def to_json_obj(self):
-        return {"re": render_decimal(self.re), "im": render_decimal(self.im)}
+        return _point_json(self.re, self.im)
 
     @classmethod
     def from_json_obj(cls, obj, precision_bits=DEFAULT_PRECISION):
-        if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-            raise ParseError("complex payload must be {'re': ..., 'im': ...}")
-        return cls(
-            parse_decimal(obj["re"], precision_bits),
-            parse_decimal(obj["im"], precision_bits),
-            precision_bits,
-        )
+        z = _point_from_json(obj, precision_bits)
+        return cls(z.real, z.imag, precision_bits)
 
 
 def ulp(scale, precision_bits):

@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from lineinterp import DEFAULT_PRECISION, ApComplex, parse_decimal, ulp
+from lineinterp.funcmodel import GradedTerms
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,23 @@ def value_at(h, z):
     """ScalarFunction h at an ApComplex z, as h.raw gives it at z's precision, boxed there."""
     with mpmath.workprec(z.precision_bits):
         return ApComplex.from_mpc(h.raw(z.to_mpc()), z.precision_bits)
+
+
+def graded_terms(f, z1, z2):
+    """GradedTerms of f at the ApComplex point (z1, z2), at the widest precision of f and the point.
+
+    That is the precision eval2 and LinePlan.at give the series terms.
+    """
+    bits = max(f.precision_bits, z1.precision_bits, z2.precision_bits)
+    return GradedTerms(f, z1.to_mpc(), z2.to_mpc(), bits)
+
+
+def apply_unitary(ctx, z1, z2):
+    """U of a MobiusContext applied to the ApComplex point (z1, z2), boxed at its precision."""
+    bits = ctx.precision_bits
+    with mpmath.workprec(bits):
+        u1, u2 = ctx._unitary(z1.to_mpc(), z2.to_mpc())
+    return ApComplex.from_mpc(u1, bits), ApComplex.from_mpc(u2, bits)
 
 
 def qc_pow(base, n):

@@ -53,6 +53,7 @@ from lineinterp.mobius import (
 from support import (
     QC,
     QC_ZERO,
+    apply_unitary,
     mpf_to_fraction,
     qc_dd_table,
     qc_poly_eval,
@@ -439,7 +440,7 @@ def test_ac9_mobius_reduction():
         g = pushforward(f, small_ctx)
         z1 = qc_to_ap(rand_qc(rng, 1), BITS)
         z2 = qc_to_ap(rand_qc(rng, 1), BITS)
-        u1, u2 = small_ctx.apply_unitary(z1, z2)
+        u1, u2 = apply_unitary(small_ctx, z1, z2)
         gap = _mag_diff(eval_EN(f, small, n, z1, z2), eval_EN(g, small_thetas, n, u1, u2))
         with workprec(BITS):
             if gap > coherence:

@@ -347,6 +347,23 @@ def test_grid_over_the_limit_exits_2_before_any_point_is_made(runner, monkeypatc
         assert isinstance(result.exception, Reached), grid
 
 
+def test_kernel_power_over_the_limit_exits_2_before_any_node_is_made(runner, monkeypatch):
+    # an oversized --q-max is never run: reaching the node generator or the
+    # profile fails the test
+    monkeypatch.setattr(lineinterp.cli, "criterion_profile", unreachable)
+    with monkeypatch.context() as patched:
+        patched.setattr(lineinterp.cli, "generate_nodes", unreachable)
+        for q_max in ("257", "100000000000"):
+            argv = ["criterion", "--nodes", "family:circle:0,0,1:8", "--q-max", q_max]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 2, q_max
+            assert result.stdout == ""
+            assert result.stderr == "config error: --q-max %s exceeds the limit of 256\n" % q_max
+    # the limit itself is accepted and reaches the profile
+    argv = ["criterion", "--nodes", "family:circle:0,0,1:8", "--q-max", "256"]
+    assert isinstance(runner.invoke(main, argv).exception, Reached)
+
+
 def test_series_order_over_the_limit_exits_2_before_the_series_is_built(
     runner, monkeypatch, tmp_path
 ):
@@ -864,32 +881,66 @@ def test_digit_cap_in_a_row_a_forked_worker_renders_exits_3(runner, tmp_path, mo
             os.waitpid(-1, os.WNOHANG)
 
 
+# Runs and their (to_mpc, from_mpc) call counts. Tables leave as exact
+# decimals and files are read and written raw, so a run on generated nodes, a
+# node file or an artifact boxes nothing. converge and identity unbox each of
+# the 5 points of a 2x2+1 grid once in LinePlan.at, and box and unbox each of
+# their 4 line slopes once at the restrict_to_line edge.
+_BOXING_RUNS = [
+    ("criterion", ["criterion", "--nodes", "family:circle:0,0,1:6", "--p-max", "4", "--q-max", "2"],
+     (0, 0)),
+    ("dd", ["dd", "--nodes", "family:line:0,1,0:5", "--kernel", "conj-kernel:2"], (0, 0)),
+    ("counterexample", ["counterexample", "--stages", "2"], (0, 0)),
+    ("criterion-file", ["criterion", "--nodes", "{nodes}", "--p-max", "4"], (0, 0)),
+    ("dd-file", ["dd", "--nodes", "{nodes}"], (0, 0)),
+    ("counterexample-out", ["counterexample", "--stages", "2", "--out", "{artifact}"], (0, 0)),
+    ("dd-artifact", ["dd", "--nodes", "{artifact}"], (0, 0)),
+    ("converge", ["converge", "--nodes", "family:circle:0,0,1:6", "--function", "builtin:exp_sum:6",
+                  "--grid", "2x2@0.5+1", "--n-max", "4"], (2 * 5 + 4, 4)),
+    ("identity", ["identity", "--nodes", "family:circle:0,0,1:6", "--function", "builtin:exp_sum:6",
+                  "--grid", "2x2@0.5+1", "--n-max", "4"], (2 * 5 + 4, 4)),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, counts",
     [
-        ["criterion", "--nodes", "family:circle:0,0,1:6", "--p-max", "4", "--q-max", "2"],
-        ["dd", "--nodes", "family:line:0,1,0:5", "--kernel", "conj-kernel:2"],
-        ["counterexample", "--stages", "2"],
-    ],
-    ids=["criterion", "dd", "counterexample"],
+        pytest.param(argv + ["--format", fmt], counts, id="%s-%s" % (fmt, name))
+        for fmt in ("csv", "json")
+        for name, argv, counts in _BOXING_RUNS
+    ]
+    # make_context unboxes --eta-inf once; the rest is the restrict_to_line
+    # edge of the 2 coherence plans of each of 3 rounds, over 4 nodes and 4
+    # thetas: 1 + 24 to_mpc and 24 from_mpc
+    + [pytest.param(["mobius", "--nodes", "family:line:0,1,0:8", "--eta-inf", "0,1"], (25, 24),
+                    id="mobius")],
 )
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_family_runs_never_unbox_a_value(runner, monkeypatch, argv, fmt):
-    # Inside the library every value is a raw mpc: a run on generated nodes
-    # boxes its results for output and never unboxes one. One CPU keeps all
-    # the work in this process, where the count sees it.
-    unboxed = []
-    to_mpc = ApComplex.to_mpc
+def test_family_runs_never_unbox_a_value(runner, monkeypatch, node_file, tmp_path, argv, counts):
+    # Inside the library every value is a raw mpc: a run boxes or unboxes a
+    # value only at the edges its counts name. One CPU keeps all the work in
+    # this process, where the count sees it.
+    artifact = str(tmp_path / "artifact.json")
+    argv = [arg.format(nodes=node_file, artifact=artifact) for arg in argv]
+    if "dd" in argv and artifact in argv:
+        made = runner.invoke(main, ["counterexample", "--stages", "2", "--out", artifact])
+        assert made.exit_code == 0
+    calls = {"to_mpc": 0, "from_mpc": 0}
+    to_mpc, from_mpc = ApComplex.to_mpc, ApComplex.from_mpc.__func__
 
     def counted_to_mpc(self):
-        unboxed.append(self)
+        calls["to_mpc"] += 1
         return to_mpc(self)
+
+    def counted_from_mpc(cls, value, precision_bits=lineinterp.precision.DEFAULT_PRECISION):
+        calls["from_mpc"] += 1
+        return from_mpc(cls, value, precision_bits)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(ApComplex, "to_mpc", counted_to_mpc)
-    result = runner.invoke(main, argv + ["--format", fmt])
-    assert result.exit_code == 0
-    assert unboxed == []
+    monkeypatch.setattr(ApComplex, "from_mpc", classmethod(counted_from_mpc))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert (calls["to_mpc"], calls["from_mpc"]) == counts
 
 
 def test_help_names_the_family_count_and_the_artifact(runner):

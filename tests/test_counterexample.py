@@ -338,9 +338,9 @@ def test_three_stage_certificates_and_direct_recomputation(seq3):
         assert rec.achieved >= rec.target
         assert rec.phase_case in ("real-pair", "imaginary-pair", "split-pair")
         s = rec.stage
-        assert seq3.nodes[3 * s - 3] == rec.eta_first
-        assert seq3.nodes[3 * s - 2] == rec.eta_second
-        assert seq3.nodes[3 * s - 1] == rec.eta_third
+        assert seq3.nodes.zs[3 * s - 3] == rec.eta_first
+        assert seq3.nodes.zs[3 * s - 2] == rec.eta_second
+        assert seq3.nodes.zs[3 * s - 1] == rec.eta_third
     direct = delta(f, seq3.nodes, 8, seq3.precision_bits).magnitude()
     assert direct >= 27
 
@@ -393,8 +393,8 @@ def test_real_pair_phase_case():
     seq = build_sequence(f, 1)
     rec = seq.stage_log[0]
     assert rec.phase_case == "real-pair"
-    assert rec.eta_second.im == 0 and rec.eta_third.im == 0
-    assert rec.eta_third.re == -rec.eta_second.re
+    assert rec.eta_second.imag == 0 and rec.eta_third.imag == 0
+    assert rec.eta_third.real == -rec.eta_second.real
     assert verify_growth(seq, f).all_passed
 
 
@@ -403,8 +403,8 @@ def test_split_pair_phase_case():
     seq = build_sequence(f, 2)
     assert [rec.phase_case for rec in seq.stage_log] == ["split-pair", "split-pair"]
     for rec in seq.stage_log:
-        assert rec.eta_second.im == 0 and rec.eta_second.re != 0
-        assert rec.eta_third.re == 0 and rec.eta_third.im != 0
+        assert rec.eta_second.imag == 0 and rec.eta_second.real != 0
+        assert rec.eta_third.real == 0 and rec.eta_third.imag != 0
     assert verify_growth(seq, f).all_passed
 
 
@@ -416,7 +416,7 @@ def test_shrink_loop_engages_on_flat_start():
     assert rec.phase_case == "imaginary-pair"
     assert rec.shrink_steps == 1
     eighth = mpf("0.125")
-    assert rec.eta_second.im == eighth and rec.eta_third.im == -eighth
+    assert rec.eta_second.imag == eighth and rec.eta_third.imag == -eighth
     assert rec.achieved >= 1
     assert verify_growth(seq, f).all_passed
 

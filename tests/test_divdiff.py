@@ -203,6 +203,18 @@ def test_node_conditioning_matches_exact_gaps(prefix):
     assert record.cancellation_exceeds(bits / 2) is log2_gap_sum_exceeds(zs, bits)
 
 
+def test_node_conditioning_forms_each_modulus_once():
+    # identity_report reads the gaps through inverse_gap_product and then
+    # near_pairs: the moduli are formed on the first read and kept
+    record = NodeConditioning([mpc(k, 1) for k in range(4)], 256)
+    gaps = record.gaps
+    assert len(gaps) == 6
+    assert record.gaps is gaps
+    record.inverse_gap_product()
+    record.near_pairs()
+    assert record.gaps is gaps
+
+
 def test_newton_equals_lagrange_and_oracle():
     rng = random.Random(21)
     for _ in range(25):

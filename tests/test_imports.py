@@ -20,6 +20,12 @@ The package writes only the formats it reads back: no `to_csv_text`, and a
 class with `to_json_obj` also has `from_json_obj`. The layout of a printed
 table belongs to the CLI.
 
+Only `precision.py`, which owns the complex-point format, reads a point
+payload: no other module subscripts a payload by "re" or "im", or gets
+either key, so every file format parses its complex values through
+`_point_from_json`. Building a `{"re": ..., "im": ...}` row, as the CLI's dd
+table does, is layout and not a read.
+
 Only `precision.py`, which holds the accumulation kernels, reaches into
 `mpmath.libmp`: every other module computes with the mpc operators, so the
 second arithmetic idiom stays in one place.
@@ -385,6 +391,41 @@ def test_package_writes_only_formats_it_reads_back():
         if one_way:
             found[path.name] = one_way
     assert found == {}
+
+
+def point_payload_reads(source):
+    """Lines that read the "re" or "im" of a payload: a subscript or a .get by that key."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+        ):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value in ("re", "im"):
+            out.append(node.lineno)
+    return out
+
+
+def test_only_the_point_format_owner_reads_a_payload():
+    sample = (
+        'x = obj["re"]\n'
+        'y = obj.get("im", "0")\n'
+        'row = {"re": x, "im": y}\n'
+        'obj["im"] = "0"\n'
+        'z = obj["nodes"], obj.get("k"), "re" in obj\n'
+    )
+    assert point_payload_reads(sample) == [1, 2]  # the checker itself
+    found = sorted(
+        path.name for path in PACKAGE if point_payload_reads(path.read_text(encoding="utf-8"))
+    )
+    assert found == ["precision.py"]
 
 
 def libmp_uses(source):

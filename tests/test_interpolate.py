@@ -26,7 +26,6 @@ from lineinterp import (
     restrict_to_line,
 )
 from lineinterp.divdiff import NodeConditioning
-from lineinterp.funcmodel import GradedTerms
 from lineinterp.interpolate import _lagrange_chain
 from lineinterp.precision import _raw
 from support import (
@@ -34,6 +33,7 @@ from support import (
     QC_ONE,
     ap_gap,
     ap_to_qc,
+    graded_terms,
     qc_eval_EN,
     qc_eval_RN_lagrange,
     qc_eval_RN_newton,
@@ -89,7 +89,7 @@ def test_frozen_product_function_two_nodes():
     assert_close(eval_EN(f, nodes, 2, pt, pt), one, -240)
     assert_close(eval_RN_lagrange(f, nodes, 2, pt, pt), one, -240)
     assert_close(eval_RN_newton(f, nodes, 2, pt, pt), one, -240)
-    assert GradedTerms(f, pt, pt).total(2) == one.to_mpc()
+    assert graded_terms(f, pt, pt).total(2) == one.to_mpc()
     rep = identity_report(f, nodes, 2, pt, pt)
     with workprec(BITS):
         assert abs(rep.identity_residual.to_mpc()) <= mpmath.ldexp(1, -240)
@@ -115,7 +115,7 @@ def test_single_node_at_origin_kills_square():
     assert eval_EN(f, nodes, 1, z1, z2) == zero
     assert eval_RN_lagrange(f, nodes, 1, z1, z2) == zero
     assert eval_RN_newton(f, nodes, 1, z1, z2) == zero
-    assert GradedTerms(f, z1, z2).total(1) == ap(Fraction(1, 4)).to_mpc()
+    assert graded_terms(f, z1, z2).total(1) == ap(Fraction(1, 4)).to_mpc()
     rep = identity_report(f, nodes, 1, z1, z2)
     assert rep.identity_residual == zero
 
@@ -180,7 +180,7 @@ def test_tail_matches_rational_oracle():
         f = series_from_qc(qcoeffs, m)
         z1, z2 = qc_to_ap(qz1, BITS), qc_to_ap(qz2, BITS)
         want = qc_tail(qcoeffs, n, qz1, qz2)
-        got = ApComplex.from_mpc(GradedTerms(f, z1, z2).total(n), BITS)
+        got = ApComplex.from_mpc(graded_terms(f, z1, z2).total(n), BITS)
         assert_qc_close(got, want, -230)
 
 
@@ -271,7 +271,7 @@ def test_plan_capped_tail_matches_truncated_series():
             # only the tail depends on the cap
             uncapped = _boxed_members(identity_report(f, nodes, n, z1, z2))
             assert [en, rl, rn, fz] == uncapped[:3] + uncapped[4:5]
-            want = GradedTerms(truncated, z1, z2).total(n)
+            want = graded_terms(truncated, z1, z2).total(n)
             assert tail == want
             with workprec(BITS):
                 assert residual == en - rl + want - fz
@@ -314,7 +314,7 @@ def test_low_degree_reproduction():
         for _ in range(3):
             qz1, qz2 = rand_qc(rng, 1), rand_qc(rng, 1)
             z1, z2 = qc_to_ap(qz1, BITS), qc_to_ap(qz2, BITS)
-            assert GradedTerms(f, z1, z2).total(n) == 0
+            assert graded_terms(f, z1, z2).total(n) == 0
             assert_close(eval_EN(f, nodes, n, z1, z2), eval2(f, z1, z2), -200)
 
 

@@ -28,7 +28,6 @@ from lineinterp import (
     delta_table,
     restrict_to_line,
 )
-from lineinterp.funcmodel import GradedTerms
 from lineinterp.precision import (
     _append,
     _cores,
@@ -40,6 +39,7 @@ from lineinterp.precision import (
     _running_products,
     _sum,
 )
+from support import graded_terms
 
 PRECISIONS = (64, 256, 8192)
 
@@ -269,7 +269,7 @@ def test_graded_terms_and_restrictions_match_the_unskipped_loops(bits, data):
     z = [ApComplex.from_mpc(data.draw(values(bits)), bits + 64) for _ in range(2)]
     zero = ApComplex(0, 0, bits)
     for z1, z2 in [(zero, z[1]), (z[0], zero), (zero, zero), (z[0], z[1])]:
-        terms = GradedTerms(f, z1, z2)
+        terms = graded_terms(f, z1, z2)
         for start in range(max_order + 2):
             assert terms.total(start)._mpc_ == reference_graded_total(f, z1, z2, start)._mpc_
     for eta in (zero, z[0]):

@@ -19,7 +19,6 @@ from lineinterp import (
     eval_EN,
     eval_RN_lagrange,
 )
-from lineinterp.funcmodel import GradedTerms
 from lineinterp.mobius import (
     _inverse,
     _theta,
@@ -32,6 +31,8 @@ from lineinterp.mobius import (
 from support import (
     QC,
     QC_ONE,
+    apply_unitary,
+    graded_terms,
     qc_to_ap,
     rand_distinct_nodes,
     rand_poly2_coeffs,
@@ -93,7 +94,7 @@ def test_unitary_is_unitary():
         rng = random.Random(17)
         for _ in range(4):
             z1, z2 = qc_to_ap(rand_qc(rng), BITS), qc_to_ap(rand_qc(rng), BITS)
-            u1, u2 = ctx.apply_unitary(z1, z2)
+            u1, u2 = apply_unitary(ctx, z1, z2)
             with workprec(BITS):
                 before = mpmath.sqrt(abs(z1.to_mpc()) ** 2 + abs(z2.to_mpc()) ** 2)
                 after = mpmath.sqrt(abs(u1.to_mpc()) ** 2 + abs(u2.to_mpc()) ** 2)
@@ -232,15 +233,15 @@ def test_reduction_coherence_small_orders():
         thetas = to_bounded(ctx)
         g = pushforward(f, ctx)
         z1, z2 = qc_to_ap(rand_qc(rng, 1), BITS), qc_to_ap(rand_qc(rng, 1), BITS)
-        uz1, uz2 = ctx.apply_unitary(z1, z2)
+        uz1, uz2 = apply_unitary(ctx, z1, z2)
         with workprec(BITS):
             lhs = (
                 eval_RN_lagrange(f, nodes, n, z1, z2).to_mpc()
-                - GradedTerms(f, z1, z2).total(n)
+                - graded_terms(f, z1, z2).total(n)
             )
             rhs = (
                 eval_RN_lagrange(g, thetas, n, uz1, uz2).to_mpc()
-                - GradedTerms(g, uz1, uz2).total(n)
+                - graded_terms(g, uz1, uz2).total(n)
             )
             residual = lhs - rhs
         with workprec(BITS + 16):
