@@ -6,11 +6,11 @@ experiment, and emits a CSV or JSON table. The layout of every table is
 decided here, and every table, CSV or JSON, goes through the one writer
 `_emit_table`. Magnitudes are rendered as exact decimal strings, never binary
 floats, so outputs written at different working precisions stay comparable.
-The writer renders the rows in forked workers through precision.fork_map,
-and each row is appended to an unlinked temporary file, the spool. Once every
-row is there, the rows are copied out in order, one at a time: no table is
-ever held whole, and a failing row still writes nothing. A JSON table is the
-text of json.dumps of its document, with each array of rows streamed in its
+The writer renders each row to UTF-8 bytes in forked workers through
+precision.fork_spool, which decides how they travel back. Once every row is
+rendered, the rows are copied out in order, one at a time: no table is ever
+held whole, and a failing row still writes nothing. A JSON table is the text
+of json.dumps of its document, with each array of rows streamed in its
 place. The mobius report and the counterexample artifact are not tables and
 are written whole. All primary output leaves through the one streaming
 writer `_emit`. Identical flags and seed produce byte-identical output,
@@ -25,11 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 import re
-import struct
 import sys
-import tempfile
 
 import click
 from mpmath import workprec
@@ -52,7 +49,7 @@ from .precision import (
     DEFAULT_PRECISION,
     ApComplex,
     check_precision,
-    fork_map,
+    fork_spool,
     parse_decimal,
     render_decimal,
 )
@@ -222,7 +219,7 @@ def _emit(pieces, out_path):
     """Write text, or an iterable of pieces in order, to out_path or stdout.
 
     The only way primary output leaves the package. A piece is text, or
-    UTF-8 bytes such as a spooled row, which are written as they are; each
+    UTF-8 bytes such as a rendered row, which are written as they are; each
     piece is written as it is drawn, so a table is never joined or held whole
     here. A newline follows the last non-empty piece unless it ends with one.
     """
@@ -260,59 +257,9 @@ def _csv_text(lines):
     return "".join(",".join("" if v is None else str(v) for v in line) + "\n" for line in lines)
 
 
-# a spooled row: its index and byte length, then its UTF-8 text
-_RECORD = struct.Struct("<QQ")
-
 # Stands in a table's JSON document for each array of rows, and joins a row's
-# items in its spool record; json.dumps writes it only escaped.
+# items in its rendered bytes; json.dumps writes it only escaped.
 _ARRAY = "\0"
-
-
-def _open_spool():
-    """An unlinked temporary file open for reading and appending; returns its fd."""
-    try:
-        fd, path = tempfile.mkstemp(prefix="lineinterp-", suffix=".spool")
-        try:
-            return os.open(path, os.O_RDWR | os.O_APPEND)
-        finally:
-            os.close(fd)
-            os.unlink(path)
-    except OSError as exc:
-        raise ConfigError("cannot make a spool file: %s" % (exc,)) from exc
-
-
-def _spool_row(fd, i, text):
-    """Append row i's text to the spool fd as one record in one write; returns its byte length.
-
-    With O_APPEND each write lands whole at the end of the file, so forked
-    workers sharing fd never interleave their records.
-    """
-    data = text.encode("utf-8")
-    size = _RECORD.size + len(data)
-    try:
-        written = os.writev(fd, [_RECORD.pack(i, len(data)), data])
-    except OSError as exc:
-        raise ConfigError("cannot write the spool file: %s" % (exc,)) from exc
-    if written != size:
-        raise ConfigError("cannot write the spool file: %d of %d bytes written" % (written, size))
-    return len(data)
-
-
-def _spooled_rows(fd, lengths):
-    """The UTF-8 bytes of rows 0, 1, ... of the spool fd in order, read one at a time.
-
-    lengths[i] is the byte length of row i. The records lie in the order the
-    workers wrote them, and each names its row, so one pass over their
-    headers finds every row.
-    """
-    starts = [None] * len(lengths)
-    pos = 0
-    for _ in lengths:
-        i, size = _RECORD.unpack(os.pread(fd, _RECORD.size, pos))
-        starts[i] = pos + _RECORD.size
-        pos = starts[i] + size
-    for start, size in zip(starts, lengths):
-        yield os.pread(fd, size, start)
 
 
 def _emit_table(columns, count, row, fmt, out_path, doc):
@@ -321,40 +268,33 @@ def _emit_table(columns, count, row, fmt, out_path, doc):
     row(i) returns table row i as its CSV lines and its tuple of items, one
     for each array of the document; each array stands in it as _ARRAY, in
     document order. doc is called only for JSON, so CSV renders none of the
-    document's other values. Each row is rendered in a forked worker, or in
-    the caller, and appended to a spool, so only its byte length comes back
-    through fork_map. Nothing is written until every row is spooled, so a
-    failing row leaves the output empty; then the rows are copied out in
-    order, one row held at a time. One try/finally owns the spool from its
-    creation to the last byte copied.
+    document's other values. Each row is rendered to UTF-8 bytes through
+    fork_spool, in a forked worker or in the caller. Nothing is written until
+    every row is rendered, so a failing row leaves the output empty; then
+    the rows are copied out in order, one row held at a time.
     """
     csv = fmt == "csv"
 
-    def spool(i):
+    def render(i):
         lines, items = row(i)
-        return _spool_row(fd, i, _csv_text(lines) if csv else _ARRAY.join(map(_json_text, items)))
+        return (_csv_text(lines) if csv else _ARRAY.join(map(_json_text, items))).encode("utf-8")
 
-    fd = _open_spool()
-    try:
-        lengths = fork_map(spool, range(count))
+    with fork_spool(render, range(count)) as read:
         if csv:
-            pieces = itertools.chain([_csv_text([columns])], _spooled_rows(fd, lengths))
+            pieces = itertools.chain([_csv_text([columns])], map(read, range(count)))
         else:
-            pieces = _json_pieces(_json_text(doc()), fd, lengths)
+            pieces = _json_pieces(_json_text(doc()), read, count)
         _emit(pieces, out_path)
-    finally:
-        os.close(fd)
 
 
-def _json_pieces(text, fd, lengths):
-    """The JSON text of a doc with its j-th _ARRAY replaced by the j-th items of the spooled rows.
+def _json_pieces(text, read, count):
+    """The JSON text of a doc with its j-th _ARRAY replaced by the j-th items of rows read(0), ....
 
     With indent set, json.dumps writes a value the same way at a given depth,
     so each item, dumped on its own, is re-indented at its array's depth: the
     pieces join to json.dumps of the doc with its arrays in place. The items
     are split and re-indented as bytes, since neither NUL nor a newline occurs
-    inside a UTF-8 multibyte sequence. There is one pass over the spool for
-    each array.
+    inside a UTF-8 multibyte sequence. The rows are read once for each array.
     """
     parts = text.split(_json_text(_ARRAY))
     yield parts[0]
@@ -362,8 +302,8 @@ def _json_pieces(text, fd, lengths):
         line = parts[j].rpartition("\n")[2]
         outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
         inner = (outer + "  ").encode("utf-8")
-        for i, record in enumerate(_spooled_rows(fd, lengths)):
-            item = record.split(_ARRAY.encode("utf-8"))[j]
+        for i in range(count):
+            item = read(i).split(_ARRAY.encode("utf-8"))[j]
             yield (b"," if i else b"[") + inner + item.replace(b"\n", inner)
         yield outer + "]" + after
 

@@ -251,7 +251,9 @@ def _run_stage(f, conditioning, diag, stage, bits):
     diag the last diagonal of f's table over them. Returns the record and
     the conditioning and diagonal of prev and the stage's trio, extended from
     these. Bits only grow from stage to stage, so a node made at fewer bits
-    is exact at these.
+    is exact at these. f's conjugate derivative at 0 is read once per
+    attempt, and UnsuitableKernelError raised when it vanishes; stage 1's
+    first attempt runs at the policy's starting bits, before any node is placed.
     """
     p = stage - 1
     target = stage**stage
@@ -263,6 +265,11 @@ def _run_stage(f, conditioning, diag, stage, bits):
             cap = min(cap, min(moduli))
         lead = _power_of_two_below(cap)
         cd_zero = mpc(f.conj_derivative(mpc(0)))
+        if cd_zero == 0:
+            raise UnsuitableKernelError(
+                "conjugate derivative vanishes at 0, so the one-node "
+                "extension has no anti-holomorphic growth to amplify"
+            )
         cd_mod = abs(cd_zero)
         scale = mpf(1)
         for m in moduli:
@@ -339,12 +346,6 @@ def build_sequence(f, stages, policy=None):
     if f.conj_derivative is None:
         raise ConfigError("kernel lacks a closed-form conjugate derivative")
     bits = policy.start_bits
-    with workprec(bits):
-        if mpc(f.conj_derivative(mpc(0))) == 0:
-            raise UnsuitableKernelError(
-                "conjugate derivative vanishes at 0, so the one-node "
-                "extension has no anti-holomorphic growth to amplify"
-            )
     # the nodes so far and f's last diagonal over them, extended stage by
     # stage and formed again only when the bits double
     conditioning, diag = NodeConditioning((), bits), []

@@ -133,10 +133,6 @@ class LineRestriction:
     coeffs: tuple
     precision_bits: int
 
-    @property
-    def max_order(self):
-        return len(self.coeffs) - 1
-
 
 class GradedTerms:
     """Terms a_{k,l} z1^k z2^l of a series at one point, grouped by total degree.

@@ -64,22 +64,31 @@ does inside (fact 4). The core holds finite values only; a non-finite part is
 a DomainError, since none of the objects the kernels compute is defined on
 one. A zero gap raises ZeroDivisionError, as the mpc loop does.
 
-fork_map, last, is the one place that calls os.fork: it maps a function over
-items in forked workers, one per usable CPU, and returns what the plain loop
-would. The grid sweeps of interpolate, the columns of criterion_profile and
-the row rendering of the cli tables run through it. Each child's reply is
-unpickled as it comes off the pipe, so no whole copy of it is held, and a
-worker that dies or cannot send its reply back is a NumericError.
+fork_spool, last, is the one place that calls os.fork: it maps a function
+over items in forked workers, one per usable CPU, and is the one way their
+results come back. Every worker appends each result as it is made, as one
+pickled record, to one unlinked spool file, which the caller scans once and
+then reads back by item index, one result at a time. fork_map returns the
+list the plain loop would; the grid sweeps of interpolate and the columns of
+criterion_profile run through it, and the cli tables render their rows
+through fork_spool itself. A worker that dies, or whose record does not
+decode, is a NumericError; so every forked map needs a writable temporary
+directory, and a spool that cannot be made or written is a ConfigError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import functools
 import math
 import os
+import pickle
 import re
+import signal
+import struct
 import sys
+import tempfile
 import threading
 
 import mpmath
@@ -629,6 +638,11 @@ def _append(diag, value, gaps):
 # -- forked map -------------------------------------------------------------
 
 
+# a spooled result: its item index, its byte length and whether it is a
+# failure, then its pickle
+_RECORD = struct.Struct("<QQ?")
+
+
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -636,138 +650,174 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_chunk(fn, items, indices):
-    """(results, None) over items[i] for i in indices, or (None, (i, exc)) at the first failure."""
-    out = []
+def _open_spool():
+    """An unlinked temporary file open for reading and appending; returns its fd."""
+    try:
+        fd, path = tempfile.mkstemp(prefix="lineinterp-", suffix=".spool")
+        try:
+            return os.open(path, os.O_RDWR | os.O_APPEND)
+        finally:
+            os.close(fd)
+            os.unlink(path)
+    except OSError as exc:
+        raise ConfigError("cannot make a spool file: %s" % (exc,)) from exc
+
+
+def _write_record(fd, i, failed, data):
+    """Append item i's pickle data to the spool fd as one record in one write.
+
+    With O_APPEND each write lands whole at the end of the file, so workers
+    sharing fd never interleave their records.
+    """
+    size = _RECORD.size + len(data)
+    try:
+        written = os.writev(fd, [_RECORD.pack(i, len(data), failed), data])
+    except OSError as exc:
+        raise ConfigError("cannot write the spool file: %s" % (exc,)) from exc
+    if written != size:
+        raise ConfigError("cannot write the spool file: %d of %d bytes written" % (written, size))
+
+
+def _spool_chunk(fn, items, indices, fd):
+    """Spool fn(items[i]) for i in indices, each as it is made; (i, exc) at the first failure, else None."""
     for i in indices:
         try:
-            out.append(fn(items[i]))
+            _write_record(fd, i, False, pickle.dumps(fn(items[i]), pickle.HIGHEST_PROTOCOL))
         except Exception as exc:
-            return None, (i, exc)
-    return out, None
+            return i, exc
+    return None
 
 
-def _picklable(i, exc):
-    """(i, exc), or (i, a NumericError naming exc's type and message) if exc does not pickle."""
-    import pickle
+def _fork_chunk(fn, items, indices, fd):
+    """Fork a child that spools its chunk to fd, its first failure as a failed record; returns its pid.
 
-    try:
-        pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        text = "%s: %s (in a forked worker; the error does not pickle)"
-        return i, NumericError(text % (type(exc).__name__, exc))
-    return i, exc
-
-
-def _fork_chunk(fn, items, indices):
-    """Fork a child that pickles _run_chunk's reply to a pipe; returns (pid, read fd)."""
-    # imported on first fork, so runs that never fork do not load it
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    An exception that does not pickle is sent as a NumericError at the same
+    item that names its type and message.
+    """
+    pid = os.fork()
     if pid == 0:
         # os._exit skips atexit handlers and never flushes the buffers the
         # child inherited, such as the caller's pending stdout.
         status = 1
         try:
-            os.close(read_fd)
-            outcome = _run_chunk(fn, items, indices)
-            if outcome[1] is not None:
-                outcome = None, _picklable(*outcome[1])
-            # pickled as it is written, so the child holds no whole copy either
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            failure = _spool_chunk(fn, items, indices, fd)
+            if failure is not None:
+                i, exc = failure
+                try:
+                    data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+                except Exception:
+                    text = "%s: %s (in a forked worker; the error does not pickle)"
+                    data = pickle.dumps(NumericError(text % (type(exc).__name__, exc)), pickle.HIGHEST_PROTOCOL)
+                _write_record(fd, i, True, data)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+    return pid
 
 
-def _collect(pid, read_fd):
-    """(exit code, reply) of a forked child, its pipe read to the end and the child reaped.
+def _lost(indices, how):
+    """(first item, NumericError) for a forked worker whose results did not all come back.
 
-    The reply is unpickled as it is read, so the caller never holds the whole
-    pickle beside the values it decodes to. When it does not decode, as when
-    the child wrote nothing or was killed part way, the reply is the exception
-    that decoding raised.
+    It fails at its first item, since which of its items were reached is unknown.
     """
-    import pickle
-
-    with open(read_fd, "rb") as pipe:
-        try:
-            reply = pickle.load(pipe)
-        except Exception as exc:
-            reply = exc
-        # the rest of a reply that did not decode: closing the pipe early would
-        # fail the child's write, and its exit status would not say it sent all
-        while pipe.read(1 << 16):
-            pass
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply
-
-
-def _reply(indices, code, reply):
-    """The _run_chunk outcome a child sent, or a NumericError at its first item when it sent none.
-
-    A worker that dies, or cannot send back what its items gave, fails at its
-    first item, since which of its items were reached is unknown.
-    """
-    if code == 0 and isinstance(reply, tuple):
-        return reply
-    if code < 0:
-        import signal
-
-        try:
-            how = "was killed by %s" % signal.Signals(-code).name
-        except ValueError:
-            how = "was killed by signal %d" % -code
-    elif code > 0:
-        how = "exited with status %d" % code
-    else:
-        how = "sent a reply that does not decode (%s: %s)" % (type(reply).__name__, reply)
     shown = list(indices) if len(indices) <= 4 else [indices[0], indices[1], "...", indices[-1]]
-    error = NumericError("the forked worker of items %s %s" % (", ".join(map(str, shown)), how))
-    return None, (indices[0], error)
+    return indices[0], NumericError("the forked worker of items %s %s" % (", ".join(map(str, shown)), how))
+
+
+def _ended(code):
+    """How a child that exited with the nonzero code ended."""
+    if code > 0:
+        return "exited with status %d" % code
+    try:
+        return "was killed by %s" % signal.Signals(-code).name
+    except ValueError:
+        return "was killed by signal %d" % -code
+
+
+def _scan(fd, chunks, failures):
+    """(byte length, offset) of each item's result in the spool fd, by index.
+
+    Each record is decoded once, in the order they were written, and the
+    failures it holds or its decoding raises are appended to failures; a
+    record of chunk 0 is the caller's own. A partial record, which a worker
+    killed part way through its write leaves at the end, ends the scan. When
+    nothing failed, an item with no record fails at its worker's first item.
+    """
+    k = len(chunks)
+    where = [None] * sum(map(len, chunks))
+    end = os.fstat(fd).st_size
+    pos = 0
+    while pos + _RECORD.size <= end:
+        i, size, failed = _RECORD.unpack(os.pread(fd, _RECORD.size, pos))
+        start = pos + _RECORD.size
+        pos = start + size
+        if i >= len(where) or pos > end:
+            break
+        try:
+            value = pickle.loads(os.pread(fd, size, start))
+        except Exception as exc:
+            how = "(%s: %s)" % (type(exc).__name__, exc)
+            if i % k:
+                failures.append(_lost(chunks[i % k], "sent a reply that does not decode " + how))
+            else:
+                failures.append((i, NumericError("the result of item %d does not decode %s" % (i, how))))
+        else:
+            if failed:
+                failures.append((i, value))
+            else:
+                where[i] = size, start
+    if not failures and None in where:
+        i = where.index(None)
+        failures.append(_lost(chunks[i % k], "exited without the result of item %d" % i))
+    return where
+
+
+@contextlib.contextmanager
+def fork_spool(fn, items):
+    """Map fn over items in forked workers; yields read, with read(i) = fn(items[i]).
+
+    The items are dealt round-robin into k = min(usable CPUs, len(items))
+    chunks: the caller runs chunk 0 and a forked child each other chunk, so
+    fn and the items are inherited, never pickled. Without fork, or with
+    other threads running (a forked child holds only the calling thread), k
+    is 1. Each worker appends each result, pickled as it is made, to one
+    spool. Every child is reaped and every record decoded once before
+    anything is yielded; read(i) decodes item i's record again, so only the
+    results read are held. A failure raises the exception of the lowest item
+    index, as the plain loop would. A child that is killed, exits with a
+    nonzero status or writes a record that does not decode fails at its
+    first item with a NumericError naming its items and how it ended. A spool
+    that cannot be made or written is a ConfigError. The spool is closed on
+    every exit path.
+    """
+    items = list(items)
+    k = max(1, min(_usable_cpus(), len(items)))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        k = 1
+    chunks = [range(c, len(items), k) for c in range(k)]
+    fd = _open_spool()
+    try:
+        pids = []
+        try:
+            for indices in chunks[1:]:
+                pids.append(_fork_chunk(fn, items, indices, fd))
+            own = _spool_chunk(fn, items, chunks[0], fd)
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        # a dead worker's failure goes first, so it wins a tie with its own records
+        failures = [_lost(indices, _ended(code)) for indices, code in zip(chunks[1:], codes) if code]
+        if own is not None:
+            failures.append(own)
+        where = _scan(fd, chunks, failures)
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        yield lambda i: pickle.loads(os.pread(fd, *where[i]))
+    finally:
+        os.close(fd)
 
 
 def fork_map(fn, items):
-    """[fn(x) for x in items], the items dealt round-robin to forked workers.
-
-    k = min(usable CPUs, len(items)) chunks: the caller runs chunk 0 and a
-    forked child each other chunk, so fn and the items are inherited, never
-    pickled; only the results come back. Without fork, or with other threads
-    running (a forked child holds only the calling thread), k is 1. A failure
-    raises the exception of the lowest item index, as the plain loop would.
-    Every pipe is read to its end and every child reaped before that. A child
-    that is killed, exits without a reply or sends one that does not decode
-    fails at its first item with a NumericError naming its items and how it
-    ended; a child's exception that does not pickle arrives as a NumericError.
-    """
+    """[fn(x) for x in items], mapped in forked workers through fork_spool; fn's results must pickle."""
     items = list(items)
-    k = min(_usable_cpus(), len(items))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        k = 1
-    if k <= 1:
-        return [fn(x) for x in items]
-    chunks = [range(c, len(items), k) for c in range(k)]
-    children = []
-    try:
-        for indices in chunks[1:]:
-            children.append(_fork_chunk(fn, items, indices))
-        own = _run_chunk(fn, items, chunks[0])
-    finally:
-        replies = [_collect(pid, read_fd) for pid, read_fd in children]
-    outcomes = [own] + [_reply(indices, *reply) for indices, reply in zip(chunks[1:], replies)]
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for indices, (values, _) in zip(chunks, outcomes):
-        results[indices.start :: k] = values
-    return results
+    with fork_spool(fn, items) as read:
+        return [read(i) for i in range(len(items))]

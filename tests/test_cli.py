@@ -178,18 +178,24 @@ def test_csv_renders_only_the_table_cells(runner, node_file, monkeypatch):
             assert len(rendered) == want, (argv[0], fmt)
 
 
+def assert_config_error(result, args):
+    """Exit 2, nothing on stdout and one `config error:` line on stderr."""
+    assert result.exit_code == 2, args
+    assert result.stdout == "", args
+    [line] = result.stderr.splitlines()
+    assert line.startswith("config error: "), (args, line)
+
+
 def test_dd_kernel_spec_errors(runner, node_file):
-    assert runner.invoke(main, ["dd", "--nodes", node_file, "--kernel", "bogus"]).exit_code == 2
-    assert (
-        runner.invoke(
-            main, ["dd", "--nodes", node_file, "--kernel", "conj-kernel:1:2"]
-        ).exit_code
-        == 2
-    )
-    assert (
-        runner.invoke(main, ["dd", "--nodes", node_file, "--max-order", "9"]).exit_code
-        == 2
-    )
+    for extra in (
+        ["--kernel", "bogus"],
+        ["--kernel", "conj-kernel:1:2"],
+        ["--kernel", "conj-kernel:a"],
+        ["--max-order", "9"],
+        ["--max-order", "-1"],
+    ):
+        args = ["dd", "--nodes", node_file, *extra]
+        assert_config_error(runner.invoke(main, args), args)
 
 
 # -- converge ------------------------------------------------------------------------
@@ -273,6 +279,8 @@ def test_converge_is_byte_deterministic(runner):
 def test_converge_config_errors(runner, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"nodes": []}')
+    not_json = tmp_path / "nodes.txt"
+    not_json.write_text("nodes: 0.5, 0.25")
     cases = [
         ["converge", "--function", POLY],  # no node source
         ["converge", "--nodes", str(empty), "--function", POLY],
@@ -296,10 +304,17 @@ def test_converge_config_errors(runner, tmp_path):
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "3x3@0"],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "2x2@-1"],
         ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--precision", "32"],
+        ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--n-min", "0"],
+        ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "5x5"],
+        ["converge", "--nodes", "family:circle:0,0,1:8", "--function", POLY, "--grid", "0x0@0.5"],
+        ["converge", "--nodes", str(not_json), "--function", POLY],
+        ["converge", "--nodes", "family:line:0,1:8", "--function", POLY],
+        ["converge", "--nodes", "family:line:0,1,0:x", "--function", POLY],
+        ["converge", "--nodes", "family:circle:0,0,1:8"],  # no function source
     ]
     for args in cases:
         result = runner.invoke(main, args)
-        assert result.exit_code == 2, args
+        assert_config_error(result, args)
         if args[2] == "family:line:0,1,0":
             assert "family:line:A,B,C:COUNT" in result.stderr
 
@@ -713,14 +728,18 @@ def test_mobius_is_byte_deterministic(runner, integer_node_file):
     second = runner.invoke(main, args)
     assert first.exit_code == 0
     assert first.output == second.output
+    # the one-part form RE is the center RE,0
+    real = runner.invoke(main, ["mobius", "--nodes", integer_node_file, "--eta-inf", "0.5"])
+    pair = runner.invoke(main, ["mobius", "--nodes", integer_node_file, "--eta-inf", "0.5,0"])
+    assert real.exit_code == pair.exit_code == 0
+    assert real.stdout_bytes == pair.stdout_bytes
 
 
 def test_mobius_eta_on_node_exits_2(runner, integer_node_file):
-    result = runner.invoke(
-        main, ["mobius", "--nodes", integer_node_file, "--eta-inf", "3,0"]
-    )
-    assert result.exit_code == 2
-    assert "config error" in result.stderr
+    # a center on a node, and one that is not RE or RE,IM
+    for eta in ("3,0", "1,2,3"):
+        args = ["mobius", "--nodes", integer_node_file, "--eta-inf", eta]
+        assert_config_error(runner.invoke(main, args), args)
 
 
 def test_mobius_rotation_at_infinity(runner, integer_node_file):

@@ -502,6 +502,33 @@ def test_verify_growth_fails_a_stage_opening_at_one_over_3s_minus_2(lead, opens)
     assert row.note == ("" if opens else "stage opening at or above 1/(3s-2)")
 
 
+@pytest.mark.parametrize("second, inside", [("0.5", False), ("0.49999999", True)])
+def test_verify_growth_fails_a_pair_modulus_at_the_stage_opening(second, inside):
+    # a stage-1 artifact (nodes 0.5, 0.25i, -0.25i) whose second node sits on
+    # the opening |0.5| or just inside it; the magnitude clears s^s = 1 either way
+    doc = build_sequence(default_kernel(), 1).to_json_obj()
+    assert [(n["re"], n["im"]) for n in doc["nodes"]] == [("0.5", "0"), ("0", "0.25"), ("0", "-0.25")]
+    doc["nodes"][1]["im"] = second
+    (row,) = verify_growth(AdversarialSequence.from_json_obj(doc), default_kernel()).rows
+    assert row.achieved >= row.target
+    assert row.passed is inside
+    assert row.note == ("" if inside else "pair moduli not inside the stage opening")
+
+
+@pytest.mark.parametrize("third, below", [("-0.125", False), ("-0.13", True)])
+def test_verify_growth_fails_a_stage_opening_not_below_earlier_moduli(third, below):
+    # a stage-2 artifact whose stage-1 node 2 moves from -0.25i to the stage-2
+    # opening 0.125 in modulus, or just outside it; stage 1 stays well formed,
+    # and both magnitudes clear their targets either way
+    doc = build_sequence(default_kernel(), 2).to_json_obj()
+    assert [n["re"] for n in doc["nodes"][3:]] == ["0.125", "0", "0"]
+    doc["nodes"][2]["im"] = third
+    rows = verify_growth(AdversarialSequence.from_json_obj(doc), default_kernel()).rows
+    assert all(row.achieved >= row.target for row in rows)
+    assert [row.passed for row in rows] == [True, below]
+    assert [row.note for row in rows] == ["", "" if below else "stage opening not below earlier moduli"]
+
+
 def test_verify_growth_rejects_nodes_that_coincide_at_the_verification_bits(seq3):
     # Nodes 7 and 8 differ only past the 256 + 64 verification bits of every
     # stage, so they coincide once rounded for stage 3.

@@ -1,16 +1,16 @@
-"""Work dealt to forked workers through `precision.fork_map`.
+"""Work dealt to forked workers through `precision.fork_spool` and `fork_map`.
 
 `LinePlan.sup_errors` and `LinePlan.identity_residuals` deal their points,
 `criterion_profile` its kernel-power columns, and every table command the
 rendering of its table rows round-robin to one forked child per usable CPU.
-These tests pin that the result does not depend on the CPU count, that a
-failure reaches the caller as the plain loop would raise it, that every
-child is reaped, that a child never flushes the caller's buffered stdout,
-and that a worker that dies, or cannot send its reply back, ends the run
-with exit code 3 rather than a traceback. The rows of every table, CSV or
-JSON, pass through an unlinked temporary file, the spool: its descriptor is
-closed and its file gone on every exit path, and no table is ever held
-whole.
+Every result comes back as a record in one unlinked temporary file, the
+spool. These tests pin that the result does not depend on the CPU count,
+that a failure reaches the caller as the plain loop would raise it, that
+every child is reaped, that a child never flushes the caller's buffered
+stdout, and that a worker that dies, or cannot send its results back, ends
+the run with exit code 3 rather than a traceback. The spool's descriptor is
+closed and its file gone on every exit path, a spool that cannot be made or
+written is a configuration error, and no table is ever held whole.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -151,7 +152,7 @@ def test_fork_map_raises_the_failure_the_plain_loop_would(monkeypatch):
 
 
 def test_fork_map_replies_of_megabyte_strings_arrive_whole_and_in_order(monkeypatch):
-    # each reply spans many pipe buffers and pickle frames
+    # each result spans many pickle frames
     _use_cpus(monkeypatch, 3)
 
     def text(i):
@@ -184,8 +185,10 @@ def test_fork_map_raises_numeric_error_when_a_worker_dies(monkeypatch):
                     os.kill(os.getpid(), signal.SIGKILL)
                 if how == "exit":
                     os._exit(7)
-                # megabytes of reply after the value that does not decode: the
-                # caller reads them all, so the child's write ends and it exits 0
+                if how == "exit 0":
+                    os._exit(0)
+                # a result that pickles but does not unpickle, beside megabytes
+                # more: the child spools it and exits 0
                 return [_NeedsTwoArguments("x", "y"), "z" * (1 << 22)]
             return i
 
@@ -207,6 +210,12 @@ def test_fork_map_raises_numeric_error_when_a_worker_dies(monkeypatch):
         with pytest.raises(NumericError):
             fork_map(dies(how, {3}), range(9))
         _assert_no_children()
+    # a worker that exits 0 before spooling all its results fails at its first item too
+    with pytest.raises(
+        NumericError, match="^the forked worker of items 2, 5, 8 exited without the result of item 5$"
+    ):
+        fork_map(dies("exit 0"), range(9))
+    _assert_no_children()
     # a long chunk is named by its first two items and its last
     _use_cpus(monkeypatch, 2)
     with pytest.raises(NumericError, match="^the forked worker of items 1, 3, ..., 11 "):
@@ -216,17 +225,61 @@ def test_fork_map_raises_numeric_error_when_a_worker_dies(monkeypatch):
 
 def test_fork_map_raises_numeric_error_on_a_truncated_reply(monkeypatch):
     _use_cpus(monkeypatch, 2)
+    caller = os.getpid()
     dumps = pickle.dumps
-    # only the children pickle; the caller unpickles
-    monkeypatch.setattr(
-        pickle, "dump", lambda obj, pipe, protocol: pipe.write(dumps(obj, protocol)[:-1])
-    )
+
+    def truncated_in_children(obj, protocol):
+        data = dumps(obj, protocol)
+        return data if os.getpid() == caller else data[:-1]
+
+    # the caller's records stay whole; each child's lose their last byte
+    monkeypatch.setattr(pickle, "dumps", truncated_in_children)
     with pytest.raises(
         NumericError,
         match="^the forked worker of items 1, 3 sent a reply that does not decode ",
     ):
         fork_map(str, range(4))
     _assert_no_children()
+
+
+@pytest.mark.parametrize("kept", [5, -3], ids=["torn-header", "torn-result"])
+def test_fork_map_raises_numeric_error_when_a_worker_dies_part_way_through_a_record(monkeypatch, kept):
+    # two chunks over range(2): item 0 in the caller, item 1 in a forked child
+    # that writes part of its record after the caller's and is then killed
+    _use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    writev = os.writev
+
+    def torn(fd, buffers):
+        if os.getpid() == caller:
+            return writev(fd, buffers)
+        deadline = time.monotonic() + 30
+        while not os.fstat(fd).st_size and time.monotonic() < deadline:
+            time.sleep(0.001)
+        os.write(fd, b"".join(buffers)[:kept])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(os, "writev", torn)
+    with pytest.raises(NumericError, match="^the forked worker of items 1 was killed by SIGKILL$"):
+        fork_map(lambda i: "x" * 100, range(2))
+    _assert_no_children()
+
+
+def test_forked_maps_need_a_writable_temporary_directory(monkeypatch, tmp_path):
+    # tempfile reads TMPDIR once per process; its tempdir is read on each call
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    nodes = generate_nodes(circle_family(ApComplex(0, 0, BITS), "1", 4), precision_bits=BITS)
+    points = default_zgrid(BITS, "0.5", 1, 1, seed=1)
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        for run in (
+            lambda: criterion_profile(nodes, 2, 1, BITS),
+            lambda: _plan(2).sup_errors(points, [1, 2]),
+            lambda: _plan(2).identity_residuals(points, [1, 2]),
+        ):
+            with pytest.raises(ConfigError, match="^cannot make a spool file: "):
+                run()
+            _assert_no_children()
 
 
 def test_fork_map_sends_an_error_that_does_not_pickle_by_its_type_and_message(monkeypatch):

@@ -39,18 +39,20 @@ quotient goes through the core's division step. That step, `precision._div`,
 is the one place that calls `divmod`, so parsing a decimal and dividing two
 values round through one division routine.
 
-Only `precision.py`, which holds `fork_map`, calls `os.fork`: every other
+Only `precision.py`, which holds `fork_spool`, calls `os.fork`: every other
 module that deals work to forked workers goes through that one helper, with
-its reaping, failure order and thread check.
+its spool, reaping, failure order and thread check.
 
 Primary output leaves the package only through `cli._emit`, which writes a
 table piece by piece: no `print` call, no `sys.stdout.write`, and
 `click.echo` without `err=True` only inside `_emit`. Error messages go to
 stderr through `click.echo(..., err=True)`.
 
-In `cli.py` every table takes one path: `fork_map` and `_open_spool` are
-called only inside `_emit_table`, and `json.dumps` only inside `_json_text`,
-so no subcommand renders its rows or builds a JSON document of its own.
+In `cli.py` every table takes one path: `fork_spool` is called only inside
+`_emit_table`, and `json.dumps` only inside `_json_text`, so no subcommand
+renders its rows or builds a JSON document of its own. And `cli.py` imports
+none of `os`, `struct`, `tempfile` or `pickle`: how forked work travels back
+is decided in `precision.py` alone, and the CLI makes no file-descriptor call.
 
 No package module calls a one-point edge of the interpolant (`eval_EN`,
 `eval_RN_lagrange`, `eval_RN_newton`, `identity_report`, `eval2`): each call
@@ -695,7 +697,7 @@ def test_primary_output_leaves_only_through_emit():
 
 
 # in cli.py each of these calls stays inside the function named beside it
-TABLE_PATH = {"fork_map": "_emit_table", "_open_spool": "_emit_table", "json.dumps": "_json_text"}
+TABLE_PATH = {"fork_spool": "_emit_table", "json.dumps": "_json_text"}
 
 
 def table_path_calls(source):
@@ -722,23 +724,61 @@ def test_every_table_takes_the_one_writer():
         "def _json_text(obj):\n"
         "    return json.dumps(obj, indent=2)\n"
         "def _emit_table(count, row):\n"
-        "    fd = _open_spool()\n"
-        "    def spool(i):\n"
-        "        return fork_map(row, [i])\n"
-        "    return fork_map(spool, range(count))\n"
+        "    def render(i):\n"
+        "        with fork_spool(row, [i]) as read:\n"
+        "            return read(0)\n"
+        "    with fork_spool(render, range(count)) as read:\n"
+        "        return read(0)\n"
         "def cmd_dd(rows):\n"
-        "    lengths = fork_map(len, rows)\n"
-        "    fd = _open_spool()\n"
-        "    return json.dumps(rows)\n"
+        "    with fork_spool(len, rows) as read:\n"
+        "        return json.dumps(read(0))\n"
         "text = json.dumps({})\n"
-        "mapper = fork_map\n"
+        "spooler = fork_spool\n"
     )
     # the checker itself
     assert table_path_calls(sample) == [
-        (10, "fork_map"),
-        (11, "_open_spool"),
+        (11, "fork_spool"),
         (12, "json.dumps"),
         (13, "json.dumps"),
     ]
     cli = ROOT / "src" / "lineinterp" / "cli.py"
     assert table_path_calls(cli.read_text(encoding="utf-8")) == []
+
+
+# modules that would let cli.py move forked results itself
+FD_MODULES = {"os", "struct", "tempfile", "pickle"}
+
+
+def fd_module_imports(source):
+    """(line, module) of each import of a FD_MODULES module, or of a name from one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names if a.name.partition(".")[0] in FD_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").partition(".")[0] in FD_MODULES:
+                out.append((node.lineno, node.module))
+    return sorted(out)
+
+
+def test_cli_moves_no_forked_result_itself():
+    sample = (
+        "import json\n"
+        "import os, sys\n"
+        "from struct import Struct\n"
+        "def spool():\n"
+        "    import tempfile\n"
+        "    import pickle as p\n"
+        "import os.path\n"
+        "from .precision import fork_spool\n"
+    )
+    # the checker itself
+    assert fd_module_imports(sample) == [
+        (2, "os"),
+        (3, "struct"),
+        (5, "tempfile"),
+        (6, "pickle"),
+        (7, "os.path"),
+    ]
+    cli = ROOT / "src" / "lineinterp" / "cli.py"
+    assert fd_module_imports(cli.read_text(encoding="utf-8")) == []
