@@ -637,7 +637,7 @@ def cmd_mobius(precision, node_source, eta_inf, phi, tolerance, coherence_tolera
     _emit(
         _json_text(
             {
-                "eta_inf": center.to_json_obj(),
+                "eta_inf": {"re": render_decimal(center.re), "im": render_decimal(center.im)},
                 "precision_bits": bits,
                 "theta": thetas.to_json_obj()["nodes"],
                 "theta_bound": render_decimal(bound),

@@ -166,8 +166,7 @@ class StageRecord:
 
     @classmethod
     def from_json_obj(cls, obj):
-        if not isinstance(obj, dict):
-            raise ParseError("stage record payload must be an object")
+        # a record that is not an object fails its first subscript with a TypeError
         try:
             bits = check_precision(int(obj["precision_bits"]))
             return cls(
@@ -225,11 +224,12 @@ class AdversarialSequence:
     def from_json_obj(cls, obj):
         if not isinstance(obj, dict) or "nodes" not in obj:
             raise ParseError("sequence payload must contain nodes")
-        bits = check_precision(int(obj.get("precision_bits", DEFAULT_PRECISION)))
+        try:
+            bits = check_precision(int(obj.get("precision_bits", DEFAULT_PRECISION)))
+            log = tuple(StageRecord.from_json_obj(rec) for rec in obj.get("stage_log", ()))
+        except (TypeError, ValueError) as exc:
+            raise ParseError("malformed sequence payload: %s" % (exc,)) from exc
         nodes = NodeSequence.from_json_obj({"nodes": obj["nodes"]}, bits)
-        log = tuple(
-            StageRecord.from_json_obj(rec) for rec in obj.get("stage_log", ())
-        )
         kind = str(obj.get("kernel", "conjugate-kernel"))
         return cls(nodes=nodes, stage_log=log, kernel_kind=kind, precision_bits=bits)
 

@@ -111,7 +111,7 @@ class NodeSequence:
     is all the sequence stores; computations read it. A node may be given as
     an ApComplex, mpc, mpf or int. Without precision_bits the nodes must be
     ApComplex values, and the sequence takes the largest of their
-    precisions. Indexing and iteration box a node at the sequence's
+    precisions. Indexing, and so iteration, boxes a node at the sequence's
     precision, for callers at the API edge; the JSON payload is written from
     zs and read straight into it, each node parsed once at precision_bits.
     """
@@ -148,9 +148,6 @@ class NodeSequence:
 
     def __len__(self):
         return len(self.zs)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.zs)))
 
     def __getitem__(self, idx):
         return ApComplex.from_mpc(self.zs[idx], self.precision_bits)

@@ -27,7 +27,6 @@ from .precision import (
     _as_mpc,
     _dot,
     _point_from_json,
-    _point_json,
     _products,
     _raw,
     _running_products,
@@ -94,10 +93,6 @@ class TaylorSeries2:
         for m, row in enumerate(self._by_degree):
             for k, v in row:
                 yield (k, m - k), v
-
-    def to_json_obj(self):
-        out = [{"k": k, "l": l, **_point_json(v.real, v.imag)} for (k, l), v in self.items()]
-        return {"max_order": self.max_order, "coeffs": out}
 
     @classmethod
     def from_json_obj(cls, obj, precision_bits=DEFAULT_PRECISION):

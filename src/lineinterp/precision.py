@@ -362,16 +362,6 @@ class ApComplex:
             self.precision_bits,
         )
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_obj(self):
-        return _point_json(self.re, self.im)
-
-    @classmethod
-    def from_json_obj(cls, obj, precision_bits=DEFAULT_PRECISION):
-        z = _point_from_json(obj, precision_bits)
-        return cls(z.real, z.imag, precision_bits)
-
 
 def ulp(scale, precision_bits):
     """Unit in the last place at the given precision for a magnitude scale."""

@@ -564,28 +564,16 @@ def test_identity_polynomial_passes(runner, node_file):
 
 
 def test_identity_accepts_function_file(runner, node_file, tmp_path):
-    from lineinterp import series_from_spec
-
-    series = series_from_spec(POLY[len("builtin:") :], BITS)
+    # the series of POLY, written out as a series file
+    coeffs = [(0, 0, "1", "0"), (1, 1, "2", "0"), (3, 0, "0", "-1")]
+    entries = [{"k": k, "l": l, "re": re, "im": im} for k, l, re, im in coeffs]
+    payload = {"max_order": 3, "coeffs": entries}
     path = tmp_path / "func.json"
-    path.write_text(json.dumps(series.to_json_obj()))
-    result = runner.invoke(
-        main,
-        [
-            "identity",
-            "--nodes",
-            node_file,
-            "--function",
-            str(path),
-            "--n-min",
-            "2",
-            "--n-max",
-            "2",
-            "--grid",
-            SMALL_GRID,
-        ],
-    )
+    path.write_text(json.dumps(payload))
+    argv = ["identity", "--nodes", node_file, "--n-min", "2", "--n-max", "2", "--grid", SMALL_GRID]
+    result = runner.invoke(main, argv + ["--function", str(path)])
     assert result.exit_code == 0
+    assert result.output == runner.invoke(main, argv + ["--function", POLY]).output
 
 
 def test_identity_truncated_tail_fails(runner, node_file):

@@ -25,6 +25,7 @@ from lineinterp import (
     EscalationPolicy,
     NodeDistinctnessError,
     NodeSequence,
+    ParseError,
     ScalarFunction,
     StageRecord,
     UnsuitableKernelError,
@@ -379,6 +380,28 @@ def test_construction_failure_carries_stage_log():
         assert isinstance(rec, StageRecord)
 
 
+@pytest.mark.parametrize("max_bits", [256, 1024])
+def test_an_exhausted_shrink_budget_escalates_the_stage(monkeypatch, max_bits):
+    # stage 2 gets no halving of its pair radius, so every attempt at it
+    # exhausts the budget; the cancellation gate is never consulted
+    attempts = []
+    run_stage, budget = counterexample._run_stage, counterexample.SHRINK_BUDGET
+
+    def spy(f, conditioning, diag, stage, bits):
+        attempts.append((stage, bits))
+        monkeypatch.setattr(counterexample, "SHRINK_BUDGET", 0 if stage == 2 else budget)
+        return run_stage(f, conditioning, diag, stage, bits)
+
+    monkeypatch.setattr(counterexample, "_run_stage", spy)
+    with pytest.raises(ConstructionFailureError) as info:
+        build_sequence(default_kernel(), 2, EscalationPolicy(start_bits=256, max_bits=max_bits))
+    doublings = [(2, bits) for bits in (256, 512, 1024) if bits <= max_bits]
+    assert attempts == [(1, 256)] + doublings
+    assert "stage 2 stalled at the precision ceiling of %d bits" % max_bits in str(info.value)
+    [record] = info.value.stage_log
+    assert record.stage == 1 and record.precision_bits == 256
+
+
 def test_escalation_raises_precision_and_still_verifies():
     f = default_kernel()
     seq = build_sequence(f, 3, EscalationPolicy(start_bits=64, max_bits=4096))
@@ -605,6 +628,32 @@ def test_sequence_json_roundtrip(seq3):
     assert len(plain) == len(seq3.nodes)
     for entry in payload["nodes"]:
         assert entry["axis"] in ("real", "imaginary")
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [doc],
+        lambda doc: _without(doc, "nodes"),
+        lambda doc: dict(doc, precision_bits="x"),
+        lambda doc: dict(doc, precision_bits=[1]),
+        lambda doc: dict(doc, stage_log=5),
+        lambda doc: dict(doc, stage_log=[5]),
+        lambda doc: dict(doc, stage_log=[_without(doc["stage_log"][0], "achieved")]),
+        lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], stage=[1])]),
+        lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], target="x")]),
+    ],
+    ids=["not-an-object", "no-nodes", "bits-text", "bits-list", "log-number", "record-number",
+         "record-missing-key", "record-type", "record-value"],
+)
+def test_sequence_reader_turns_a_malformed_payload_into_a_parse_error(seq3, edit):
+    doc = json.loads(json.dumps(seq3.to_json_obj()))
+    with pytest.raises(ParseError):
+        AdversarialSequence.from_json_obj(edit(doc))
 
 
 def test_growth_report_serialization(seq3):

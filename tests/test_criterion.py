@@ -144,6 +144,8 @@ def test_profile_rejects_bad_window():
         criterion_profile(nodes, 2, 1, BITS)
     with pytest.raises(DomainError):
         criterion_profile(nodes, -1, 1, BITS)
+    with pytest.raises(DomainError):
+        criterion_profile(nodes, 1, -1, BITS)
 
 
 # -- mixed profile -------------------------------------------------------------------

@@ -444,6 +444,8 @@ def test_arity_errors():
     with pytest.raises(ArityError):
         lagrange_sum(h, nodes, 3, make_complex("0"))
     with pytest.raises(ArityError):
+        delta_analytic([], None, nodes, 0)
+    with pytest.raises(ArityError):
         NodeSequence([])
 
 

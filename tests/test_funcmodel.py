@@ -22,6 +22,7 @@ from lineinterp import (
     series_from_spec,
 )
 from lineinterp.funcmodel import _projection, _weight
+from lineinterp.precision import _point_json
 from support import (
     QC,
     ap_gap,
@@ -77,6 +78,16 @@ def test_series_rejects_out_of_range_indices():
         TaylorSeries2({(2, 3): make_complex("1")}, 4, 256)
     with pytest.raises(ConfigError):
         TaylorSeries2({(-1, 0): make_complex("1")}, 4, 256)
+    with pytest.raises(ConfigError):
+        TaylorSeries2({}, -1, 256)
+
+
+def test_restrict_takes_a_boxed_slope():
+    f = exp_sum_series(2, 256)
+    with workprec(256):
+        raw = mpc(1, 2)
+    with pytest.raises(ConfigError):
+        restrict_to_line(f, raw, 256)
 
 
 def test_series_rounds_every_coefficient_to_its_precision():
@@ -234,7 +245,8 @@ def test_function_json_round_trip():
     rng = random.Random(181)
     coeffs = rand_poly2_coeffs(rng, 5)
     f = series_from_qc(coeffs)
-    blob = json.dumps(f.to_json_obj())
+    entries = [{"k": k, "l": l, **_point_json(v.real, v.imag)} for (k, l), v in f.items()]
+    blob = json.dumps({"max_order": f.max_order, "coeffs": entries})
     back = TaylorSeries2.from_json_obj(json.loads(blob), 256)
     assert back.max_order == f.max_order
     for (k, l), v in f.items():
