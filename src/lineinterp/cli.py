@@ -6,14 +6,15 @@ experiment, and emits a CSV or JSON table. The layout of every table is
 decided here, and every table, CSV or JSON, goes through the one writer
 `_emit_table`. Magnitudes are rendered as exact decimal strings, never binary
 floats, so outputs written at different working precisions stay comparable.
-The writer renders each row to UTF-8 bytes in forked workers through
-precision.fork_spool, which decides how they travel back. Once every row is
-rendered, the rows are copied out in order, one at a time: no table is ever
-held whole, and a failing row still writes nothing. A JSON table is the text
-of json.dumps of its document, with each array of rows streamed in its
-place. The mobius report and the counterexample artifact are not tables and
-are written whole. All primary output leaves through the one streaming
-writer `_emit`. Identical flags and seed produce byte-identical output,
+The writer renders each row in forked workers through precision.fork_spool,
+one line at a time, to UTF-8 pieces that the spool stores as they are and
+gives back as the row's bytes: a row is never pickled, joined or decoded.
+Once every row is rendered, the rows are copied out in order, one at a time:
+no table is ever held whole, and a failing row still writes nothing. A JSON
+table is the text of json.dumps of its document, with each array of rows
+streamed in its place, its items rendered at their depth. The mobius report
+and the counterexample artifact are not tables and are written whole. All
+primary output leaves through the one streaming writer `_emit`. Identical flags and seed produce byte-identical output,
 whatever the CPU count.
 
 Exit codes: 0 success, 1 property-check failure, 2 configuration error,
@@ -225,7 +226,6 @@ def _emit(pieces, out_path):
     """
     if isinstance(pieces, str):
         pieces = (pieces,)
-    pieces = (p.encode("utf-8") if isinstance(p, str) else p for p in pieces)
     if out_path:
         try:
             with open(out_path, "wb") as fh:
@@ -238,13 +238,17 @@ def _emit(pieces, out_path):
 
 
 def _write_pieces(pieces, write):
-    """Write each non-empty bytes piece, then a newline unless the last one ends with one."""
-    last = b""
+    """Write each non-empty piece, text as UTF-8, then a newline unless the last one ends with one."""
+    newline = False
     for piece in pieces:
         if piece:
+            if isinstance(piece, str):
+                piece = piece.encode("utf-8")
             write(piece)
-            last = piece
-    if not last.endswith(b"\n"):
+            newline = piece.endswith(b"\n")
+        # a written piece is dropped before the next one is drawn
+        del piece
+    if not newline:
         write(b"\n")
 
 
@@ -252,9 +256,30 @@ def _json_text(obj):
     return json.dumps(obj, indent=2)
 
 
-def _csv_text(lines):
-    """One line of comma-separated cells per line of lines; a None cell is empty."""
-    return "".join(",".join("" if v is None else str(v) for v in line) + "\n" for line in lines)
+# json.dumps(obj, indent=2) is this encoder's text of obj
+_JSON = json.JSONEncoder(indent=2)
+
+
+def _json_lines(obj, indent):
+    """The lines of _json_text(obj) as UTF-8 pieces, each after a newline and indent.
+
+    That is the text of obj as json.dumps writes it one level deeper, at
+    indent, since with indent set it writes a value the same way at any depth.
+    """
+    newline = "\n" + indent
+    line = newline
+    for chunk in _JSON.iterencode(obj):
+        *ends, rest = chunk.split("\n")
+        for end in ends:
+            yield (line + end).encode("utf-8")
+            line = newline
+        line += rest
+    yield line.encode("utf-8")
+
+
+def _csv_line(cells):
+    """One CSV line of the cells as UTF-8; a None cell is empty."""
+    return (",".join("" if v is None else str(v) for v in cells) + "\n").encode("utf-8")
 
 
 # Stands in a table's JSON document for each array of rows, and joins a row's
@@ -263,54 +288,71 @@ _ARRAY = "\0"
 
 
 def _emit_table(columns, count, row, fmt, out_path, doc):
-    """_emit of the rows row(0), ..., row(count - 1): CSV under the columns, or the JSON doc().
+    """_emit of the rows row(0, csv), ..., row(count - 1, csv): CSV under the columns, or the JSON doc().
 
-    row(i) returns table row i as its CSV lines and its tuple of items, one
-    for each array of the document; each array stands in it as _ARRAY, in
-    document order. doc is called only for JSON, so CSV renders none of the
-    document's other values. Each row is rendered to UTF-8 bytes through
-    fork_spool, in a forked worker or in the caller. Nothing is written until
-    every row is rendered, so a failing row leaves the output empty; then
-    the rows are copied out in order, one row held at a time.
+    With csv set, row(i, csv) returns table row i as an iterable of CSV
+    lines; else as its tuple of items, one for each array of the document,
+    where each array stands as _ARRAY, in document order. doc is called only
+    for JSON, so CSV renders none of the document's other values, and before
+    any row, whose items are rendered at the depths of its arrays. Each row
+    is rendered through fork_spool, in a forked worker or in the caller, to
+    UTF-8 pieces, one a line, which the spool writes as they are; a row's
+    JSON items are joined by _ARRAY. Nothing is written until every row is
+    rendered, so a failing row leaves the output empty; then the rows are
+    copied out in order, one row held at a time.
     """
-    csv = fmt == "csv"
+    if fmt == "csv":
+        def render(i):
+            return [_csv_line(line) for line in row(i, True)]
+
+        with fork_spool(render, range(count), raw=True) as read:
+            _emit(itertools.chain([_csv_line(columns)], map(read, range(count))), out_path)
+        return
+    parts = _json_text(doc()).split(_json_text(_ARRAY))
+    # the indent of the line each array opens on
+    indents = [" " * (len(line) - len(line.lstrip(" "))) for line in
+               (part.rpartition("\n")[2] for part in parts[:-1])]
 
     def render(i):
-        lines, items = row(i)
-        return (_csv_text(lines) if csv else _ARRAY.join(map(_json_text, items))).encode("utf-8")
+        pieces = []
+        for indent, item in zip(indents, row(i, False)):
+            if pieces:
+                pieces.append(_ARRAY.encode("utf-8"))
+            pieces.extend(_json_lines(item, indent + "  "))
+        return pieces
 
-    with fork_spool(render, range(count)) as read:
-        if csv:
-            pieces = itertools.chain([_csv_text([columns])], map(read, range(count)))
-        else:
-            pieces = _json_pieces(_json_text(doc()), read, count)
-        _emit(pieces, out_path)
+    with fork_spool(render, range(count), raw=True) as read:
+        _emit(_json_pieces(parts, indents, read, count), out_path)
 
 
-def _json_pieces(text, read, count):
-    """The JSON text of a doc with its j-th _ARRAY replaced by the j-th items of rows read(0), ....
+def _json_pieces(parts, indents, read, count):
+    """The pieces of the parts of a JSON text with array j between parts j and j + 1.
 
-    With indent set, json.dumps writes a value the same way at a given depth,
-    so each item, dumped on its own, is re-indented at its array's depth: the
-    pieces join to json.dumps of the doc with its arrays in place. The items
-    are split and re-indented as bytes, since neither NUL nor a newline occurs
-    inside a UTF-8 multibyte sequence. The rows are read once for each array.
+    Array j holds the j-th items of the rows read(0), ..., read(count - 1),
+    each taken from its row's bytes as it is, already indented at the
+    array's depth, indents[j] plus two spaces. The rows are read once for
+    each array.
     """
-    parts = text.split(_json_text(_ARRAY))
     yield parts[0]
     for j, after in enumerate(parts[1:]):
-        line = parts[j].rpartition("\n")[2]
-        outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        inner = (outer + "  ").encode("utf-8")
         for i in range(count):
-            item = read(i).split(_ARRAY.encode("utf-8"))[j]
-            yield (b"," if i else b"[") + inner + item.replace(b"\n", inner)
-        yield outer + "]" + after
+            yield b"," if i else b"["
+            yield _item(read(i), j)
+        yield "\n" + indents[j] + "]" + after
 
 
-def _one_line(columns, line):
+def _item(row, j):
+    """Item j of a rendered JSON row, whose items are joined by _ARRAY; a row of one item is itself."""
+    start = 0
+    for _ in range(j):
+        start = row.index(0, start) + 1
+    stop = row.find(0, start)
+    return row[start:] if stop < 0 else row[start:stop]
+
+
+def _one_line(columns, line, csv):
     """A table row of one CSV line, whose JSON item maps the columns to its cells."""
-    return [line], (dict(zip(columns, line)),)
+    return [line] if csv else (dict(zip(columns, line)),)
 
 
 def _guarded(fn):
@@ -396,13 +438,13 @@ def cmd_converge(precision, node_source, function_source, n_min, n_max, grid, se
     sups = list(LinePlan(f, nodes, n_max, bits).sup_errors(points, orders).items())
     columns = ("n", "sup_error", "ratio")
 
-    def row(i):
+    def row(i, csv):
         n, sup = sups[i]
         prev = sups[i - 1][1] if i else None
         with workprec(bits):
             ratio = sup / prev if prev is not None and prev > 0 else None
         ratio = None if ratio is None else render_decimal(ratio)
-        return _one_line(columns, (n, render_decimal(sup), ratio))
+        return _one_line(columns, (n, render_decimal(sup), ratio), csv)
 
     _emit_table(columns, len(sups), row, fmt, out, lambda: {"precision_bits": bits, "rows": _ARRAY})
     return 0
@@ -428,10 +470,12 @@ def cmd_criterion(precision, node_source, p_max, q_max, seed, out, fmt):
     nodes = _load_nodes(node_source, bits, seed)
     prof = criterion_profile(nodes, p_max, q_max, bits)
 
-    def row(p):
-        raw = [render_decimal(v) for v in prof.raw[p]]
-        norm = [render_decimal(v) for v in prof.normalized[p]]
-        return [(p, q, *cells) for q, cells in enumerate(zip(raw, norm))], (raw, norm)
+    def row(p, csv):
+        raw = map(render_decimal, prof.raw[p])
+        norm = map(render_decimal, prof.normalized[p])
+        if csv:
+            return ((p, q, *cells) for q, cells in enumerate(zip(raw, norm)))
+        return list(raw), list(norm)
 
     def doc():
         return {
@@ -489,9 +533,11 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
     if out:
         _emit(_json_text(sequence), out)
 
-    def row(i):
+    def row(i, csv):
         cert = report.rows[i]
         achieved = render_decimal(cert.achieved)
+        if csv:
+            return [(cert.stage, achieved, cert.target, cert.precision_bits)]
         item = {
             "stage": cert.stage,
             "achieved": achieved,
@@ -500,7 +546,7 @@ def cmd_counterexample(precision, stages, max_bits, kernel, out, fmt):
             "note": cert.note,
             "precision_bits": cert.precision_bits,
         }
-        return [(cert.stage, achieved, cert.target, cert.precision_bits)], (item,)
+        return (item,)
 
     columns = ("p", "achieved", "target", "precision_bits")
     def doc():
@@ -552,9 +598,9 @@ def cmd_identity(precision, node_source, function_source, n_min, n_max, max_orde
     passed = worst <= tol
     columns = ("n", "point", "residual", "cross_form_gap")
 
-    def row(i):
+    def row(i, csv):
         n, idx, mag, gap = rows[i]
-        return _one_line(columns, (n, idx, render_decimal(mag), render_decimal(gap)))
+        return _one_line(columns, (n, idx, render_decimal(mag), render_decimal(gap)), csv)
 
     def doc():
         return {
@@ -683,10 +729,11 @@ def cmd_dd(precision, node_source, kernel, max_order, seed, out, fmt):
     h = _parse_kernel(kernel, bits)
     table = delta_table(h, nodes, bits)
 
-    def row(p):
-        cells = [(render_decimal(v.real), render_decimal(v.imag)) for v in table.rows[p]]
-        lines = [(p, k, re, im) for k, (re, im) in enumerate(cells)]
-        return lines, ([{"re": re, "im": im} for re, im in cells],)
+    def row(p, csv):
+        cells = ((render_decimal(v.real), render_decimal(v.imag)) for v in table.rows[p])
+        if csv:
+            return ((p, k, re, im) for k, (re, im) in enumerate(cells))
+        return ([{"re": re, "im": im} for re, im in cells],)
 
     def doc():
         return {"precision_bits": bits, "nodes": nodes.to_json_obj()["nodes"], "rows": _ARRAY}

@@ -134,6 +134,18 @@ class EscalationPolicy:
             raise ConfigError("max_bits must be at least start_bits")
 
 
+def _json_int(obj, key, default=None):
+    """obj[key], or default where obj has no key and one is given, as a JSON integer.
+
+    Any other value, a bool, a fraction or a numeric string among them, is a
+    ParseError, never truncated to an int.
+    """
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError("%s must be an integer, got %r" % (key, value))
+    return value
+
+
 @dataclass(frozen=True)
 class StageRecord:
     """Acceptance record for one three-node stage (1-based stage index).
@@ -168,16 +180,16 @@ class StageRecord:
     def from_json_obj(cls, obj):
         # a record that is not an object fails its first subscript with a TypeError
         try:
-            bits = check_precision(int(obj["precision_bits"]))
+            bits = check_precision(_json_int(obj, "precision_bits"))
             return cls(
-                stage=int(obj["stage"]),
+                stage=_json_int(obj, "stage"),
                 eta_first=_point_from_json(obj["eta_first"], bits),
                 eta_second=_point_from_json(obj["eta_second"], bits),
                 eta_third=_point_from_json(obj["eta_third"], bits),
                 achieved=parse_decimal(obj["achieved"], bits),
-                target=int(obj["target"]),
+                target=_json_int(obj, "target"),
                 phase_case=str(obj["phase_case"]),
-                shrink_steps=int(obj["shrink_steps"]),
+                shrink_steps=_json_int(obj, "shrink_steps"),
                 precision_bits=bits,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -225,7 +237,7 @@ class AdversarialSequence:
         if not isinstance(obj, dict) or "nodes" not in obj:
             raise ParseError("sequence payload must contain nodes")
         try:
-            bits = check_precision(int(obj.get("precision_bits", DEFAULT_PRECISION)))
+            bits = check_precision(_json_int(obj, "precision_bits", DEFAULT_PRECISION))
             log = tuple(StageRecord.from_json_obj(rec) for rec in obj.get("stage_log", ()))
         except (TypeError, ValueError) as exc:
             raise ParseError("malformed sequence payload: %s" % (exc,)) from exc

@@ -67,13 +67,16 @@ one. A zero gap raises ZeroDivisionError, as the mpc loop does.
 fork_spool, last, is the one place that calls os.fork: it maps a function
 over items in forked workers, one per usable CPU, and is the one way their
 results come back. Every worker appends each result as it is made, as one
-pickled record, to one unlinked spool file, which the caller scans once and
-then reads back by item index, one result at a time. fork_map returns the
-list the plain loop would; the grid sweeps of interpolate and the columns of
-criterion_profile run through it, and the cli tables render their rows
-through fork_spool itself. A worker that dies, or whose record does not
-decode, is a NumericError; so every forked map needs a writable temporary
-directory, and a spool that cannot be made or written is a ConfigError.
+record, to one unlinked spool file; the caller frames every record once and
+then reads the results back by item index, one at a time. A record is a
+result's raw bytes, a pickled value or a pickled failure. The cli tables
+render their rows to bytes pieces, which reach the spool as they are and
+come back as one pread's bytes, never pickled; a pickled value, such as a
+result of fork_map, is decoded once. fork_map returns the list the plain loop
+would; the grid sweeps of interpolate and the columns of criterion_profile
+run through it. A worker that dies, or whose record does not decode, is a
+NumericError; so every forked map needs a writable temporary directory, and
+a spool that cannot be made or written is a ConfigError.
 """
 
 from __future__ import annotations
@@ -628,9 +631,14 @@ def _append(diag, value, gaps):
 # -- forked map -------------------------------------------------------------
 
 
-# a spooled result: its item index, its byte length and whether it is a
-# failure, then its pickle
-_RECORD = struct.Struct("<QQ?")
+# a spooled record: its item index, its byte length and its kind, then its bytes
+_RECORD = struct.Struct("<QQB")
+# the kinds of record: a result's own bytes, a pickled result, a pickled failure
+_RAW, _VALUE, _FAILED = range(3)
+# the most buffers one os.writev takes; POSIX promises at least 16
+_IOV_MAX = max(os.sysconf("SC_IOV_MAX"), 16)
+# where an item's record has not been seen
+_MISSING = object()
 
 
 def _usable_cpus():
@@ -653,32 +661,50 @@ def _open_spool():
         raise ConfigError("cannot make a spool file: %s" % (exc,)) from exc
 
 
-def _write_record(fd, i, failed, data):
-    """Append item i's pickle data to the spool fd as one record in one write.
+def _write_record(fd, i, kind, pieces):
+    """Append item i's record of the given kind, whose bytes are the pieces in order, to the spool fd.
 
-    With O_APPEND each write lands whole at the end of the file, so workers
-    sharing fd never interleave their records.
+    The record goes out in one os.writev. With O_APPEND each write lands
+    whole at the end of the file, so workers sharing fd never interleave
+    their records. A record of more pieces than one os.writev takes has
+    runs of them joined first, from the end, each run dropped from the
+    pieces as it is joined, so its bytes are never held twice.
     """
-    size = _RECORD.size + len(data)
+    step = -(-len(pieces) // (_IOV_MAX - 1))
+    if step > 1:
+        pieces, runs = list(pieces), []
+        for start in reversed(range(0, len(pieces), step)):
+            runs.append(b"".join(pieces[start:]))
+            del pieces[start:]
+        pieces = runs[::-1]
+    length = sum(map(len, pieces))
+    size = _RECORD.size + length
     try:
-        written = os.writev(fd, [_RECORD.pack(i, len(data), failed), data])
+        written = os.writev(fd, [_RECORD.pack(i, length, kind), *pieces])
     except OSError as exc:
         raise ConfigError("cannot write the spool file: %s" % (exc,)) from exc
     if written != size:
         raise ConfigError("cannot write the spool file: %d of %d bytes written" % (written, size))
 
 
-def _spool_chunk(fn, items, indices, fd):
-    """Spool fn(items[i]) for i in indices, each as it is made; (i, exc) at the first failure, else None."""
+def _spool_chunk(fn, items, indices, fd, raw):
+    """Spool fn(items[i]) for i in indices, each as it is made; (i, exc) at the first failure, else None.
+
+    With raw set a result is a sequence of bytes pieces, written as they
+    are; else it is pickled. No result is held once it is written.
+    """
     for i in indices:
         try:
-            _write_record(fd, i, False, pickle.dumps(fn(items[i]), pickle.HIGHEST_PROTOCOL))
+            if raw:
+                _write_record(fd, i, _RAW, fn(items[i]))
+            else:
+                _write_record(fd, i, _VALUE, [pickle.dumps(fn(items[i]), pickle.HIGHEST_PROTOCOL)])
         except Exception as exc:
             return i, exc
     return None
 
 
-def _fork_chunk(fn, items, indices, fd):
+def _fork_chunk(fn, items, indices, fd, raw):
     """Fork a child that spools its chunk to fd, its first failure as a failed record; returns its pid.
 
     An exception that does not pickle is sent as a NumericError at the same
@@ -690,7 +716,7 @@ def _fork_chunk(fn, items, indices, fd):
         # child inherited, such as the caller's pending stdout.
         status = 1
         try:
-            failure = _spool_chunk(fn, items, indices, fd)
+            failure = _spool_chunk(fn, items, indices, fd, raw)
             if failure is not None:
                 i, exc = failure
                 try:
@@ -698,7 +724,7 @@ def _fork_chunk(fn, items, indices, fd):
                 except Exception:
                     text = "%s: %s (in a forked worker; the error does not pickle)"
                     data = pickle.dumps(NumericError(text % (type(exc).__name__, exc)), pickle.HIGHEST_PROTOCOL)
-                _write_record(fd, i, True, data)
+                _write_record(fd, i, _FAILED, [data])
             status = 0
         finally:
             os._exit(status)
@@ -725,24 +751,29 @@ def _ended(code):
 
 
 def _scan(fd, chunks, failures):
-    """(byte length, offset) of each item's result in the spool fd, by index.
+    """Where each item's result is in the spool fd, by index.
 
-    Each record is decoded once, in the order they were written, and the
-    failures it holds or its decoding raises are appended to failures; a
-    record of chunk 0 is the caller's own. A partial record, which a worker
-    killed part way through its write leaves at the end, ends the scan. When
+    The records are framed once, in the order they were written. A raw
+    record's bytes are never read: its entry is their (byte length, offset).
+    A pickled record is decoded once: a value is its entry, and a failure,
+    or the error its decoding raises, is appended to failures; a record of
+    chunk 0 is the caller's own. A partial record, which a worker killed
+    part way through its write leaves at the end, ends the scan. When
     nothing failed, an item with no record fails at its worker's first item.
     """
     k = len(chunks)
-    where = [None] * sum(map(len, chunks))
+    where = [_MISSING] * sum(map(len, chunks))
     end = os.fstat(fd).st_size
     pos = 0
     while pos + _RECORD.size <= end:
-        i, size, failed = _RECORD.unpack(os.pread(fd, _RECORD.size, pos))
+        i, size, kind = _RECORD.unpack(os.pread(fd, _RECORD.size, pos))
         start = pos + _RECORD.size
         pos = start + size
-        if i >= len(where) or pos > end:
+        if i >= len(where) or pos > end or kind > _FAILED:
             break
+        if kind == _RAW:
+            where[i] = size, start
+            continue
         try:
             value = pickle.loads(os.pread(fd, size, start))
         except Exception as exc:
@@ -752,33 +783,36 @@ def _scan(fd, chunks, failures):
             else:
                 failures.append((i, NumericError("the result of item %d does not decode %s" % (i, how))))
         else:
-            if failed:
+            if kind == _FAILED:
                 failures.append((i, value))
             else:
-                where[i] = size, start
-    if not failures and None in where:
-        i = where.index(None)
-        failures.append(_lost(chunks[i % k], "exited without the result of item %d" % i))
+                where[i] = value
+    missing = next((i for i, entry in enumerate(where) if entry is _MISSING), None)
+    if not failures and missing is not None:
+        failures.append(_lost(chunks[missing % k], "exited without the result of item %d" % missing))
     return where
 
 
 @contextlib.contextmanager
-def fork_spool(fn, items):
+def fork_spool(fn, items, raw=False):
     """Map fn over items in forked workers; yields read, with read(i) = fn(items[i]).
 
     The items are dealt round-robin into k = min(usable CPUs, len(items))
     chunks: the caller runs chunk 0 and a forked child each other chunk, so
     fn and the items are inherited, never pickled. Without fork, or with
     other threads running (a forked child holds only the calling thread), k
-    is 1. Each worker appends each result, pickled as it is made, to one
-    spool. Every child is reaped and every record decoded once before
-    anything is yielded; read(i) decodes item i's record again, so only the
-    results read are held. A failure raises the exception of the lowest item
-    index, as the plain loop would. A child that is killed, exits with a
-    nonzero status or writes a record that does not decode fails at its
-    first item with a NumericError naming its items and how it ended. A spool
-    that cannot be made or written is a ConfigError. The spool is closed on
-    every exit path.
+    is 1. Each worker appends each result, as it is made, to one spool as
+    one record. With raw set, fn returns a sequence of bytes pieces, which
+    are written as they are, and read(i) returns item i's bytes as one
+    pread gives them, so only the results read are held. Else each result
+    is pickled, and read(i) returns the value its record decoded to. Every
+    child is reaped and every record framed, and every pickle decoded once,
+    before anything is yielded. A failure raises the exception of the
+    lowest item index, as the plain loop would. A child that is killed,
+    exits with a nonzero status or writes a record that does not decode
+    fails at its first item with a NumericError naming its items and how it
+    ended. A spool that cannot be made or written is a ConfigError. The
+    spool is closed on every exit path.
     """
     items = list(items)
     k = max(1, min(_usable_cpus(), len(items)))
@@ -790,8 +824,8 @@ def fork_spool(fn, items):
         pids = []
         try:
             for indices in chunks[1:]:
-                pids.append(_fork_chunk(fn, items, indices, fd))
-            own = _spool_chunk(fn, items, chunks[0], fd)
+                pids.append(_fork_chunk(fn, items, indices, fd, raw))
+            own = _spool_chunk(fn, items, chunks[0], fd, raw)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         # a dead worker's failure goes first, so it wins a tie with its own records
@@ -801,7 +835,7 @@ def fork_spool(fn, items):
         where = _scan(fd, chunks, failures)
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        yield lambda i: pickle.loads(os.pread(fd, *where[i]))
+        yield (lambda i: os.pread(fd, *where[i])) if raw else where.__getitem__
     finally:
         os.close(fd)
 

@@ -11,13 +11,20 @@ data.
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
 from lineinterp import DEFAULT_PRECISION, ApComplex, parse_decimal, ulp
 from lineinterp.funcmodel import GradedTerms
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True)
@@ -427,3 +434,55 @@ def rand_poly2_coeffs(rng, max_degree, scale=2, denom_bits=5, density=0.7):
     if not coeffs:
         coeffs[(0, 0)] = QC_ONE
     return coeffs
+
+
+# -- fresh-process measurement ------------------------------------------------------
+
+_TRACED_RUN = """
+import json, os, sys, tracemalloc
+cpus, argv = json.loads(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cpus))
+import locale  # click's first parse imports it, through gettext
+from click.testing import CliRunner
+from lineinterp.cli import main
+runner = CliRunner()
+tracemalloc.start()
+result = runner.invoke(main, argv)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = True
+except ChildProcessError:
+    children = False
+print(json.dumps({"exit_code": result.exit_code, "output": result.output, "stdout": result.stdout,
+                  "children": children, "peak": peak}))
+"""
+
+
+def traced_cli_run(argv, out, cpus=1):
+    """The tracemalloc peak of the CLI run on argv + ["--out", out], and the size of what it wrote.
+
+    The run is the one invocation of a fresh `python -c` process, with the
+    usable CPUs patched to cpus. Its baseline is stated: lineinterp.cli,
+    click.testing and locale, which click imports on its first parse, are
+    imported and a CliRunner made before tracing starts, so the peak counts
+    what the invocation allocates and none of the one-time imports.
+    A run that does not exit 0, writes to stdout or leaves a child process
+    behind is an AssertionError.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, json.dumps([cpus, list(argv) + ["--out", str(out)]])],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["exit_code"] == 0, record["output"]
+    assert record["stdout"] == ""
+    assert not record["children"]
+    return record["peak"], os.path.getsize(out)

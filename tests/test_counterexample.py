@@ -646,9 +646,19 @@ def _without(obj, key):
         lambda doc: dict(doc, stage_log=[_without(doc["stage_log"][0], "achieved")]),
         lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], stage=[1])]),
         lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], target="x")]),
+        # an integer field is never truncated: a fraction, a numeric string or a bool is refused
+        lambda doc: dict(doc, precision_bits=256.9),
+        lambda doc: dict(doc, precision_bits="300"),
+        lambda doc: dict(doc, precision_bits=True),
+        lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], stage=1.7)]),
+        lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], precision_bits=256.9)]),
+        lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], target="3")]),
+        lambda doc: dict(doc, stage_log=[dict(doc["stage_log"][0], shrink_steps=False)]),
     ],
     ids=["not-an-object", "no-nodes", "bits-text", "bits-list", "log-number", "record-number",
-         "record-missing-key", "record-type", "record-value"],
+         "record-missing-key", "record-type", "record-value", "bits-fraction", "bits-numeric-text",
+         "bits-bool", "record-stage-fraction", "record-bits-fraction", "record-numeric-text",
+         "record-bool"],
 )
 def test_sequence_reader_turns_a_malformed_payload_into_a_parse_error(seq3, edit):
     doc = json.loads(json.dumps(seq3.to_json_obj()))

@@ -26,7 +26,6 @@ import sys
 import tempfile
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,7 +45,8 @@ from lineinterp import (
     generate_nodes,
 )
 from lineinterp.cli import main
-from lineinterp.precision import fork_map
+from lineinterp.precision import fork_map, fork_spool
+from support import traced_cli_run
 
 ROOT = Path(__file__).resolve().parents[1]
 BITS = 256
@@ -455,29 +455,23 @@ _WIDE_TABLES = {
 }
 
 
-@pytest.mark.parametrize("command, fmt", [("dd", "csv"), ("dd", "json"), ("criterion", "json")])
-def test_a_written_table_is_never_held_whole(monkeypatch, tmp_path, stage5_artifact, command, fmt):
+@pytest.mark.parametrize(
+    "command, fmt", [("dd", "csv"), ("dd", "json"), ("criterion", "csv"), ("criterion", "json")]
+)
+def test_a_written_table_is_never_held_whole(tmp_path, stage5_artifact, command, fmt):
     # the rows go through the spool and then to the file one at a time, so the
-    # traced peak is what the computation holds plus a row, not the table
-    runner = CliRunner()
-    table = tmp_path / "table"
+    # traced peak is what the computation holds plus a row, not the table; each
+    # run is a fresh process, whose imports come before tracing starts, and it
+    # writes nothing to stdout and leaves no child behind
     argv = _WIDE_TABLES[command] + ["--nodes", stage5_artifact, "--precision", "4096",
                                     "--format", fmt]
     written = []
     for cpus in (1, 2):
-        _use_cpus(monkeypatch, cpus)
-        tracemalloc.start()
-        try:
-            result = runner.invoke(main, argv + ["--out", str(table)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.exit_code == 0, result.output
-        assert result.stdout == ""
-        _assert_no_children()
+        table = tmp_path / ("table-%d" % cpus)
+        peak, size = traced_cli_run(argv, table, cpus)
         written.append(table.read_bytes())
-        assert peak < 0.75 * len(written[-1]), (cpus, peak, len(written[-1]))
-    assert written[0] == written[1] == runner.invoke(main, argv).stdout_bytes
+        assert peak < 0.75 * size, (cpus, peak, size)
+    assert written[0] == written[1] == CliRunner().invoke(main, argv).stdout_bytes
     assert len(written[0]) > 500_000
 
 
@@ -615,6 +609,83 @@ def test_a_spool_that_cannot_be_written_exits_2(monkeypatch):
         [line] = result.stderr.splitlines()
         assert re.match("config error: cannot write the spool file: " + reason, line), line
         _assert_no_children()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(_SPOOLED))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forked_tables_pickle_no_row_and_decode_each_value_once(monkeypatch, tmp_path, cpus, command, fmt):
+    # the rows travel as their own bytes; only criterion's three columns, values
+    # of fork_map, are pickled, in the caller or a child, and each is decoded once
+    _use_cpus(monkeypatch, cpus)
+    log = tmp_path / "pickled"
+    log.touch()
+    dumps, loads = pickle.dumps, pickle.loads
+    decoded = []
+
+    def logged_dumps(obj, protocol):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(type(obj).__name__ + "\n")
+        return dumps(obj, protocol)
+
+    def counted_loads(data):
+        decoded.append(type(data).__name__)
+        return loads(data)
+
+    monkeypatch.setattr(pickle, "dumps", logged_dumps)
+    monkeypatch.setattr(pickle, "loads", counted_loads)
+    result = CliRunner().invoke(main, _SPOOLED[command] + ["--format", fmt])
+    assert result.exit_code == 0, result.output
+    _assert_no_children()
+    columns = 3 if command == "criterion" else 0
+    assert log.read_text(encoding="utf-8").split() == ["tuple"] * columns
+    assert decoded == ["bytes"] * columns
+
+
+def test_a_worker_killed_part_way_through_a_raw_record_fails_at_its_first_item(monkeypatch):
+    # two chunks over range(4): items 0, 2 in the caller, 1, 3 in a forked child
+    # that writes the first half of item 1's record and is killed there
+    _use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    writev = os.writev
+
+    def torn(fd, buffers):
+        if os.getpid() != caller:
+            writev(fd, buffers[: len(buffers) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return writev(fd, buffers)
+
+    def row(i):
+        return [b"%d,%d\n" % (i, k) for k in range(3000)]
+
+    monkeypatch.setattr(os, "writev", torn)
+    with pytest.raises(NumericError, match="^the forked worker of items 1, 3 was killed by SIGKILL$"):
+        with fork_spool(row, range(4), raw=True):
+            pass
+    _assert_no_children()
+
+
+def test_a_row_of_more_pieces_than_writev_takes_comes_back_whole(monkeypatch):
+    # three workers append records of 3,000 pieces each, every record in one
+    # write of no more buffers than writev takes
+    _use_cpus(monkeypatch, 3)
+    limit = os.sysconf("SC_IOV_MAX")
+    writev = os.writev
+
+    def bounded(fd, buffers):
+        assert len(buffers) <= limit
+        written = writev(fd, buffers)
+        assert written == sum(map(len, buffers))
+        return written
+
+    def row(i):
+        return [b"%d,%d\n" % (i, k) for k in range(3000)]
+
+    monkeypatch.setattr(os, "writev", bounded)
+    with fork_spool(row, range(9), raw=True) as read:
+        for i in range(9):
+            assert read(i) == b"".join(row(i))
+    _assert_no_children()
 
 
 _UNFLUSHED_SCRIPT = """
